@@ -77,12 +77,17 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Short coverage-guided exploration of Server.Submit beyond the seeded
-# corpus: adversarial (stream, frame, arriveAt) triples under every
-# reconnect x poison policy combination. CI runs this as a smoke pass;
-# raise FUZZ_TIME locally for a real hunt.
+# Short coverage-guided exploration beyond the seeded corpora, one
+# target after the other (FUZZ_TIME each): Server.Submit with
+# adversarial (stream, frame, arriveAt) triples under every reconnect x
+# poison policy combination, then the word-parallel region-mask kernels
+# against their per-cell reference for arbitrary frame, cell and box
+# values. CI runs this as a smoke pass; raise FUZZ_TIME locally for a
+# real hunt.
 fuzz:
 	$(GO) test ./internal/serve -run '^FuzzSubmit$$' -fuzz '^FuzzSubmit$$' \
+		-fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/geom -run '^FuzzMaskSpan$$' -fuzz '^FuzzMaskSpan$$' \
 		-fuzztime $(FUZZ_TIME)
 
 # One iteration of every benchmark: a smoke pass that also emits the

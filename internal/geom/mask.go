@@ -62,26 +62,15 @@ func (m *Mask) FrameWidth() float64 { return m.w }
 // FrameHeight returns the pixel height of the underlying frame.
 func (m *Mask) FrameHeight() float64 { return m.h }
 
-func (m *Mask) index(cx, cy int) (word int, bit uint) {
-	i := cy*m.nx + cx
-	return i / 64, uint(i % 64)
-}
-
-func (m *Mask) set(cx, cy int) {
-	w, b := m.index(cx, cy)
-	m.bits[w] |= 1 << b
-}
-
-func (m *Mask) get(cx, cy int) bool {
-	w, b := m.index(cx, cy)
-	return m.bits[w]&(1<<b) != 0
-}
-
 // cellRange converts a pixel box to the clipped inclusive cell range it
-// touches. ok is false when the box misses the frame entirely.
+// touches. ok is false when the box misses the frame entirely, when a
+// coordinate is NaN, or when the box is so thin that it rounds to no
+// cell at all.
+//
+//detlint:allocfree
 func (m *Mask) cellRange(b Box) (x0, y0, x1, y1 int, ok bool) {
 	b = b.Clip(m.w, m.h)
-	if b.Empty() {
+	if !(b.X1 < b.X2 && b.Y1 < b.Y2) {
 		return 0, 0, 0, 0, false
 	}
 	x0 = int(b.X1 / m.cell)
@@ -94,19 +83,63 @@ func (m *Mask) cellRange(b Box) (x0, y0, x1, y1 int, ok bool) {
 	if y1 >= m.ny {
 		y1 = m.ny - 1
 	}
-	return x0, y0, x1, y1, true
+	return x0, y0, x1, y1, x0 <= x1 && y0 <= y1
+}
+
+// The grid is row-major, so the cells a box touches in one grid row are
+// one run of contiguous bits. The span helpers below visit the run
+// [lo, hi] (inclusive bit indices) a 64-bit word at a time: the first
+// and last words through edge masks, the words between them whole.
+
+// spanMasks returns the word indices of bits lo and hi and the edge
+// masks selecting bits >= lo in the first word and <= hi in the last.
+//
+//detlint:allocfree
+func spanMasks(lo, hi int) (wl, wh int, first, last uint64) {
+	return lo >> 6, hi >> 6, ^uint64(0) << (uint(lo) & 63), ^uint64(0) >> (63 - uint(hi)&63)
+}
+
+// setSpan sets bits lo..hi of words.
+//
+//detlint:allocfree
+func setSpan(words []uint64, lo, hi int) {
+	wl, wh, first, last := spanMasks(lo, hi)
+	if wl == wh {
+		words[wl] |= first & last
+		return
+	}
+	words[wl] |= first
+	for w := wl + 1; w < wh; w++ {
+		words[w] = ^uint64(0)
+	}
+	words[wh] |= last
+}
+
+// countSpan returns how many of bits lo..hi of words are set.
+//
+//detlint:allocfree
+func countSpan(words []uint64, lo, hi int) int {
+	wl, wh, first, last := spanMasks(lo, hi)
+	if wl == wh {
+		return bits.OnesCount64(words[wl] & first & last)
+	}
+	n := bits.OnesCount64(words[wl]&first) + bits.OnesCount64(words[wh]&last)
+	for _, w := range words[wl+1 : wh] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // AddBox marks every cell touched by the box (clipped to the frame).
+//
+//detlint:allocfree
 func (m *Mask) AddBox(b Box) {
 	x0, y0, x1, y1, ok := m.cellRange(b)
 	if !ok {
 		return
 	}
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			m.set(cx, cy)
-		}
+	for row := y0 * m.nx; row <= y1*m.nx; row += m.nx {
+		setSpan(m.bits, row+x0, row+x1)
 	}
 }
 
@@ -121,7 +154,7 @@ func (m *Mask) AddBoxes(boxes []Box, margin float64) {
 func (m *Mask) CoveredCells() int {
 	n := 0
 	for _, w := range m.bits {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -140,24 +173,18 @@ func (m *Mask) CoveredFraction() float64 {
 // BoxCoverage returns the fraction of the box's cells that are marked, in
 // [0, 1]. An object whose box coverage is low cannot be detected by a
 // detector restricted to this mask.
+//
+//detlint:allocfree
 func (m *Mask) BoxCoverage(b Box) float64 {
 	x0, y0, x1, y1, ok := m.cellRange(b)
 	if !ok {
 		return 0
 	}
-	covered, total := 0, 0
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			total++
-			if m.get(cx, cy) {
-				covered++
-			}
-		}
+	covered := 0
+	for row := y0 * m.nx; row <= y1*m.nx; row += m.nx {
+		covered += countSpan(m.bits, row+x0, row+x1)
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(covered) / float64(total)
+	return float64(covered) / float64((x1-x0+1)*(y1-y0+1))
 }
 
 // Reset clears all marked cells, retaining the allocation.
@@ -168,5 +195,3 @@ func (m *Mask) Reset() {
 		m.bits[i] = 0
 	}
 }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -157,5 +158,173 @@ func TestGreedyMergeDropsEmptyAndPreservesCoverage(t *testing.T) {
 		if !covered {
 			t.Fatalf("input box %v not covered by output %v", b, out)
 		}
+	}
+}
+
+// refAddBox is the per-cell AddBox the word-parallel span kernel
+// replaced, kept as the equivalence reference.
+func refAddBox(m *Mask, b Box) {
+	x0, y0, x1, y1, ok := m.cellRange(b)
+	if !ok {
+		return
+	}
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			i := cy*m.nx + cx
+			m.bits[i/64] |= 1 << uint(i%64)
+		}
+	}
+}
+
+// refBoxCoverage is the per-cell BoxCoverage reference.
+func refBoxCoverage(m *Mask, b Box) float64 {
+	x0, y0, x1, y1, ok := m.cellRange(b)
+	if !ok {
+		return 0
+	}
+	covered, total := 0, 0
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			total++
+			i := cy*m.nx + cx
+			if m.bits[i/64]&(1<<uint(i%64)) != 0 {
+				covered++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(covered) / float64(total)
+}
+
+// checkSpanStep adds b to both masks (m through the span kernel, ref
+// per cell), first comparing the coverage each reports for b, then the
+// resulting bitsets word for word.
+func checkSpanStep(t testing.TB, m, ref *Mask, b Box) {
+	t.Helper()
+	got, want := m.BoxCoverage(b), refBoxCoverage(ref, b)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%vx%v cell %v: BoxCoverage(%v) = %v, per-cell reference %v", m.w, m.h, m.cell, b, got, want)
+	}
+	m.AddBox(b)
+	refAddBox(ref, b)
+	for i := range ref.bits {
+		if m.bits[i] != ref.bits[i] {
+			t.Fatalf("%vx%v cell %v: after AddBox(%v) word %d = %#x, per-cell reference %#x", m.w, m.h, m.cell, b, i, m.bits[i], ref.bits[i])
+		}
+	}
+}
+
+// The span kernels set the same bits and count the same cells as the
+// per-cell loops, on grids whose width is not a multiple of 64 (KITTI
+// 1242x375 at cell 8 is 156x47) and for boxes that are clipped, one
+// cell, the full frame, or cross a word boundary.
+func TestMaskSpanMatchesPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	frames := [][2]float64{{1242, 375}, {2048, 1024}, {100, 100}, {64, 3}, {1, 1}}
+	for _, fr := range frames {
+		for _, cell := range []float64{4, 8, 13} {
+			W, H := fr[0], fr[1]
+			m, ref := NewMask(W, H, cell), NewMask(W, H, cell)
+			special := []Box{
+				NewBox(-40, -40, 2*cell, 2*cell),                  // clipped top-left
+				NewBox(W-cell, H-cell, W+100, H+100),              // clipped bottom-right
+				NewBox(-10, -10, -1, -1),                          // off frame
+				NewBox(3*cell, 2*cell, 3*cell+1, 2*cell+1),        // one cell
+				NewBox(62*cell+1, cell, 66*cell-1, 3*cell),        // crosses bit 64 in a row
+				NewBox(0, 5*cell, W, 5*cell+1),                    // one full row
+				NewBox(cell*0.5, cell*0.5, cell*0.5, cell*0.5+10), // zero width
+			}
+			for _, b := range special {
+				checkSpanStep(t, m, ref, b)
+			}
+			for i := 0; i < 60; i++ {
+				x, y := rng.Float64()*W*1.2-0.1*W, rng.Float64()*H*1.2-0.1*H
+				checkSpanStep(t, m, ref, NewBox(x, y, x+rng.Float64()*W/3, y+rng.Float64()*H/3))
+			}
+			checkSpanStep(t, m, ref, NewBox(0, 0, W, H)) // full frame
+			if m.CoveredFraction() != 1 {
+				t.Fatalf("%vx%v cell %v: full-frame box left coverage %v", W, H, cell, m.CoveredFraction())
+			}
+		}
+	}
+}
+
+// FuzzMaskSpan checks the span kernels against the per-cell reference
+// for arbitrary frame, cell and box values: the first box is added to
+// an empty mask, then the second box's coverage is compared on the
+// partly filled mask before it is added too.
+func FuzzMaskSpan(f *testing.F) {
+	f.Add(1242.0, 375.0, 8.0, 10.0, 20.0, 600.0, 90.0, 500.0, 0.0, 520.0, 375.0)
+	f.Add(100.0, 100.0, 13.0, -50.0, -50.0, 150.0, 150.0, 0.0, 0.0, 1.0, 1.0)
+	f.Add(640.0, 8.0, 4.0, 252.0, 0.0, 260.0, 4.0, 255.9, 0.0, 256.1, 8.0)
+	f.Add(37.5, 19.25, 0.0, math.NaN(), 1.0, 2.0, 3.0, 1.0, math.Inf(-1), math.Inf(1), 5.0)
+	f.Fuzz(func(t *testing.T, w, h, cell, x1, y1, x2, y2, qx1, qy1, qx2, qy2 float64) {
+		c := cell
+		if c <= 0 {
+			c = DefaultCell
+		}
+		for _, v := range []float64{w, h, c} {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Skip("frame and cell must be finite and positive")
+			}
+		}
+		if math.Ceil(w/c)*math.Ceil(h/c) > 1<<16 {
+			t.Skip("grid too large")
+		}
+		m, ref := NewMask(w, h, cell), NewMask(w, h, cell)
+		checkSpanStep(t, m, ref, NewBox(x1, y1, x2, y2))
+		checkSpanStep(t, m, ref, NewBox(qx1, qy1, qx2, qy2))
+	})
+}
+
+// The region-path mask kernels run per box per frame and must not
+// allocate.
+func TestMaskKernelsAllocFree(t *testing.T) {
+	m := NewMask(1242, 375, 8)
+	b := NewBox(300.5, 120.25, 741, 302)
+	if a := testing.AllocsPerRun(100, func() { m.AddBox(b) }); a != 0 {
+		t.Fatalf("AddBox allocs = %v, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = m.BoxCoverage(b) }); a != 0 {
+		t.Fatalf("BoxCoverage allocs = %v, want 0", a)
+	}
+}
+
+// kittiBoxes returns n seeded car-to-truck sized boxes on a KITTI frame,
+// some of them reaching past its edges.
+func kittiBoxes(n int, seed int64) []Box {
+	rng := rand.New(rand.NewSource(seed))
+	boxes := make([]Box, n)
+	for i := range boxes {
+		x, y := rng.Float64()*1242-40, rng.Float64()*375-20
+		boxes[i] = NewBox(x, y, x+30+rng.Float64()*170, y+20+rng.Float64()*110)
+	}
+	return boxes
+}
+
+var coverageSink float64
+
+func BenchmarkMaskAddBox(b *testing.B) {
+	m := NewMask(1242, 375, DefaultCell)
+	boxes := kittiBoxes(64, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.AddBox(boxes[i&63])
+	}
+}
+
+func BenchmarkMaskBoxCoverage(b *testing.B) {
+	m := NewMask(1242, 375, DefaultCell)
+	for _, box := range kittiBoxes(16, 2) {
+		m.AddBox(box)
+	}
+	boxes := kittiBoxes(64, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coverageSink = m.BoxCoverage(boxes[i&63])
 	}
 }

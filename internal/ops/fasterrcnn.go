@@ -26,11 +26,17 @@ type FasterRCNN struct {
 	// profile. Precomputed, it is read-only and safe to share across
 	// the serving loop's parallel step workers.
 	rpn Net
+	// headOps is the uncalibrated per-RoI head cost, cached at
+	// construction for the same reason: RegionOps and HeadOps walked
+	// the head layer stack on every call. Calibration only rescales
+	// it through headScale, so Calibrate needs no refresh.
+	headOps float64
 }
 
 // NewFasterRCNN builds an uncalibrated cost model (scales = 1) with the
 // default 300-proposal configuration. The Backbone must not be mutated
-// after construction (the RPN stack is derived from it here).
+// after construction (the RPN stack and the per-RoI head cost are
+// derived from it here).
 func NewFasterRCNN(b Backbone) *FasterRCNN {
 	return &FasterRCNN{
 		Backbone:     b,
@@ -38,6 +44,7 @@ func NewFasterRCNN(b Backbone) *FasterRCNN {
 		featScale:    1,
 		headScale:    1,
 		rpn:          rpnNet(b),
+		headOps:      b.Head.Ops(b.RoISize, b.RoISize),
 	}
 }
 
@@ -63,7 +70,7 @@ func (m *FasterRCNN) FeatureOps(w, h int) float64 {
 
 // HeadOpsPerProposal returns the per-RoI head cost after calibration.
 func (m *FasterRCNN) HeadOpsPerProposal() float64 {
-	return m.Backbone.Head.Ops(m.Backbone.RoISize, m.Backbone.RoISize) * m.headScale
+	return m.headOps * m.headScale
 }
 
 // HeadOps returns the head cost for n proposals.
