@@ -23,7 +23,7 @@ STATICCHECK     ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 FUZZ_TIME       ?= 20s
 
-.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-json bench-diff cluster-determinism cluster-failover profile repro sweep trace clean
+.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-json bench-diff cluster-determinism cluster-failover profile repro sweep trace surface clean
 
 all: fmt vet build test
 
@@ -190,6 +190,21 @@ trace:
 		-arrivals poisson -executors 1 -duration 6 -queue-cap 8 \
 		-stale 0.4 -degrade-depth 4 -trace $(TRACE_OUT) > /dev/null; \
 		st=$$?; wc -l $(TRACE_OUT); exit $$st
+
+# Code-surface counts, printed by the CI test job so net lines and
+# knobs are tracked change by change: non-test Go lines in tracked
+# files; exported declarations over every package (each symbol
+# `go doc -short` lists, plus the exported methods it folds under their
+# types); and the exported fields of serve.Config and cluster.Config,
+# the serving knobs a caller can turn.
+surface:
+	@echo "go lines (non-test): $$(git ls-files '*.go' ':!:*_test.go' | xargs cat | wc -l)"
+	@n=0; for p in $$($(GO) list ./...); do \
+		n=$$((n + $$($(GO) doc -short $$p 2>/dev/null | wc -l) \
+			+ $$($(GO) doc -all $$p 2>/dev/null | grep -c '^func ('))); \
+	done; echo "exported declarations: $$n"
+	@echo "config fields: $$({ $(GO) doc -short ./internal/serve Config; \
+		$(GO) doc -short ./internal/serve/cluster Config; } | grep -cE '^[[:space:]][A-Z]')"
 
 clean:
 	rm -f $(REPRO_OUT) $(BENCH_OUT) bench_head.txt BENCH_HEAD.json \

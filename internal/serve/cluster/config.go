@@ -233,9 +233,6 @@ func (c Config) withDefaults() Config {
 		if c.Faults.Failover != FailoverDrop && c.Base.Reconnect == "" {
 			c.Base.Reconnect = serve.ReconnectResume
 		}
-		// Seizing in-flight launches needs completion-time accounting
-		// on every shard (see serve.Config.FailableExecutors).
-		c.Base.FailableExecutors = true
 	}
 	c.Base = c.Base.Normalized()
 	c.Base.Sink = nil

@@ -75,7 +75,7 @@ func (r *Router) killShard(s int, e float64) {
 	r.awaitServe[s] = false
 	r.pending[s] = 0 // any provisioning resize died with the agenda
 	r.idleTicks[s] = 0
-	seized, _ := r.shards[s].FailAt(e) // failable plan-wide; cannot fail here
+	seized, _ := r.shards[s].FailAt(e) // open shard, finite time: cannot fail
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ClusterEvent(Event{Kind: EventKill, Shard: s, Time: e})
 	}

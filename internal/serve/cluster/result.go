@@ -190,17 +190,8 @@ func (r *Router) merge(books []*serve.Result) *Result {
 	for i := range res.PerStream {
 		row := &res.PerStream[i]
 		for _, b := range books {
-			sr := b.PerStream[i]
-			row.ID = sr.ID
-			row.Arrived += sr.Arrived
-			row.Served += sr.Served
-			row.DroppedQueue += sr.DroppedQueue
-			row.DroppedStale += sr.DroppedStale
-			row.DroppedPoison += sr.DroppedPoison
-			row.Reconnects += sr.Reconnects
-			row.FailedOver += sr.FailedOver
-			row.Degraded += sr.Degraded
-			row.ModeFull += sr.ModeFull
+			row.ID = b.PerStream[i].ID
+			row.Add(b.PerStream[i])
 		}
 		// A replayed frame arrived twice — once on the shard that died
 		// holding it, once on the survivor that served it. Subtracting
@@ -218,18 +209,7 @@ func (r *Router) merge(books []*serve.Result) *Result {
 		if row.Arrived > 0 {
 			row.DropRate = float64(row.DroppedQueue+row.DroppedStale) / float64(row.Arrived)
 		}
-		fl := &res.Fleet
-		fl.Arrived += row.Arrived
-		fl.Served += row.Served
-		fl.DroppedQueue += row.DroppedQueue
-		fl.DroppedStale += row.DroppedStale
-		fl.DroppedPoison += row.DroppedPoison
-		fl.Reconnects += row.Reconnects
-		fl.FailedOver += row.FailedOver
-		fl.Replayed += row.Replayed
-		fl.DroppedFailover += row.DroppedFailover
-		fl.Degraded += row.Degraded
-		fl.ModeFull += row.ModeFull
+		res.Fleet.Add(*row)
 	}
 	res.Fleet.ID = "cluster"
 	res.Fleet.Latency = serve.Summarize(all)

@@ -121,14 +121,14 @@ type StreamSignal struct {
 	// Stream is the stream index; Class its configured priority class.
 	Stream, Class int
 	// Mode is the stream's current operating mode (ModeAuto until a
-	// controller moves it).
+	// controller moves it or the serving layer pins it).
 	Mode Mode
 	// Pinned reports the stream's mode is pinned by the serving layer
 	// (serve.Server.PinMode — the cluster's degrade failover holds
 	// re-placed streams at proposal-only until their shard recovers).
 	// A pinned stream's mode is not the controller's to move: policy
-	// controllers skip it and its mode field reflects the pre-pin
-	// state, not what frames are actually running.
+	// controllers skip it, and its Mode field reports the pinned mode
+	// its frames run in.
 	Pinned bool
 	// Queue is the stream's backlog: its frames waiting in the shared
 	// scheduler right now.

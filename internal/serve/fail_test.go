@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -15,7 +14,6 @@ import (
 // server drains cleanly at zero capacity.
 func TestFailAtSeizesBacklog(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.FailableExecutors = true
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,25 +63,13 @@ func TestFailAtSeizesBacklog(t *testing.T) {
 	}
 }
 
-// TestFailAtRequiresFailable pins the guard: dispatch-time accounting
-// cannot seize in-flight frames back, so FailAt refuses.
-func TestFailAtRequiresFailable(t *testing.T) {
-	srv, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, err := srv.FailAt(1); err == nil {
-		t.Fatal("FailAt accepted a server without FailableExecutors")
-	}
-}
-
-// TestCompletionAccountingMatchesDispatch pins the zero-cost guarantee
-// behind the cluster's empty-FaultPlan byte contract: switching the
-// engine to completion-time accounting (FailableExecutors) without ever
-// calling FailAt changes when the books are written, never what they
-// say — the full Result is byte-identical on the overload golden and on
-// a batched elastic scenario.
+// TestCompletionAccountingMatchesDispatch pins that the books, written
+// when each launch completes, agree with the dispatch record: every
+// dispatch ordinal 1..Batches settles exactly once, each launch fuses at
+// most BatchSize frames that all complete at one instant, and the
+// per-stream served, degraded and dropped counts equal the sink's
+// events — on the overload golden and on a batched EDF scenario whose
+// launches can complete out of dispatch order.
 func TestCompletionAccountingMatchesDispatch(t *testing.T) {
 	scenarios := map[string]Config{"golden": goldenConfig()}
 	batched := goldenConfig()
@@ -93,11 +79,50 @@ func TestCompletionAccountingMatchesDispatch(t *testing.T) {
 	scenarios["batched-edf"] = batched
 	for name, cfg := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			plain := marshal(t, mustRun(t, cfg))
-			cfg.FailableExecutors = true
-			failable := marshal(t, mustRun(t, cfg))
-			if !bytes.Equal(plain, failable) {
-				t.Error("completion-time accounting moved the books without any failure injected")
+			log := &eventLog{}
+			cfg.Sink = log
+			r := mustRun(t, cfg)
+
+			size := map[int]int{}
+			done := map[int]float64{}
+			served := make([]int, len(r.PerStream))
+			degraded := make([]int, len(r.PerStream))
+			dropped := make([]int, len(r.PerStream))
+			for _, e := range log.events {
+				switch e.Kind {
+				case EventServed:
+					served[e.Stream]++
+					if e.Degraded {
+						degraded[e.Stream]++
+					}
+					if at, ok := done[e.Batch]; ok && at != e.Time {
+						t.Errorf("launch %d completes at both %v and %v", e.Batch, at, e.Time)
+					}
+					done[e.Batch] = e.Time
+					size[e.Batch]++
+				case EventDroppedQueue, EventDroppedStale:
+					dropped[e.Stream]++
+				}
+			}
+			if len(size) != r.Batches {
+				t.Errorf("sink saw %d launches complete, books count %d", len(size), r.Batches)
+			}
+			for b := 1; b <= r.Batches; b++ {
+				if n := size[b]; n < 1 || n > r.BatchSize {
+					t.Errorf("launch %d settled %d frames, want 1..%d", b, n, r.BatchSize)
+				}
+			}
+			for i, row := range r.PerStream {
+				if row.Served != served[i] || row.Degraded != degraded[i] {
+					t.Errorf("%s books served %d (degraded %d), sink saw %d (%d)",
+						row.ID, row.Served, row.Degraded, served[i], degraded[i])
+				}
+				if got := row.DroppedQueue + row.DroppedStale; got != dropped[i] {
+					t.Errorf("%s books %d drops, sink saw %d", row.ID, got, dropped[i])
+				}
+				if row.Served+row.DroppedQueue+row.DroppedStale != row.Arrived {
+					t.Errorf("%s books do not reconcile against arrived %d", row.ID, row.Arrived)
+				}
 			}
 		})
 	}
@@ -109,7 +134,6 @@ func TestCompletionAccountingMatchesDispatch(t *testing.T) {
 // stream back.
 func TestPinModeOverridesControl(t *testing.T) {
 	cfg := testConfig()
-	cfg.FailableExecutors = true
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +147,9 @@ func TestPinModeOverridesControl(t *testing.T) {
 	}
 	if err := srv.PinMode(0, "warp"); err == nil {
 		t.Error("PinMode accepted an unknown mode")
+	}
+	if got := srv.Stats().PerStreamWindow[0].Mode; got != string(control.ModeProposal) {
+		t.Errorf("Stats reports pinned stream mode %q, want %q", got, control.ModeProposal)
 	}
 	if err := srv.Ingest(ScheduleSource(cfg)); err != nil {
 		t.Fatal(err)
@@ -142,5 +169,11 @@ func TestPinModeOverridesControl(t *testing.T) {
 		if row.Degraded != 0 {
 			t.Errorf("unpinned stream %s degraded %d frames on an unloaded fleet", row.ID, row.Degraded)
 		}
+	}
+	if err := srv.PinMode(0, control.ModeAuto); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().PerStreamWindow[0].Mode; got != "" {
+		t.Errorf("Stats reports unpinned stream mode %q, want the automatic policy", got)
 	}
 }

@@ -36,30 +36,45 @@ func goldenConfig() Config {
 	}
 }
 
-// TestGoldenFIFO pins the full serving output at sched=fifo, batch=1
-// byte-for-byte. Run with -update to rewrite the golden after an
-// intentional change; anything else that moves these bytes is a
-// regression in the scheduler extraction.
+// TestGoldenFIFO pins the full serving output byte-for-byte: the
+// overload scenario at sched=fifo, batch=1, and the same load on two
+// executors fusing up to four frames per launch under EDF, the batched
+// path where one round dispatches several launches whose completions
+// can settle out of dispatch order. Run with -update to rewrite the goldens
+// after an intentional change; anything else that moves these bytes is
+// a regression in the serving engine.
 func TestGoldenFIFO(t *testing.T) {
-	r := mustRun(t, goldenConfig())
-	got, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-
-	path := filepath.Join("testdata", "golden_fifo.json")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sched=fifo batch=1 output drifted from %s (run with -update if intentional)\ngot:\n%s", path, got)
+	batched := goldenConfig()
+	batched.Executors = 2
+	batched.BatchSize = 4
+	batched.Scheduler = "edf"
+	for _, tc := range []struct {
+		name, file string
+		cfg        Config
+	}{
+		{"fifo", "golden_fifo.json", goldenConfig()},
+		{"batched-edf", "golden_batched_edf.json", batched},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := json.MarshalIndent(mustRun(t, tc.cfg), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output drifted from %s (run with -update if intentional)\ngot:\n%s", path, got)
+			}
+		})
 	}
 }
 

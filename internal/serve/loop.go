@@ -82,11 +82,10 @@ func (a *agenda) add(e event)  { heap.Push(a, e) }
 func (a *agenda) next() event  { return heap.Pop(a).(event) }
 
 // admitted is one frame an executor pulled from the scheduler, together
-// with the operating mode resolved at its admission (the per-stream
-// policy, or the legacy DegradeDepth decision under control.ModeAuto)
-// and, once the step phase has run, the frame's pricing component: the
-// full dispatch price under per-frame launches (effective batch <= 1),
-// or the frame's workload feeding the fused-launch price under
+// with the operating mode resolved at its admission (fleet.modeOf) and,
+// once the step phase has run, the frame's pricing components: its
+// full dispatch price, used by per-frame launches (effective batch
+// <= 1), and its workload, which feeds the fused-launch price under
 // batching.
 type admitted struct {
 	job     sched.Job
@@ -100,29 +99,27 @@ type admitted struct {
 // explicit per-stream ModeProposal policy.
 func (a *admitted) degraded() bool { return a.mode == control.ModeProposal }
 
-// streamAcc accumulates one stream's counters during the run.
+// streamAcc accumulates one stream's ledger row during the run: the
+// frame counters of its Result row plus every served latency sample.
 type streamAcc struct {
-	arrived, served            int
-	droppedQueue, droppedStale int
-	droppedPoison, reconnects  int
-	failedOver                 int
-	degraded, modeFull         int
-	latencies                  []float64
+	StreamStats
+	latencies []float64
 }
 
-// pendingBatch is one in-flight launch under completion accounting
-// (Config.FailableExecutors): the frames of a dispatched batch, held
-// unrecorded until the completion event fires so a failAt between
-// dispatch and completion can seize them as if the launch never
-// happened. (t, stream, frame, epoch) mirrors the evCompletion event's
-// identity; batch is the dispatch ordinal the served events carry.
+// pendingBatch is one in-flight launch, held unrecorded until its
+// completion event fires so a failAt between dispatch and completion
+// can seize its frames as if the launch never happened. Its n frames
+// are the launch's run within fleet.adm, which keeps the in-flight
+// frames in dispatch order. (t, stream, frame, epoch) mirrors the
+// evCompletion event's identity; batch is the dispatch ordinal the
+// served events carry.
 type pendingBatch struct {
 	t      float64
 	stream int
 	frame  int
 	epoch  int
 	batch  int
-	frames []admitted
+	n      int
 }
 
 // arrivalTimes precomputes every stream's frame arrival instants within
@@ -207,18 +204,13 @@ type fleet struct {
 	busy    int
 	batches int
 
-	// Failover machinery (inert unless Config.FailableExecutors).
-	// failable selects completion-time accounting; pend holds the
-	// in-flight launches awaiting their completion events (at most the
-	// executor count, matched linearly); pinned[s], when not ModeAuto,
-	// overrides both the control plane and the DegradeDepth policy for
-	// stream s — the cluster's degrade failover holds re-placed streams
-	// at proposal-only with it until their dead shard recovers. The
-	// slice is allocated lazily on the first Server.PinMode call, so a
-	// never-pinned fleet pays nothing for it.
-	failable bool
-	pend     []pendingBatch
-	pinned   []control.Mode
+	// pinned[s], when not ModeAuto, overrides both the control plane
+	// and the DegradeDepth policy for stream s — the cluster's degrade
+	// failover holds re-placed streams at proposal-only with it until
+	// their dead shard recovers. The slice is allocated lazily on the
+	// first Server.PinMode call, so a never-pinned fleet pays nothing
+	// for it.
+	pinned []control.Mode
 
 	// queued[s] counts stream s's frames currently waiting in the
 	// scheduler (admitted, not yet popped) — the per-stream backlog the
@@ -236,20 +228,22 @@ type fleet struct {
 	// workers is Config.StepWorkers: the fan-out width of the step
 	// phase. poolWork feeds the persistent step workers one active
 	// stream index at a time (started lazily on the first parallel
-	// round, released by closePool); poolWG is the round barrier. The
+	// round, released by closePool); poolWG is the round barrier. adm
+	// holds every in-flight frame in dispatch order, each launch's
+	// frames one contiguous run, and pend the in-flight launches in the
+	// same order (at most the executor count, matched linearly); a
+	// launch reuses their capacity rather than allocating. The
 	// remaining fields are the dispatch round's reused scratch: the
-	// flat list of admitted frames, the [start,end) bounds of each
-	// gathered batch within it, the per-stream step groups with the
-	// list of active streams, and the workload vector for batched
-	// pricing.
-	workers     int
-	poolWork    chan int
-	poolWG      sync.WaitGroup
-	adm         []admitted
-	batchBounds [][2]int
-	byStream    [][]*admitted
-	active      []int
-	works       []float64
+	// per-stream step groups with the list of active streams, and the
+	// workload vector for batched pricing.
+	workers  int
+	poolWork chan int
+	poolWG   sync.WaitGroup
+	adm      []admitted
+	pend     []pendingBatch
+	byStream [][]*admitted
+	active   []int
+	works    []float64
 
 	sink Sink
 	win  *latWindow
@@ -290,15 +284,14 @@ type fleet struct {
 // newFleet builds the engine for a normalized, validated config.
 func newFleet(cfg Config) (*fleet, error) {
 	f := &fleet{
-		cfg:      cfg,
-		seed:     cfg.Seed,
-		gpu:      gpumodel.Default(),
-		cascade:  cfg.Spec.Kind != sim.Single,
-		sink:     cfg.Sink,
-		win:      newLatWindow(cfg.StatsWindow),
-		workers:  cfg.StepWorkers,
-		execs0:   cfg.Executors,
-		failable: cfg.FailableExecutors,
+		cfg:     cfg,
+		seed:    cfg.Seed,
+		gpu:     gpumodel.Default(),
+		cascade: cfg.Spec.Kind != sim.Single,
+		sink:    cfg.Sink,
+		win:     newLatWindow(cfg.StatsWindow),
+		workers: cfg.StepWorkers,
+		execs0:  cfg.Executors,
 	}
 	if cfg.GPU != nil {
 		f.gpu = *cfg.GPU
@@ -353,6 +346,10 @@ func newFleet(cfg Config) (*fleet, error) {
 	f.seqs = make([]*dataset.Sequence, cfg.Streams)
 	f.sessEpoch = make([]int, cfg.Streams)
 	f.acc = make([]streamAcc, cfg.Streams)
+	// Sized for one single-frame launch per executor, so a fleet that
+	// never batches or resizes never grows them.
+	f.adm = make([]admitted, 0, cfg.Executors)
+	f.pend = make([]pendingBatch, 0, cfg.Executors)
 	f.queued = make([]int, cfg.Streams)
 	f.mode = make([]control.Mode, cfg.Streams)
 	f.effStale = make([]float64, cfg.Streams)
@@ -410,15 +407,13 @@ func (f *fleet) handle(e event) {
 	f.tick(e.t)
 	switch e.kind {
 	case evArrival:
-		f.acc[e.stream].arrived++
+		f.acc[e.stream].Arrived++
 		f.arrWin[e.stream].add(e.t)
 		f.admit(f.job(e.stream, e.frame, e.arrive, e.epoch))
 		f.armTick(e.t)
 	case evCompletion:
 		f.busy--
-		if f.failable {
-			f.settle(e)
-		}
+		f.settle(e)
 	case evControl:
 		f.controlTick(e.t)
 	case evResize:
@@ -513,15 +508,15 @@ func (f *fleet) buildView() control.View {
 		if len(f.cfg.Priorities) > 0 {
 			sig.Class = f.cfg.Priorities[s]
 		}
-		sig.Mode = f.mode[s]
+		_, sig.Mode = f.modeOf(s)
 		sig.Pinned = f.pin(s) != control.ModeAuto
 		sig.Queue = f.queued[s]
 		sig.ArrivalRate = f.arrWin[s].rate()
 		sig.P50, sig.P99 = f.latWinS[s].quantiles()
 		a := &f.acc[s]
-		sig.Served = a.served
-		sig.DroppedQueue = a.droppedQueue
-		sig.DroppedStale = a.droppedStale
+		sig.Served = a.Served
+		sig.DroppedQueue = a.DroppedQueue
+		sig.DroppedStale = a.DroppedStale
 	}
 	return f.view
 }
@@ -560,7 +555,7 @@ func (f *fleet) admit(j sched.Job) {
 	f.queued[j.Stream]++
 	if victim, dropped := f.sched.Admit(j); dropped {
 		f.queued[victim.Stream]--
-		f.acc[victim.Stream].droppedQueue++
+		f.acc[victim.Stream].DroppedQueue++
 		f.emit(Event{
 			Kind: EventDroppedQueue, Stream: victim.Stream, Frame: victim.Frame,
 			Arrive: victim.Arrive, Time: f.now, Epoch: victim.Epoch,
@@ -579,20 +574,13 @@ func (f *fleet) admit(j sched.Job) {
 // scheduler and the clock, never the step results. Phase 2 (parallel):
 // step every admitted frame's session, fanned out per stream across
 // StepWorkers goroutines (see stepRound for why this cannot change the
-// output). Phase 3 (serial): price, schedule completions and account
-// every batch in gather order, which is the exact event order the
-// serial engine produced.
-//
-// With multiple executors freed at one instant, the only observable
-// reordering against the pre-parallel engine is that all of the
-// round's stale-skip sink events now precede its served sink events
-// (phase 1 runs before phase 3); both carry the same decision instant,
-// so the sink's nondecreasing-time contract is unchanged, and with one
-// executor (at most one batch per round) the event stream is
-// byte-identical.
+// output). Phase 3 (serial): price every batch and schedule its
+// completion in gather order, which is the exact event order the
+// serial engine produced. A launch reaches the books only when its
+// completion event fires (settle); until then its frames wait in adm
+// and the launch in pend.
 func (f *fleet) dispatch() {
-	f.adm = f.adm[:0]
-	f.batchBounds = f.batchBounds[:0]
+	round, launches := len(f.adm), len(f.pend)
 	for f.busy < f.cfg.Executors && f.sched.Len() > 0 {
 		start := len(f.adm)
 		f.gather()
@@ -600,54 +588,42 @@ func (f *fleet) dispatch() {
 			continue // every candidate was stale; re-check the queue
 		}
 		f.busy++
-		f.batchBounds = append(f.batchBounds, [2]int{start, len(f.adm)})
+		f.pend = append(f.pend, pendingBatch{n: len(f.adm) - start})
 	}
-	if len(f.batchBounds) == 0 {
+	if len(f.pend) == launches {
 		return
 	}
-	f.stepRound()
-	for _, bb := range f.batchBounds {
-		batch := f.adm[bb[0]:bb[1]]
+	f.stepRound(f.adm[round:])
+	for i := launches; i < len(f.pend); i++ {
+		p := &f.pend[i]
+		batch := f.adm[round : round+p.n]
+		round += p.n
 		service := f.priceBatch(batch)
 		if service > f.maxService {
 			f.maxService = service
 		}
 		f.batches++
 		head := batch[0].job
-		f.agenda.add(event{t: f.now + service, kind: evCompletion, stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
-		if f.failable {
-			// Completion accounting: hold the launch unrecorded until
-			// its completion event fires (settle), so a failAt between
-			// now and then can seize the frames as never-served.
-			f.pend = append(f.pend, pendingBatch{
-				t: f.now + service, stream: head.Stream, frame: head.Frame,
-				epoch: head.Epoch, batch: f.batches,
-				frames: append([]admitted(nil), batch...),
-			})
-			continue
-		}
-		f.account(batch, f.now+service, f.batches)
+		p.t, p.stream, p.frame, p.epoch, p.batch = f.now+service, head.Stream, head.Frame, head.Epoch, f.batches
+		f.agenda.add(event{t: p.t, kind: evCompletion, stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
 	}
 }
 
 // account records a launch's frames as served at its completion instant
 // done: per-stream counters, latency samples, sliding windows and the
-// EventServed emissions. Under dispatch accounting (the default) it
-// runs inside dispatch with done = now + service — the historical byte
-// order every golden pins; under completion accounting
-// (Config.FailableExecutors) settle calls it when the completion event
-// fires, with identical values but emission deferred to the instant
-// the launch actually finishes.
+// EventServed emissions. settle calls it when the completion event
+// fires, so the books, the controller's latency windows and the sink
+// see a frame only once it has actually finished.
 func (f *fleet) account(batch []admitted, done float64, batchNo int) {
 	for i := range batch {
 		adm := &batch[i]
 		a := &f.acc[adm.job.Stream]
-		a.served++
+		a.Served++
 		if adm.degraded() {
-			a.degraded++
+			a.Degraded++
 		}
 		if adm.mode == control.ModeFull {
-			a.modeFull++
+			a.ModeFull++
 		}
 		lat := done - adm.job.Arrive
 		a.latencies = append(a.latencies, lat)
@@ -668,52 +644,52 @@ func (f *fleet) account(batch []admitted, done float64, batchNo int) {
 	}
 }
 
-// settle performs completion accounting for the launch whose completion
-// event just fired and forgets it. At most Executors launches are in
-// flight, so the linear match is cheap; the (t, stream, frame, epoch)
-// key is unique among live launches — a head frame can only reappear
-// after the launch holding it was seized by failAt, which removes it
-// from pend first.
+// settle accounts the launch whose completion event just fired and
+// retires it. At most Executors launches are in flight, so the linear
+// match is cheap; the (t, stream, frame, epoch) key is unique among
+// live launches — a head frame can only reappear after the launch
+// holding it was seized by failAt, which empties pend first. Removal
+// closes the gap in adm and pend rather than swapping, keeping both in
+// the dispatch order failAt seizes in.
 func (f *fleet) settle(e event) {
+	off := 0
 	for i := range f.pend {
 		p := &f.pend[i]
 		if p.t == e.t && p.stream == e.stream && p.frame == e.frame && p.epoch == e.epoch {
-			f.account(p.frames, p.t, p.batch)
+			f.account(f.adm[off:off+p.n], p.t, p.batch)
+			f.adm = append(f.adm[:off], f.adm[off+p.n:]...)
 			f.pend = append(f.pend[:i], f.pend[i+1:]...)
 			return
 		}
+		off += p.n
 	}
 }
 
 // failAt kills the fleet's hardware at virtual time t: pending launches
-// are cancelled (their frames were never recorded — under completion
-// accounting the launch simply never happened), queued frames are
-// popped, the agenda is cleared (completions, provisioning resizes and
-// the armed control tick die with the machine) and the executor count
-// drops to zero until a later ResizeAt revives it. The seized frames
-// come back in dispatch-then-queue order — which preserves per-stream
-// frame order, so a caller replaying them elsewhere keeps every
-// stream's timeline monotone — each counted in StreamStats.FailedOver
-// and emitted as an EventFailedOver at the failure instant. Requires
-// completion accounting: under dispatch accounting in-flight frames
-// are already in the books and could not be seized.
+// are cancelled (their frames were never recorded — the launch simply
+// never happened), queued frames are popped, the agenda is cleared
+// (completions, provisioning resizes and the armed control tick die
+// with the machine) and the executor count drops to zero until a later
+// ResizeAt revives it. The seized frames come back in
+// dispatch-then-queue order — which preserves per-stream frame order,
+// so a caller replaying them elsewhere keeps every stream's timeline
+// monotone — each counted in StreamStats.FailedOver and emitted as an
+// EventFailedOver at the failure instant.
 func (f *fleet) failAt(t float64) []FailedFrame {
 	f.tick(t)
 	var seized []FailedFrame
 	grab := func(j sched.Job) {
-		f.acc[j.Stream].failedOver++
+		f.acc[j.Stream].FailedOver++
 		f.emit(Event{
 			Kind: EventFailedOver, Stream: j.Stream, Frame: j.Frame,
 			Arrive: j.Arrive, Time: t, Epoch: j.Epoch,
 		})
 		seized = append(seized, FailedFrame{Stream: j.Stream, Frame: j.Frame, Arrive: j.Arrive, Epoch: j.Epoch})
 	}
-	for i := range f.pend {
-		for j := range f.pend[i].frames {
-			grab(f.pend[i].frames[j].job)
-		}
+	for i := range f.adm {
+		grab(f.adm[i].job)
 	}
-	f.pend = f.pend[:0]
+	f.adm, f.pend = f.adm[:0], f.pend[:0]
 	for f.sched.Len() > 0 {
 		j, ok := f.sched.Next()
 		if !ok {
@@ -734,15 +710,12 @@ func (f *fleet) failAt(t float64) []FailedFrame {
 }
 
 // gather pulls up to the effective batch size of servable frames from
-// the scheduler into f.adm, applying the stale-skip and mode policies
-// per frame as it pops. A stream in control.ModeAuto keeps the legacy
-// fleet-wide behavior — degrade to proposal-only when DegradeDepth
-// frames still wait behind the admitted one — while an explicit
-// per-stream mode set by the control plane overrides that threshold
-// entirely. The stale bound is the stream's effective staleness
-// budget (the configured MaxStaleness until a controller rescales
-// it), checked in the same subtraction form as always so a unit-scale
-// budget is bit-identical to the historical arithmetic.
+// the scheduler into f.adm, applying the stale-skip policy and
+// resolving each frame's mode (modeOf) as it pops. The stale bound is
+// the stream's effective staleness budget (the configured MaxStaleness
+// until a controller rescales it), checked in the same subtraction
+// form as always so a unit-scale budget is bit-identical to the
+// historical arithmetic.
 func (f *fleet) gather() {
 	start := len(f.adm)
 	for len(f.adm)-start < f.effBatch && f.sched.Len() > 0 {
@@ -752,26 +725,37 @@ func (f *fleet) gather() {
 		}
 		f.queued[j.Stream]--
 		if f.cfg.MaxStaleness > 0 && f.now-j.Arrive > f.effStale[j.Stream] {
-			f.acc[j.Stream].droppedStale++
+			f.acc[j.Stream].DroppedStale++
 			f.emit(Event{
 				Kind: EventDroppedStale, Stream: j.Stream, Frame: j.Frame,
 				Arrive: j.Arrive, Time: f.now, Epoch: j.Epoch,
 			})
 			continue
 		}
-		mode := control.ModeAuto
-		if f.cascade {
-			if p := f.pin(j.Stream); p != control.ModeAuto {
-				// A pinned stream ignores both the control plane and the
-				// DegradeDepth policy until unpinned (see Server.PinMode).
-				mode = p
-			} else if mode = f.mode[j.Stream]; mode == control.ModeAuto &&
-				f.cfg.DegradeDepth > 0 && f.sched.Len() >= f.cfg.DegradeDepth {
-				mode = control.ModeProposal
-			}
-		}
+		mode, _ := f.modeOf(j.Stream)
 		f.adm = append(f.adm, admitted{job: j, mode: mode})
 	}
+}
+
+// modeOf is the one place a stream's operating mode is decided. The pin
+// wins (Server.PinMode), then the control plane's per-stream mode, then
+// — for a stream left in control.ModeAuto — the legacy DegradeDepth
+// rule: shed to proposal-only while at least DegradeDepth frames wait
+// in the scheduler. configured stops before that backlog rule; it is
+// the mode Stats and the control view report. mode is what a frame
+// popped now runs in, so the rule stays per frame, evaluated at gather.
+// A single-model fleet has one tier: both are ModeAuto.
+func (f *fleet) modeOf(s int) (mode, configured control.Mode) {
+	if !f.cascade {
+		return control.ModeAuto, control.ModeAuto
+	}
+	if configured = f.pin(s); configured == control.ModeAuto {
+		configured = f.mode[s]
+	}
+	if configured == control.ModeAuto && f.cfg.DegradeDepth > 0 && f.sched.Len() >= f.cfg.DegradeDepth {
+		return control.ModeProposal, configured
+	}
+	return configured, configured
 }
 
 // pin reads stream s's pinned mode; ModeAuto (the zero value) when the
@@ -794,10 +778,10 @@ func (f *fleet) pin(s int) control.Mode {
 // consumes the results in gather order regardless of which worker
 // produced them when. Workers share nothing mutable, so the fan-out is
 // also race-free by construction.
-func (f *fleet) stepRound() {
-	if f.workers <= 1 || len(f.adm) == 1 {
-		for i := range f.adm {
-			f.stepAdmitted(&f.adm[i])
+func (f *fleet) stepRound(round []admitted) {
+	if f.workers <= 1 || len(round) == 1 {
+		for i := range round {
+			f.stepAdmitted(&round[i])
 		}
 		return
 	}
@@ -805,16 +789,16 @@ func (f *fleet) stepRound() {
 		f.byStream = make([][]*admitted, f.cfg.Streams)
 	}
 	f.active = f.active[:0]
-	for i := range f.adm {
-		s := f.adm[i].job.Stream
+	for i := range round {
+		s := round[i].job.Stream
 		if len(f.byStream[s]) == 0 {
 			f.active = append(f.active, s)
 		}
-		f.byStream[s] = append(f.byStream[s], &f.adm[i])
+		f.byStream[s] = append(f.byStream[s], &round[i])
 	}
 	if len(f.active) <= 1 {
-		for i := range f.adm {
-			f.stepAdmitted(&f.adm[i])
+		for i := range round {
+			f.stepAdmitted(&round[i])
 		}
 	} else {
 		if f.poolWork == nil {
@@ -883,9 +867,10 @@ func (f *fleet) step(j sched.Job) core.FrameOutput {
 }
 
 // stepAdmitted advances the frame's session and computes its pricing
-// component in place: the full launch-by-launch dispatch price under
-// BatchSize 1 (byte-identical to the PR 2 path), or the frame's total
-// operations for the fused BatchFrames launch under batching. Pricing
+// components in place: the full launch-by-launch dispatch price
+// (service, used under effective batch 1) and the frame's total
+// operations for the fused BatchFrames launch (work, used under
+// batching) — both read off one gpumodel.FrameTime. Pricing
 // happens here, at step time, because FrameOutput.Regions aliases the
 // session's scratch and is only valid until that session's next Step —
 // and because the price is a pure function of the step output and
@@ -908,33 +893,27 @@ func (f *fleet) stepAdmitted(adm *admitted) {
 	}
 	out := f.step(adm.job)
 	seq := f.seqs[adm.job.Stream]
-	if f.effBatch <= 1 {
-		switch {
-		case !f.cascade:
-			adm.service = f.gpu.SingleModelFrame(out.Ops.Refinement).Total
-		case adm.degraded():
-			adm.service = f.gpu.ProposalOnlyFrame(out.Ops.Proposal).Total
-		case adm.mode == control.ModeFull:
-			adm.service = f.gpu.FullCascadeFrame(out.Ops.Proposal,
-				f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals)).Total
-		default:
-			adm.service = f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
-				float64(seq.Width), float64(seq.Height), f.refCost, out.NumProposals).Total
-		}
-		return
-	}
+	// base is the proposal pass a refining cascade frame runs besides
+	// the refinement workload its FrameTime reports; a single-model or
+	// degraded frame's MergedWorkload already is its whole launch.
+	var ft gpumodel.FrameTime
+	base := 0.0
 	switch {
 	case !f.cascade:
-		adm.work = out.Ops.Refinement
+		ft = f.gpu.SingleModelFrame(out.Ops.Refinement)
 	case adm.degraded():
-		adm.work = out.Ops.Proposal
+		ft = f.gpu.ProposalOnlyFrame(out.Ops.Proposal)
 	case adm.mode == control.ModeFull:
-		adm.work = out.Ops.Proposal + f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals)
+		ft = f.gpu.FullCascadeFrame(out.Ops.Proposal,
+			f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals))
+		base = out.Ops.Proposal
 	default:
-		ft := f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
+		ft = f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
 			float64(seq.Width), float64(seq.Height), f.refCost, out.NumProposals)
-		adm.work = out.Ops.Proposal + ft.MergedWorkload
+		base = out.Ops.Proposal
 	}
+	adm.service = ft.Total
+	adm.work = base + ft.MergedWorkload
 }
 
 // priceBatch folds the batch's precomputed step results into the
@@ -984,7 +963,7 @@ func (f *fleet) job(stream, frame int, arrive float64, epoch int) sched.Job {
 // non-finite arrival stamp is re-stamped to the current clock for the
 // sink (NaN would break JSON trace encoders downstream).
 func (f *fleet) dropPoison(stream, frame int, arrive float64, epoch int) {
-	f.acc[stream].droppedPoison++
+	f.acc[stream].DroppedPoison++
 	if math.IsNaN(arrive) || math.IsInf(arrive, 0) {
 		arrive = f.now
 	}
@@ -998,7 +977,7 @@ func (f *fleet) dropPoison(stream, frame int, arrive float64, epoch int) {
 // sinks it at the decision instant (the current clock — the
 // reconnecting frame's own arrival, possibly later, follows it).
 func (f *fleet) noteReconnect(stream, eff int, arrive float64, epoch int) {
-	f.acc[stream].reconnects++
+	f.acc[stream].Reconnects++
 	f.emit(Event{
 		Kind: EventReconnect, Stream: stream, Frame: eff,
 		Arrive: arrive, Time: f.now, Epoch: epoch,
@@ -1023,18 +1002,19 @@ func (f *fleet) stats() Stats {
 		w.Queue = f.queued[s]
 		w.ArrivalRate = f.arrWin[s].rate()
 		w.Window = f.latWinS[s].summary()
-		w.Mode = string(f.mode[s])
+		_, mode := f.modeOf(s)
+		w.Mode = string(mode)
 	}
 	for s := range f.acc {
 		a := &f.acc[s]
-		st.Arrived += a.arrived
-		st.Served += a.served
-		st.DroppedQueue += a.droppedQueue
-		st.DroppedStale += a.droppedStale
-		st.DroppedPoison += a.droppedPoison
-		st.Reconnects += a.reconnects
-		st.FailedOver += a.failedOver
-		st.Degraded += a.degraded
+		st.Arrived += a.Arrived
+		st.Served += a.Served
+		st.DroppedQueue += a.DroppedQueue
+		st.DroppedStale += a.DroppedStale
+		st.DroppedPoison += a.DroppedPoison
+		st.Reconnects += a.Reconnects
+		st.FailedOver += a.FailedOver
+		st.Degraded += a.Degraded
 	}
 	if st.Now > 0 {
 		st.Throughput = float64(st.Served) / st.Now
@@ -1109,53 +1089,21 @@ func (f *fleet) result() *Result {
 		r.System = f.sessions[0].Name()
 	}
 	horizon := f.lastT
-	rate := func(n int) float64 {
-		if horizon <= 0 {
-			return 0
-		}
-		return float64(n) / horizon
-	}
 	var all []float64
 	fleetRow := StreamStats{ID: "fleet"}
 	for s := range f.acc {
 		a := &f.acc[s]
-		row := StreamStats{
-			ID:            f.seqs[s].ID,
-			Arrived:       a.arrived,
-			Served:        a.served,
-			DroppedQueue:  a.droppedQueue,
-			DroppedStale:  a.droppedStale,
-			DroppedPoison: a.droppedPoison,
-			Reconnects:    a.reconnects,
-			FailedOver:    a.failedOver,
-			Degraded:      a.degraded,
-			ModeFull:      a.modeFull,
-			Throughput:    rate(a.served),
-			Latency:       Summarize(a.latencies),
-		}
-		if a.arrived > 0 {
-			row.DropRate = float64(a.droppedQueue+a.droppedStale) / float64(a.arrived)
-		}
+		row := a.StreamStats
+		row.ID = f.seqs[s].ID
+		row.derive(horizon, a.latencies)
 		r.PerStream = append(r.PerStream, row)
-		fleetRow.Arrived += a.arrived
-		fleetRow.Served += a.served
-		fleetRow.DroppedQueue += a.droppedQueue
-		fleetRow.DroppedStale += a.droppedStale
-		fleetRow.DroppedPoison += a.droppedPoison
-		fleetRow.Reconnects += a.reconnects
-		fleetRow.FailedOver += a.failedOver
-		fleetRow.Degraded += a.degraded
-		fleetRow.ModeFull += a.modeFull
+		fleetRow.Add(a.StreamStats)
 		all = append(all, a.latencies...)
 	}
-	fleetRow.Throughput = rate(fleetRow.Served)
-	if fleetRow.Arrived > 0 {
-		fleetRow.DropRate = float64(fleetRow.DroppedQueue+fleetRow.DroppedStale) / float64(fleetRow.Arrived)
-	}
-	fleetRow.Latency = Summarize(all)
+	fleetRow.derive(horizon, all)
 	r.Fleet = fleetRow
 	if cfg.Scheduler == sched.Priority {
-		r.PerClass = f.perClass(rate)
+		r.PerClass = f.perClass(horizon)
 	}
 	if horizon > 0 {
 		r.AvgQueueDepth = f.depthInt / horizon
@@ -1176,7 +1124,7 @@ func (f *fleet) result() *Result {
 
 // perClass aggregates the per-stream counters by priority class,
 // highest class first.
-func (f *fleet) perClass(rate func(int) float64) []StreamStats {
+func (f *fleet) perClass(horizon float64) []StreamStats {
 	classOf := func(s int) int {
 		if len(f.cfg.Priorities) > 0 {
 			return f.cfg.Priorities[s]
@@ -1194,27 +1142,14 @@ func (f *fleet) perClass(rate func(int) float64) []StreamStats {
 			classes[c] = row
 			order = append(order, c)
 		}
-		a := &f.acc[s]
-		row.Arrived += a.arrived
-		row.Served += a.served
-		row.DroppedQueue += a.droppedQueue
-		row.DroppedStale += a.droppedStale
-		row.DroppedPoison += a.droppedPoison
-		row.Reconnects += a.reconnects
-		row.FailedOver += a.failedOver
-		row.Degraded += a.degraded
-		row.ModeFull += a.modeFull
-		lats[c] = append(lats[c], a.latencies...)
+		row.Add(f.acc[s].StreamStats)
+		lats[c] = append(lats[c], f.acc[s].latencies...)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(order)))
 	out := make([]StreamStats, 0, len(order))
 	for _, c := range order {
 		row := classes[c]
-		row.Throughput = rate(row.Served)
-		if row.Arrived > 0 {
-			row.DropRate = float64(row.DroppedQueue+row.DroppedStale) / float64(row.Arrived)
-		}
-		row.Latency = Summarize(lats[c])
+		row.derive(horizon, lats[c])
 		out = append(out, *row)
 	}
 	return out

@@ -15,7 +15,7 @@
 // degrade-to-proposal-only under overload — shape the tail.
 //
 // Per-frame outcomes (served, dropped, degraded) stream to a
-// caller-provided Sink as the engine decides them; Server.Stats
+// caller-provided Sink as they take effect; Server.Stats
 // returns live snapshots (throughput, drop rate, queue depth, and
 // latency percentiles over a sliding window); Server.Drain runs the
 // backlog dry and folds everything into the per-stream, per-class and
@@ -199,19 +199,6 @@ type Config struct {
 	// is exactly as deterministic as a clean one.
 	Chaos Chaos
 
-	// FailableExecutors switches the engine to completion-time
-	// accounting: a dispatched launch's frames are recorded as served
-	// (counters, latency samples, sink events) only when its completion
-	// event fires, instead of at dispatch. The two orderings price and
-	// count frames identically on a healthy server; the switch exists so
-	// Server.FailAt can seize in-flight launches — under dispatch
-	// accounting their frames are already in the books the instant they
-	// launch, and a failure could not take them back. The cluster router
-	// sets it for every shard of a cluster with an active FaultPlan;
-	// leave it off otherwise, as the ordering shift can perturb
-	// floating-point latency aggregation against historical goldens.
-	FailableExecutors bool
-
 	// DegradeDepth, when positive, degrades service to the proposal
 	// network only (the refinement pass is shed) whenever at least
 	// this many frames are still waiting behind the one being
@@ -242,7 +229,7 @@ type Config struct {
 	GPU *gpumodel.Model
 
 	// Sink, when non-nil, receives one Event per frame outcome
-	// (served, dropped, degraded) as the engine decides it. Sinks run
+	// (served, dropped, degraded) as it takes effect. Sinks run
 	// synchronously under the server's lock: they must be fast and
 	// must not call back into the Server. Never serialized into the
 	// Result.
@@ -483,6 +470,38 @@ type StreamStats struct {
 	// Latency summarizes end-to-end (arrival to completion) seconds
 	// over served frames.
 	Latency LatencySummary `json:"latency"`
+}
+
+// Add folds another row's frame counters, Arrived through ModeFull,
+// into s: the one fold behind every combined row (fleet, priority
+// class, cluster stream and cluster fleet). ID and the derived fields
+// — Throughput, DropRate, Latency — are left alone; a combined row
+// derives them from its own counters and latency samples.
+func (s *StreamStats) Add(o StreamStats) {
+	s.Arrived += o.Arrived
+	s.Served += o.Served
+	s.DroppedQueue += o.DroppedQueue
+	s.DroppedStale += o.DroppedStale
+	s.DroppedPoison += o.DroppedPoison
+	s.Reconnects += o.Reconnects
+	s.FailedOver += o.FailedOver
+	s.Replayed += o.Replayed
+	s.DroppedFailover += o.DroppedFailover
+	s.Degraded += o.Degraded
+	s.ModeFull += o.ModeFull
+}
+
+// derive fills the row's derived fields from its counters: throughput
+// over the makespan horizon, drop rate, and the summary of the row's
+// latency samples.
+func (s *StreamStats) derive(horizon float64, latencies []float64) {
+	if horizon > 0 {
+		s.Throughput = float64(s.Served) / horizon
+	}
+	if s.Arrived > 0 {
+		s.DropRate = float64(s.DroppedQueue+s.DroppedStale) / float64(s.Arrived)
+	}
+	s.Latency = Summarize(latencies)
 }
 
 // Result is the full outcome of one serving scenario. It is plain data

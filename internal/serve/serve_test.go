@@ -46,13 +46,31 @@ func marshal(t *testing.T, r *Result) []byte {
 	return b
 }
 
+// timeOrder is a recording sink that counts events emitted with a Time
+// earlier than one already seen, pinning the Event contract that sink
+// events arrive in nondecreasing virtual time.
+type timeOrder struct {
+	last        float64
+	events, out int
+}
+
+func (o *timeOrder) ServeEvent(e Event) {
+	o.events++
+	if e.Time < o.last {
+		o.out++
+		return
+	}
+	o.last = e.Time
+}
+
 // TestDeterminism reruns the same scenario under every scheduler, at
 // 1, 2 and 8 executors, at batch sizes 1 and 4, and at step-worker
 // counts 1, 2 and 8, and requires byte-identical JSON each time: no
 // policy's event loop has hidden scheduling, wall-clock or map-order
 // dependence, and the parallel step fan-out merges back into exactly
 // the serial engine's output (workers=1 is the fully serial path the
-// golden files pin).
+// golden files pin). The serial run also records its sink events,
+// which must never go back in virtual time.
 func TestDeterminism(t *testing.T) {
 	for _, kind := range []sched.Kind{sched.FIFO, sched.Fair, sched.Priority, sched.EDF} {
 		for _, executors := range []int{1, 2, 8} {
@@ -66,7 +84,14 @@ func TestDeterminism(t *testing.T) {
 					cfg.Priorities = []int{1, 0, 1, 0}
 				}
 				cfg.StepWorkers = 1
+				order := &timeOrder{}
+				cfg.Sink = order
 				first := marshal(t, mustRun(t, cfg))
+				cfg.Sink = nil
+				if order.out > 0 {
+					t.Errorf("sched=%s executors=%d batch=%d: %d of %d sink events went back in time",
+						kind, executors, batch, order.out, order.events)
+				}
 				again := marshal(t, mustRun(t, cfg))
 				if !bytes.Equal(first, again) {
 					t.Errorf("sched=%s executors=%d batch=%d: rerun not byte-identical\n first: %s\nsecond: %s",

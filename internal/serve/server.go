@@ -19,7 +19,7 @@ type EventKind string
 
 // The frame outcomes and stream incidents a Sink observes.
 const (
-	// EventServed fires when a frame is dispatched to an executor; its
+	// EventServed fires when the launch serving a frame completes; its
 	// Time is the completion instant and Latency the end-to-end
 	// (arrival to completion) seconds.
 	EventServed EventKind = "served"
@@ -57,9 +57,10 @@ const (
 )
 
 // Event is one per-frame serving outcome, reported to the configured
-// Sink as the engine decides it. Events of one server are emitted in
-// nondecreasing decision order on the virtual clock; a served frame's
-// Time (its completion instant) may postdate later-emitted drops.
+// Sink as it takes effect. Events of one server are emitted in
+// nondecreasing Time on the virtual clock: every event is emitted at
+// the instant it carries — a served frame at its launch's completion,
+// a drop, reconnect, mode switch or failover at its decision instant.
 type Event struct {
 	Kind   EventKind `json:"kind"`
 	Stream int       `json:"stream"`
@@ -439,18 +440,14 @@ type FailedFrame struct {
 // counted in StreamStats.FailedOver and emitted as an EventFailedOver —
 // the agenda is cleared (pending completions, provisioning resizes and
 // the armed control tick die with the machine) and the executor count
-// drops to 0 until a later ResizeAt revives the shard. Requires
-// Config.FailableExecutors: under the default dispatch-time accounting
-// an in-flight launch's frames are already in the books and cannot be
-// seized back.
+// drops to 0 until a later ResizeAt revives the shard. A launch
+// reaches the books only at its completion, so the in-flight frames it
+// seizes were never counted served.
 func (s *Server) FailAt(t float64) ([]FailedFrame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
-	}
-	if !s.f.failable {
-		return nil, errors.New("serve: FailAt: requires Config.FailableExecutors (completion-time accounting)")
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("serve: FailAt: %v is not a finite time", t)
@@ -494,7 +491,9 @@ func (s *Server) PinMode(stream int, mode control.Mode) error {
 // Stats returns a live snapshot: cumulative totals, current queue
 // depth and busy executors, throughput and drop rate over the elapsed
 // makespan, and latency percentiles over the sliding window of the
-// most recent Config.StatsWindow served frames.
+// most recent Config.StatsWindow served frames. Mid-run, Served counts
+// only frames whose launch has completed; frames in flight are in
+// BusyExecutors, not yet in the books.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -59,6 +59,8 @@ type Stats struct {
 	// DroppedPoison and Reconnects count fault-tolerance incidents
 	// (PoisonDrop swallows, accepted camera reconnects); both stay 0
 	// under the strict default policies.
+	// Mid-run, Served counts only frames whose launch has completed;
+	// frames in flight are not in the books until their completion.
 	Arrived       int `json:"arrived"`
 	Served        int `json:"served"`
 	DroppedQueue  int `json:"dropped_queue"`
