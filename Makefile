@@ -9,8 +9,6 @@ REPRO_SEQS      ?= 6
 REPRO_CITY_SEQS ?= 60
 REPRO_OUT       ?= report.json
 BENCH_OUT       ?= bench.txt
-BENCH_JSON      ?= BENCH_HEAD.json
-BENCH_THRESHOLD ?= 0.15
 BENCH_COUNT     ?= 3
 BENCH_GATE_TIME ?= 3x
 SWEEP_OUT       ?= sweep.txt
@@ -23,7 +21,7 @@ STATICCHECK     ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 FUZZ_TIME       ?= 20s
 
-.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-json bench-diff cluster-determinism cluster-failover profile repro sweep trace surface clean
+.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-diff cluster-determinism cluster-failover profile repro sweep trace surface clean
 
 all: fmt vet build test
 
@@ -96,35 +94,33 @@ bench:
 	@$(GO) test -run '^$$' -bench . -benchtime 1x ./... > $(BENCH_OUT) 2>&1; \
 		st=$$?; cat $(BENCH_OUT); exit $$st
 
-# Machine-readable benchmark trajectory: the bench smoke pass with
-# -benchmem, converted by cmd/benchjson into $(BENCH_JSON) — one record
-# per benchmark with ns/op, B/op, allocs/op and every custom metric.
-# CI uploads the file as an artifact, so per-PR performance history can
-# be diffed by tooling instead of scraped from text.
-bench-json:
-	@$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_OUT) 2>&1; \
-		st=$$?; cat $(BENCH_OUT); \
-		if [ $$st -ne 0 ]; then exit $$st; fi; \
-		$(GO) run ./cmd/benchjson -o $(BENCH_JSON) $(BENCH_OUT) && \
-		echo "wrote $(BENCH_JSON)"
-
-# Benchmark regression gate: rerun the benchmarks with -benchmem and
-# diff against the newest committed BENCH_PR<n>.json baseline with
-# cmd/benchdiff. Fails on any ns/op regression beyond BENCH_THRESHOLD
-# (fractional, default 0.15) or allocs/op growth beyond a 0.1%
-# scheduling-jitter guard; when the baseline was recorded on a
-# different machine the ns/op gate degrades to advisory warnings and
-# only the allocation counts gate. Each run averages BENCH_GATE_TIME
-# iterations and repeats BENCH_COUNT times, comparing by per-benchmark
-# minimum (benchdiff folds duplicates), because single 1x iterations
-# swing tens of percent on loaded CI machines; the committed baselines
-# are recorded the same way.
+# Allocation regression gate: the working tree against its parent
+# commit, on this host. The base is HEAD when the tree has uncommitted
+# changes and HEAD^ otherwise (a clean checkout, as in CI); it is
+# checked out into a temporary detached worktree that is removed on
+# exit, failure included. Base and head benchmark passes alternate
+# BENCH_COUNT times (BENCH_GATE_TIME iterations each, -benchmem) into
+# bench_base.txt and bench_head.txt, and cmd/benchdiff fails when a
+# benchmark's allocs/op grew past the base's own spread. Speed is not
+# gated here: ns/op swings between identical runs on one host, and
+# perfbench (BENCHMARK.json) judges speed.
 bench-diff:
-	@$(GO) test -run '^$$' -bench . -benchtime $(BENCH_GATE_TIME) -benchmem \
-		-count $(BENCH_COUNT) ./... > bench_head.txt 2>&1; \
-		st=$$?; if [ $$st -ne 0 ]; then cat bench_head.txt; exit $$st; fi; \
-		$(GO) run ./cmd/benchjson -o BENCH_HEAD.json bench_head.txt && \
-		$(GO) run ./cmd/benchdiff -head BENCH_HEAD.json -threshold $(BENCH_THRESHOLD)
+	@if [ -n "$$(git status --porcelain)" ]; then base=HEAD; else base=HEAD^; fi; \
+		wt=$$(mktemp -d) || exit 1; \
+		trap 'git worktree remove --force "$$wt" 2>/dev/null; rm -rf "$$wt"; git worktree prune' EXIT; \
+		trap 'exit 130' INT TERM; \
+		git worktree add --detach --quiet "$$wt" "$$base" || exit 1; \
+		echo "bench-diff: base $$base ($$(git rev-parse --short "$$base")) vs working tree"; \
+		: > bench_base.txt; : > bench_head.txt; \
+		for i in $$(seq $(BENCH_COUNT)); do \
+			for side in base head; do \
+				dir=.; [ $$side = base ] && dir="$$wt"; \
+				(cd "$$dir" && $(GO) test -run '^$$' -bench . -benchtime $(BENCH_GATE_TIME) \
+					-benchmem ./...) >> bench_$$side.txt 2>&1 || \
+					{ cat bench_$$side.txt; exit 1; }; \
+			done; \
+		done; \
+		$(GO) run ./cmd/benchdiff bench_base.txt bench_head.txt
 
 # Byte-identity of the merged cluster books across shard counts, static
 # executor counts and step-worker fan-outs, under the race detector:
@@ -207,5 +203,5 @@ surface:
 		$(GO) doc -short ./internal/serve/cluster Config; } | grep -cE '^[[:space:]][A-Z]')"
 
 clean:
-	rm -f $(REPRO_OUT) $(BENCH_OUT) bench_head.txt BENCH_HEAD.json \
+	rm -f $(REPRO_OUT) $(BENCH_OUT) bench_base.txt bench_head.txt \
 		$(SWEEP_OUT) $(TRACE_OUT) cpu.prof mem.prof repro.test

@@ -48,7 +48,7 @@ func DefaultConfig() *Config {
 		"internal/hungarian",
 		"internal/geom",
 		"internal/detector",
-		"internal/benchfmt",
+		"cmd/benchdiff",
 	}
 	return &Config{
 		Deterministic: det,

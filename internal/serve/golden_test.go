@@ -77,52 +77,3 @@ func TestGoldenFIFO(t *testing.T) {
 		})
 	}
 }
-
-// TestPR2DynamicsUnchanged replays the golden scenario against the
-// output captured from the PR 2 loop (before the scheduler was
-// extracted) and requires every event-loop quantity — served/dropped
-// counts, latencies, drop rates, queue depth, utilization — to match
-// exactly. Throughput is excluded by design: PR 2 divided it by
-// Duration while depth/utilization divided by the makespan (the mixed
-// time horizons this PR fixes); the dynamics it derives from are
-// checked via Served.
-func TestPR2DynamicsUnchanged(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_pr2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want Result
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-
-	got := mustRun(t, goldenConfig())
-	sameStats := func(label string, g, w StreamStats) {
-		t.Helper()
-		g.Throughput, w.Throughput = 0, 0
-		gb := marshal(t, &Result{Fleet: g})
-		wb := marshal(t, &Result{Fleet: w})
-		if !bytes.Equal(gb, wb) {
-			t.Errorf("%s: dynamics drifted from PR 2\n got: %s\nwant: %s", label, gb, wb)
-		}
-	}
-	sameStats("fleet", got.Fleet, want.Fleet)
-	if len(got.PerStream) != len(want.PerStream) {
-		t.Fatalf("per-stream rows: %d vs %d", len(got.PerStream), len(want.PerStream))
-	}
-	for i := range want.PerStream {
-		sameStats(got.PerStream[i].ID, got.PerStream[i], want.PerStream[i])
-	}
-	if got.AvgQueueDepth != want.AvgQueueDepth {
-		t.Errorf("AvgQueueDepth %v, PR 2 had %v", got.AvgQueueDepth, want.AvgQueueDepth)
-	}
-	if got.Utilization != want.Utilization {
-		t.Errorf("Utilization %v, PR 2 had %v", got.Utilization, want.Utilization)
-	}
-	if got.MaxQueueDepth != want.MaxQueueDepth {
-		t.Errorf("MaxQueueDepth %v, PR 2 had %v", got.MaxQueueDepth, want.MaxQueueDepth)
-	}
-	if got.MaxService != want.MaxService {
-		t.Errorf("MaxService %v, PR 2 had %v", got.MaxService, want.MaxService)
-	}
-}
