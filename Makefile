@@ -80,12 +80,15 @@ cover:
 # adversarial (stream, frame, arriveAt) triples under every reconnect x
 # poison policy combination, then the word-parallel region-mask kernels
 # against their per-cell reference for arbitrary frame, cell and box
-# values. CI runs this as a smoke pass; raise FUZZ_TIME locally for a
-# real hunt.
+# values, then the greedy region merge against its O(n^3) reference for
+# arbitrary grid boxes and launch overheads. CI runs this as a smoke
+# pass; raise FUZZ_TIME locally for a real hunt.
 fuzz:
 	$(GO) test ./internal/serve -run '^FuzzSubmit$$' -fuzz '^FuzzSubmit$$' \
 		-fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/geom -run '^FuzzMaskSpan$$' -fuzz '^FuzzMaskSpan$$' \
+		-fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/geom -run '^FuzzGreedyMerge$$' -fuzz '^FuzzGreedyMerge$$' \
 		-fuzztime $(FUZZ_TIME)
 
 # One iteration of every benchmark: a smoke pass that also emits the

@@ -100,10 +100,10 @@ func (b Box) Expand(margin float64) Box {
 // empty (zero area) when the boxes do not overlap.
 func (b Box) Intersect(o Box) Box {
 	r := Box{
-		X1: math.Max(b.X1, o.X1),
-		Y1: math.Max(b.Y1, o.Y1),
-		X2: math.Min(b.X2, o.X2),
-		Y2: math.Min(b.Y2, o.Y2),
+		X1: fmax(b.X1, o.X1),
+		Y1: fmax(b.Y1, o.Y1),
+		X2: fmin(b.X2, o.X2),
+		Y2: fmin(b.Y2, o.Y2),
 	}
 	if r.X1 >= r.X2 || r.Y1 >= r.Y2 {
 		return Box{}
@@ -120,22 +120,41 @@ func (b Box) Union(o Box) Box {
 		return b
 	}
 	return Box{
-		X1: math.Min(b.X1, o.X1),
-		Y1: math.Min(b.Y1, o.Y1),
-		X2: math.Max(b.X2, o.X2),
-		Y2: math.Max(b.Y2, o.Y2),
+		X1: fmin(b.X1, o.X1),
+		Y1: fmin(b.Y1, o.Y1),
+		X2: fmax(b.X2, o.X2),
+		Y2: fmax(b.Y2, o.Y2),
 	}
 }
 
 // Clip returns the box clipped to the frame [0,w) x [0,h).
 func (b Box) Clip(w, h float64) Box {
-	r := Box{
-		X1: math.Max(0, math.Min(b.X1, w)),
-		Y1: math.Max(0, math.Min(b.Y1, h)),
-		X2: math.Max(0, math.Min(b.X2, w)),
-		Y2: math.Max(0, math.Min(b.Y2, h)),
+	return Box{
+		X1: fmax(0, fmin(b.X1, w)),
+		Y1: fmax(0, fmin(b.Y1, h)),
+		X2: fmax(0, fmin(b.X2, w)),
+		Y2: fmax(0, fmin(b.Y2, h)),
 	}
-	return r
+}
+
+// fmin returns math.Min(a, b) bit for bit through the builtin min,
+// which compiles to a few inline instructions instead of a call. The
+// two agree on every input without a NaN, signed zeros included. With
+// a NaN the builtin returns a NaN even against -Inf, and not always
+// math.NaN's bits, so a NaN result defers to math.Min.
+func fmin(a, b float64) float64 {
+	if r := min(a, b); r == r {
+		return r
+	}
+	return math.Min(a, b)
+}
+
+// fmax is fmin's counterpart for math.Max, whose NaN exception is +Inf.
+func fmax(a, b float64) float64 {
+	if r := max(a, b); r == r {
+		return r
+	}
+	return math.Max(a, b)
 }
 
 // Contains reports whether the point (x, y) lies inside the box.

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,4 +194,73 @@ func mod(x, m float64) float64 {
 	}
 	v := math.Mod(math.Abs(x), m)
 	return v
+}
+
+// minMaxValues are the float64 edge cases where min and max semantics
+// can diverge, plus ordinary pixel coordinates.
+var minMaxValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.MaxFloat64, -math.MaxFloat64, 1.5, -2.25, 375, 1242,
+}
+
+// fmin and fmax return math.Min and math.Max bit for bit on every pair
+// of edge values, NaN against the infinities included.
+func TestMinMaxMatchMath(t *testing.T) {
+	for _, a := range minMaxValues {
+		for _, b := range minMaxValues {
+			if got, want := fmin(a, b), math.Min(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("fmin(%v, %v) = %v (%#x), math.Min %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := fmax(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("fmax(%v, %v) = %v (%#x), math.Max %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// Reference box operations written with math.Min and math.Max.
+func refIntersect(b, o Box) Box {
+	r := Box{math.Max(b.X1, o.X1), math.Max(b.Y1, o.Y1), math.Min(b.X2, o.X2), math.Min(b.Y2, o.Y2)}
+	if r.X1 >= r.X2 || r.Y1 >= r.Y2 {
+		return Box{}
+	}
+	return r
+}
+
+func refUnion(b, o Box) Box {
+	if b.Empty() {
+		return o
+	}
+	if o.Empty() {
+		return b
+	}
+	return Box{math.Min(b.X1, o.X1), math.Min(b.Y1, o.Y1), math.Max(b.X2, o.X2), math.Max(b.Y2, o.Y2)}
+}
+
+func refClip(b Box, w, h float64) Box {
+	return Box{
+		math.Max(0, math.Min(b.X1, w)), math.Max(0, math.Min(b.Y1, h)),
+		math.Max(0, math.Min(b.X2, w)), math.Max(0, math.Min(b.Y2, h)),
+	}
+}
+
+// Box.Intersect, Union and Clip equal their math-based references bit
+// for bit on boxes and frames drawn from the edge values.
+func TestBoxOpsMatchMathReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	v := func() float64 { return minMaxValues[rng.Intn(len(minMaxValues))] }
+	for k := 0; k < 50000; k++ {
+		b, o := Box{v(), v(), v(), v()}, Box{v(), v(), v(), v()}
+		w, h := v(), v()
+		if got, want := b.Intersect(o), refIntersect(b, o); !sameBits(got, want) {
+			t.Fatalf("%v.Intersect(%v) = %v, reference %v", b, o, got, want)
+		}
+		if got, want := b.Union(o), refUnion(b, o); !sameBits(got, want) {
+			t.Fatalf("%v.Union(%v) = %v, reference %v", b, o, got, want)
+		}
+		if got, want := b.Clip(w, h), refClip(b, w, h); !sameBits(got, want) {
+			t.Fatalf("%v.Clip(%v, %v) = %v, reference %v", b, w, h, got, want)
+		}
+	}
 }

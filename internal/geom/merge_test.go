@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -54,11 +55,59 @@ func mergeInput(n int, seed int64) []Box {
 	return boxes
 }
 
+// gridBoxes returns n seeded boxes with corners on a 20-pixel grid of a
+// KITTI frame. Their areas and unions repeat often, so the gains of
+// different pairs tie exactly.
+func gridBoxes(n int, seed int64) []Box {
+	rng := rand.New(rand.NewSource(seed))
+	boxes := make([]Box, n)
+	for i := range boxes {
+		x, y := float64(rng.Intn(62)*20), float64(rng.Intn(19)*20)
+		boxes[i] = NewBox(x, y, x+float64((1+rng.Intn(6))*20), y+float64((1+rng.Intn(4))*20))
+	}
+	return boxes
+}
+
+// quantisedCost rounds the area down to 500-pixel steps, so that many
+// pairs in different columns share the same gain.
+func quantisedCost(b Box) float64 { return float64(int(b.Area()/500)) + 4 }
+
+// checkMergeMatchesReference fails unless GreedyMerge returns the same
+// boxes as refGreedyMerge, in the same order and bit for bit, and
+// leaves its input alone.
+func checkMergeMatchesReference(t testing.TB, name string, boxes []Box, cost CostFunc) {
+	t.Helper()
+	in := append([]Box(nil), boxes...)
+	got, want := GreedyMerge(boxes, cost), refGreedyMerge(append([]Box(nil), boxes...), cost)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d boxes, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: box %d = %v, reference %v", name, i, got[i], want[i])
+		}
+	}
+	for i := range boxes {
+		if !sameBits(boxes[i], in[i]) {
+			t.Fatalf("%s: input box %d modified", name, i)
+		}
+	}
+}
+
 // The incremental merge returns the same boxes, in the same order and
 // bit for bit, as the O(n^3) reference, for every input size from 0 to
 // 80 (both stack-scratch sizes and the heap fallback) and for costs
-// that merge almost everything, something, or almost nothing.
+// that merge almost everything, something, or almost nothing. The grid
+// inputs under the stepped costs tie many gains, which pins the first
+// pair in scan order as the winner.
 func TestGreedyMergeMatchesReference(t *testing.T) {
+	inputs := []struct {
+		name  string
+		boxes func(n int, seed int64) []Box
+	}{
+		{"kitti", mergeInput},
+		{"grid", gridBoxes},
+	}
 	costs := []struct {
 		name string
 		cost CostFunc
@@ -68,28 +117,35 @@ func TestGreedyMergeMatchesReference(t *testing.T) {
 		{"cheap", launchCost(0.002)},
 		{"area", func(b Box) float64 { return b.Area() }},
 		{"quadratic", func(b Box) float64 { return 0.01 + math.Pow(b.Area()/1e4, 1.5) }},
+		{"quantised", quantisedCost},
+		{"quantised-cheap", func(b Box) float64 { return float64(int(b.Area()/2000)) + 1 }},
 	}
-	for _, tc := range costs {
-		name, cost := tc.name, tc.cost
-		for n := 0; n <= 80; n++ {
-			boxes := mergeInput(n, int64(1000+n))
-			in := append([]Box(nil), boxes...)
-			got, want := GreedyMerge(boxes, cost), refGreedyMerge(in, cost)
-			if len(got) != len(want) {
-				t.Fatalf("%s n=%d: %d boxes, reference %d", name, n, len(got), len(want))
-			}
-			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("%s n=%d: box %d = %v, reference %v", name, n, i, got[i], want[i])
-				}
-			}
-			for i := range boxes {
-				if !sameBits(boxes[i], in[i]) {
-					t.Fatalf("%s n=%d: input box %d modified", name, n, i)
-				}
+	for _, in := range inputs {
+		for _, tc := range costs {
+			for n := 0; n <= 80; n++ {
+				name := fmt.Sprintf("%s/%s n=%d", in.name, tc.name, n)
+				checkMergeMatchesReference(t, name, in.boxes(n, int64(1000+n)), tc.cost)
 			}
 		}
 	}
+}
+
+// FuzzGreedyMerge checks GreedyMerge against the reference on fuzzed
+// boxes and launch overheads. Each 4 bytes of data place one box on a
+// coarse grid, so equal gains are common.
+func FuzzGreedyMerge(f *testing.F) {
+	f.Add([]byte{10, 20, 3, 2, 12, 20, 3, 2, 200, 90, 8, 8, 0, 0, 255, 255}, 0.02)
+	f.Add([]byte{1, 1, 1, 1, 2, 1, 1, 1, 3, 1, 1, 1, 4, 1, 1, 1, 1, 2, 1, 1}, 0.002)
+	f.Add([]byte{0, 0, 0, 0, 5, 5, 0, 9}, math.Inf(1))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, overhead float64) {
+		var boxes []Box
+		for ; len(data) >= 4 && len(boxes) < 80; data = data[4:] {
+			x, y := float64(data[0])*5, float64(data[1])*2
+			boxes = append(boxes, NewBox(x, y, x+float64(data[2])*2, y+float64(data[3])))
+		}
+		checkMergeMatchesReference(t, "fuzz", boxes, launchCost(overhead))
+	})
 }
 
 func sameBits(a, b Box) bool {
@@ -99,14 +155,15 @@ func sameBits(a, b Box) bool {
 		math.Float64bits(a.Y2) == math.Float64bits(b.Y2)
 }
 
-// Up to 64 boxes the merge keeps its cost cache on the stack: the
-// returned slice is its only allocation.
+// Up to 64 boxes the merge keeps its caches on the stack: the returned
+// slice is its only allocation.
 func TestGreedyMergeAllocs(t *testing.T) {
 	cost := launchCost(0.02)
 	for _, n := range []int{1, 2, 8, 32, 33, 64} {
-		boxes := kittiBoxes(n, int64(n))
-		if a := testing.AllocsPerRun(50, func() { _ = GreedyMerge(boxes, cost) }); a != 1 {
-			t.Fatalf("n=%d: GreedyMerge allocs = %v, want 1", n, a)
+		for _, boxes := range [][]Box{kittiBoxes(n, int64(n)), gridBoxes(n, int64(n))} {
+			if a := testing.AllocsPerRun(50, func() { _ = GreedyMerge(boxes, cost) }); a != 1 {
+				t.Fatalf("n=%d: GreedyMerge allocs = %v, want 1", n, a)
+			}
 		}
 	}
 }

@@ -52,6 +52,12 @@ func (m Model) RegionWorkload(region geom.Box, frameW, frameH float64, cost ops.
 	if frameW <= 0 || frameH <= 0 {
 		return 0
 	}
+	return cost.RegionOps(int(frameW), int(frameH), areaFrac(region, frameW, frameH), roisInside)
+}
+
+// areaFrac returns the region's share of a frameW-by-frameH frame,
+// clamped to [0, 1].
+func areaFrac(region geom.Box, frameW, frameH float64) float64 {
 	frac := region.Area() / (frameW * frameH)
 	if frac < 0 {
 		frac = 0
@@ -59,7 +65,7 @@ func (m Model) RegionWorkload(region geom.Box, frameW, frameH float64, cost ops.
 	if frac > 1 {
 		frac = 1
 	}
-	return cost.RegionOps(int(frameW), int(frameH), frac, roisInside)
+	return frac
 }
 
 // MergeRegions applies the appendix's greedy merging to the refinement
@@ -71,27 +77,32 @@ func (m Model) RegionWorkload(region geom.Box, frameW, frameH float64, cost ops.
 //
 // A candidate rectangle's time is alpha*(featOps*frac) + b with featOps
 // constant across the whole merge, so the cost-model call is hoisted
-// out of the greedy pair scan: the scan evaluates O(n²) candidates per
-// round, and walking the backbone's layer stack (allocating its RPN
-// net) per candidate dominated the serving-loop heap profile. The
-// hoisted form multiplies the same two floats RegionWorkload would,
-// so merge decisions are bit-identical.
+// out of the greedy merge, which prices every candidate union. The
+// hoisted form multiplies the same two floats RegionWorkload would, so
+// merge decisions are bit-identical.
 func (m Model) MergeRegions(regions []geom.Box, frameW, frameH float64, cost ops.CostModel) []geom.Box {
-	area := frameW * frameH
+	return m.appendMerged(make([]geom.Box, 0, len(regions)), regions, frameW, frameH, featureOps(frameW, frameH, cost))
+}
+
+// featureOps returns the refinement network's full-frame feature
+// extraction ops, or 0 for a frame without area.
+func featureOps(frameW, frameH float64, cost ops.CostModel) float64 {
+	if frameW <= 0 || frameH <= 0 {
+		return 0
+	}
+	return cost.RegionOps(int(frameW), int(frameH), 1, 0)
+}
+
+// appendMerged appends the merged regions to dst, given the frame's
+// full-frame feature ops. A frame without area prices every region at
+// the launch overhead alone.
+func (m Model) appendMerged(dst, regions []geom.Box, frameW, frameH, feat float64) []geom.Box {
 	if frameW <= 0 || frameH <= 0 {
 		flat := m.LaunchTime(0)
-		return geom.GreedyMerge(regions, func(geom.Box) float64 { return flat })
+		return geom.AppendGreedyMerge(dst, regions, func(geom.Box) float64 { return flat })
 	}
-	feat := cost.RegionOps(int(frameW), int(frameH), 1, 0)
-	return geom.GreedyMerge(regions, func(b geom.Box) float64 {
-		frac := b.Area() / area
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return m.LaunchTime(feat * frac)
+	return geom.AppendGreedyMerge(dst, regions, func(b geom.Box) float64 {
+		return m.LaunchTime(feat * areaFrac(b, frameW, frameH))
 	})
 }
 
@@ -116,30 +127,41 @@ type FrameTime struct {
 func (m Model) CaTDetFrame(proposalOps float64, regions []geom.Box, frameW, frameH float64,
 	refCost ops.CostModel, nProposals int) FrameTime {
 
-	merged := m.MergeRegions(regions, frameW, frameH, refCost)
+	// The merged launches land in a stack buffer, so pricing a frame of
+	// up to 64 regions does not allocate.
+	var buf [64]geom.Box
+	feat := featureOps(frameW, frameH, refCost)
+	merged := m.appendMerged(buf[:0], regions, frameW, frameH, feat)
 	gpu := m.LaunchTime(proposalOps)
 	work := 0.0
 	launches := len(merged)
-	roisLeft := nProposals
+	hasArea := frameW > 0 && frameH > 0
+	w, h := int(frameW), int(frameH)
 	for i, r := range merged {
 		// Attribute the RoI head work to the merged launches, all on
 		// the first launch for simplicity (it is launch-invariant).
 		rois := 0
 		if i == 0 {
-			rois = roisLeft
+			rois = nProposals
 		}
-		w := m.RegionWorkload(r, frameW, frameH, refCost, rois)
-		work += w
-		gpu += m.LaunchTime(w)
+		// RegionWorkload's RegionOps(w, h, frac, rois), bit for bit
+		// without a second trunk walk: FeatureOps*1 + 0 and
+		// FeatureOps*0 + head are exact.
+		lw := 0.0
+		if hasArea {
+			lw = feat*areaFrac(r, frameW, frameH) + refCost.RegionOps(w, h, 0, rois)
+		}
+		work += lw
+		gpu += m.LaunchTime(lw)
 	}
-	if len(merged) == 0 && nProposals > 0 && frameW > 0 && frameH > 0 {
+	if len(merged) == 0 && nProposals > 0 && hasArea {
 		// No refinement region survived merging but RoIs still need the
 		// head pass (e.g. every proposal fell on an already-tracked
 		// object, so no region was scheduled). Charge a zero-area,
 		// head-only launch instead of silently dropping the work.
-		w := refCost.RegionOps(int(frameW), int(frameH), 0, nProposals)
-		work += w
-		gpu += m.LaunchTime(w)
+		lw := refCost.RegionOps(w, h, 0, nProposals)
+		work += lw
+		gpu += m.LaunchTime(lw)
 		launches = 1
 	}
 	return FrameTime{

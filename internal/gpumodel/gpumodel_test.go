@@ -2,6 +2,7 @@ package gpumodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -223,5 +224,112 @@ func TestFullCascadeFrame(t *testing.T) {
 		ops.KITTIWidth, ops.KITTIHeight, ops.MustCostModel("resnet50"), 5)
 	if full.Total <= gated.Total {
 		t.Fatalf("full cascade %.4f not above region-gated CaTDet %.4f", full.Total, gated.Total)
+	}
+}
+
+// refCaTDetFrame prices a frame by the plain Appendix I formula: regions
+// merge under a cost that calls RegionWorkload per candidate, and each
+// merged launch is priced by its own RegionWorkload.
+func refCaTDetFrame(m Model, proposalOps float64, regions []geom.Box, frameW, frameH float64,
+	refCost ops.CostModel, nProposals int) FrameTime {
+
+	merged := geom.GreedyMerge(regions, func(b geom.Box) float64 {
+		return m.LaunchTime(m.RegionWorkload(b, frameW, frameH, refCost, 0))
+	})
+	gpu := m.LaunchTime(proposalOps)
+	work := 0.0
+	for i, r := range merged {
+		rois := 0
+		if i == 0 {
+			rois = nProposals
+		}
+		w := m.RegionWorkload(r, frameW, frameH, refCost, rois)
+		work += w
+		gpu += m.LaunchTime(w)
+	}
+	launches := len(merged)
+	if len(merged) == 0 && nProposals > 0 && frameW > 0 && frameH > 0 {
+		w := refCost.RegionOps(int(frameW), int(frameH), 0, nProposals)
+		work += w
+		gpu += m.LaunchTime(w)
+		launches = 1
+	}
+	return FrameTime{GPU: gpu, Total: gpu + m.CPUOverheadCaTDet, Launches: launches, MergedWorkload: work}
+}
+
+// CaTDetFrame reads the full-frame feature ops once and prices each
+// merged launch as feat*frac + RegionOps(w, h, 0, rois). Over seeded
+// random region sets — empty ones with pending proposals (the head-only
+// launch), frames without area, and regions reaching past the frame
+// included — that must equal the per-region formula bit for bit.
+func TestCaTDetFrameMatchesRegionWorkload(t *testing.T) {
+	m := Default()
+	rng := rand.New(rand.NewSource(17))
+	frames := [][2]float64{
+		{ops.KITTIWidth, ops.KITTIHeight},
+		{ops.CityPersonsWidth, ops.CityPersonsHeight},
+		{0, ops.KITTIHeight},
+	}
+	for _, name := range []string{"resnet50", "vgg16", "retinanet-res50"} {
+		cost := ops.MustCostModel(name)
+		for trial := 0; trial < 300; trial++ {
+			f := frames[trial%len(frames)]
+			regions := make([]geom.Box, rng.Intn(40))
+			for i := range regions {
+				x, y := rng.Float64()*f[0]*1.1-40, rng.Float64()*f[1]*1.1-20
+				regions[i] = geom.NewBox(x, y, x+20+rng.Float64()*220, y+20+rng.Float64()*160)
+			}
+			nProps := rng.Intn(3) * rng.Intn(150)
+			got := m.CaTDetFrame(1e9, regions, f[0], f[1], cost, nProps)
+			want := refCaTDetFrame(m, 1e9, regions, f[0], f[1], cost, nProps)
+			if math.Float64bits(got.GPU) != math.Float64bits(want.GPU) ||
+				math.Float64bits(got.Total) != math.Float64bits(want.Total) ||
+				math.Float64bits(got.MergedWorkload) != math.Float64bits(want.MergedWorkload) ||
+				got.Launches != want.Launches {
+				t.Fatalf("%s trial %d (%d regions, %d proposals, %vx%v): %+v, reference %+v",
+					name, trial, len(regions), nProps, f[0], f[1], got, want)
+			}
+		}
+	}
+}
+
+// benchRegions returns 12 seeded refinement regions on a KITTI frame.
+func benchRegions() []geom.Box {
+	rng := rand.New(rand.NewSource(3))
+	regions := make([]geom.Box, 12)
+	for i := range regions {
+		x, y := rng.Float64()*1200, rng.Float64()*340
+		regions[i] = geom.NewBox(x, y, x+60+rng.Float64()*160, y+40+rng.Float64()*100)
+	}
+	return regions
+}
+
+// Pricing a frame merges into a stack buffer and reads the warm
+// feature-ops memo, so it does not allocate.
+func TestCaTDetFrameAllocFree(t *testing.T) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	regions := benchRegions()
+	price := func() { m.CaTDetFrame(1e9, regions, ops.KITTIWidth, ops.KITTIHeight, cost, 40) }
+	price()
+	if a := testing.AllocsPerRun(50, price); a != 0 {
+		t.Fatalf("CaTDetFrame allocs = %v, want 0", a)
+	}
+}
+
+var frameSink FrameTime
+
+// BenchmarkCaTDetFrame prices a KITTI frame of 12 refinement regions.
+// Once the refinement model's feature-ops memo is warm it must not
+// allocate.
+func BenchmarkCaTDetFrame(b *testing.B) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	regions := benchRegions()
+	frameSink = m.CaTDetFrame(1e9, regions, ops.KITTIWidth, ops.KITTIHeight, cost, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameSink = m.CaTDetFrame(1e9, regions, ops.KITTIWidth, ops.KITTIHeight, cost, 40)
 	}
 }

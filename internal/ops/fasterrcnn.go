@@ -1,5 +1,7 @@
 package ops
 
+import "sync/atomic"
+
 // NumAnchors is the RPN anchor count per feature-map location: 3 anchor
 // types with 4 scales each (Section 4.2 of the paper).
 const NumAnchors = 12
@@ -31,6 +33,29 @@ type FasterRCNN struct {
 	// the head layer stack on every call. Calibration only rescales
 	// it through headScale, so Calibrate needs no refresh.
 	headOps float64
+	// feat remembers the uncalibrated trunk + RPN ops of the first
+	// featureMemos frame sizes FeatureOps priced. A frame is priced
+	// several times per step (both detector passes, the per-source
+	// split, every merged launch), each time walking the whole trunk
+	// before. A slot is claimed once through featUsed, written, then
+	// published through featReady and never written again, so parallel
+	// step workers share the memo without locks. The slots live in the
+	// struct, so remembering a size does not allocate. They hold
+	// unscaled ops, so Calibrate needs no refresh either.
+	feat      [featureMemos]featureMemo
+	featReady [featureMemos]atomic.Bool
+	featUsed  atomic.Int32
+}
+
+// featureMemos is how many frame sizes a FasterRCNN remembers. A model
+// prices one or two frame sizes in practice; further sizes walk the
+// trunk on every call, as before the memo.
+const featureMemos = 4
+
+// featureMemo is one remembered FeatureOps input and its raw result.
+type featureMemo struct {
+	w, h int
+	raw  float64
 }
 
 // NewFasterRCNN builds an uncalibrated cost model (scales = 1) with the
@@ -62,10 +87,19 @@ func rpnNet(b Backbone) Net {
 // FeatureOps returns the area-dependent operations (trunk + RPN) for a
 // full w-by-h frame, after calibration.
 func (m *FasterRCNN) FeatureOps(w, h int) float64 {
+	for i := range m.feat {
+		if f := &m.feat[i]; m.featReady[i].Load() && f.w == w && f.h == h {
+			return f.raw * m.featScale
+		}
+	}
 	trunk := m.Backbone.Trunk.Ops(w, h)
 	stride := m.Backbone.Trunk.OutputStride()
-	rpn := m.rpn.Ops((w+stride-1)/stride, (h+stride-1)/stride)
-	return (trunk + rpn) * m.featScale
+	raw := trunk + m.rpn.Ops((w+stride-1)/stride, (h+stride-1)/stride)
+	if n := m.featUsed.Load(); n < featureMemos && m.featUsed.CompareAndSwap(n, n+1) {
+		m.feat[n] = featureMemo{w: w, h: h, raw: raw}
+		m.featReady[n].Store(true)
+	}
+	return raw * m.featScale
 }
 
 // HeadOpsPerProposal returns the per-RoI head cost after calibration.

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -194,5 +195,64 @@ func TestCalibrateNoAnchorsIdentity(t *testing.T) {
 	m.Calibrate(nil)
 	if after := m.FullFrameOps(100, 100); after != before {
 		t.Fatalf("no-anchor calibration changed ops %v -> %v", before, after)
+	}
+}
+
+// FeatureOps remembers the first frame sizes it prices. Step workers
+// share one cost model, so calls alternating the KITTI and CityPersons
+// sizes from several goroutines, starting from an empty memo, must
+// return bit for bit what an uncached trunk + RPN walk gives. A
+// KITTI-wide CityPersons-high size differs in height only, and the
+// further sizes outnumber the memo slots.
+func TestFeatureOpsMemoMatchesWalk(t *testing.T) {
+	m := NewFasterRCNN(BuildResNet50())
+	m.featScale = 1.25
+	sizes := [][2]int{
+		{KITTIWidth, KITTIHeight}, {CityPersonsWidth, CityPersonsHeight}, {KITTIWidth, CityPersonsHeight},
+		{640, 480}, {1920, 1080}, {320, 240},
+	}
+	want := make([]uint64, len(sizes))
+	for i, s := range sizes {
+		w, h := s[0], s[1]
+		stride := m.Backbone.Trunk.OutputStride()
+		walk := m.Backbone.Trunk.Ops(w, h) + m.rpn.Ops((w+stride-1)/stride, (h+stride-1)/stride)
+		want[i] = math.Float64bits(walk * m.featScale)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (g + k) % len(sizes)
+				if got := math.Float64bits(m.FeatureOps(sizes[i][0], sizes[i][1])); got != want[i] {
+					t.Errorf("goroutine %d call %d at %v: FeatureOps bits %x, walk %x", g, k, sizes[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// The memo holds uncalibrated ops, so calibrating a model whose memo is
+// already filled still reproduces the anchors, bit for bit as a model
+// calibrated before any other call.
+func TestCalibrateAfterFeatureOpsMemo(t *testing.T) {
+	anchors := paperAnchors["resnet50"]
+	m := NewFasterRCNN(BuildResNet50())
+	for _, a := range anchors {
+		m.FeatureOps(a.W, a.H)
+	}
+	m.Calibrate(anchors)
+	fresh := MustCostModel("resnet50")
+	for _, a := range anchors {
+		got := m.FullFrameOps(a.W, a.H)
+		if math.Abs(got-a.Ops)/a.Ops > 1e-9 {
+			t.Errorf("%dx%d: calibrated ops %v, anchor %v", a.W, a.H, got, a.Ops)
+		}
+		if want := fresh.FullFrameOps(a.W, a.H); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%dx%d: ops %v after a filled memo, %v without", a.W, a.H, got, want)
+		}
 	}
 }
