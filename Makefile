@@ -159,9 +159,13 @@ repro:
 # FPS jitter, clock skew, poison pills), followed by the cluster
 # capacity sweep — a bursty load on two shards under static executor
 # counts 1..4 and the elastic autoscaler, where elastic wins on served
-# frames per modeled dollar. The tables make scheduling/batching,
-# chaos-robustness and elastic-economics regressions visible per PR
-# (CI uploads $(SWEEP_OUT) as an artifact).
+# frames per modeled dollar — followed by the adaptive grid: a dense
+# crowd on one executor, every static scheduler x batch row against
+# the same grid under the baseline controller, with the Pareto "dom"
+# column marking static rows an adaptive row beats. The tables make
+# scheduling/batching, chaos-robustness, elastic-economics and
+# control-plane regressions visible per PR (CI uploads $(SWEEP_OUT) as
+# an artifact).
 sweep:
 	@$(GO) run ./cmd/serve -preset mini -streams 6 -fps 12 \
 		-stream-fps 60,12,12,12,12,12 -arrivals poisson -executors 1 \
@@ -178,6 +182,11 @@ sweep:
 		-arrivals burst -burst-period 4 -burst-duty 0.125 -duration 12 \
 		-queue-cap 256 -shards 2 \
 		-autoscale min=0,max=2,interval=0.25,up-queue=4,down-idle=1 \
+		-sweep >> $(SWEEP_OUT); \
+		st=$$?; if [ $$st -ne 0 ]; then cat $(SWEEP_OUT); exit $$st; fi; \
+		echo >> $(SWEEP_OUT); \
+		$(GO) run ./cmd/serve -preset crowd -streams 3 -fps 4 -arrivals poisson \
+		-duration 6 -executors 1 -queue-cap 16 -controller baseline \
 		-sweep >> $(SWEEP_OUT); \
 		st=$$?; cat $(SWEEP_OUT); exit $$st
 

@@ -22,6 +22,8 @@ import (
 	"repro/internal/gpumodel"
 	"repro/internal/metrics"
 	"repro/internal/ops"
+	"repro/internal/serve"
+	"repro/internal/serve/sched"
 	"repro/internal/sim"
 	"repro/internal/tracker"
 	"repro/internal/video"
@@ -61,7 +63,7 @@ func BenchmarkTable2KITTIMain(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.MainRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table2(ds)
+		rows = sim.Engine{}.Table2(ds)
 	}
 	b.ReportMetric(rows[0].MAPHard, "single_mAP_hard")
 	b.ReportMetric(rows[2].MAPHard, "catdet10a_mAP_hard")
@@ -73,7 +75,7 @@ func BenchmarkTable3OpsBreakdown(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.BreakdownRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table3(ds)
+		rows = sim.Engine{}.Table3(ds)
 	}
 	// CaTDet (10a, 50) row.
 	b.ReportMetric(rows[1].Proposal, "proposal_Gops")
@@ -86,7 +88,7 @@ func BenchmarkTable4ProposalNets(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.StudyRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table4(ds)
+		rows = sim.Engine{}.Table4(ds)
 	}
 	spreadSingle := rows[0].MAP - rows[6].MAP // res18 single vs res10c single
 	spreadCat := math.Abs(rows[1].MAP - rows[7].MAP)
@@ -98,7 +100,7 @@ func BenchmarkTable5RefinementNets(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.StudyRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table5(ds)
+		rows = sim.Engine{}.Table5(ds)
 	}
 	for i := 0; i < len(rows); i += 2 {
 		b.ReportMetric(rows[i+1].MAP-rows[i].MAP, rows[i].Model+"_catdetR_minus_single_mAP")
@@ -109,7 +111,7 @@ func BenchmarkTable6CityPersons(b *testing.B) {
 	_, city := benchData()
 	var rows []sim.CityRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table6(city)
+		rows = sim.Engine{}.Table6(city)
 	}
 	b.ReportMetric(rows[0].MAP, "single_mAP")
 	b.ReportMetric(rows[1].MAP, "cascaded10a_mAP")
@@ -121,7 +123,7 @@ func BenchmarkTable7GPUTiming(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.TimingRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table7(ds)
+		rows = sim.Engine{}.Table7(ds)
 	}
 	b.ReportMetric(rows[0].GPUOnly, "single_gpu_s")
 	b.ReportMetric(rows[1].GPUOnly, "catdet_gpu_s")
@@ -133,7 +135,7 @@ func BenchmarkTable8RetinaNet(b *testing.B) {
 	ds, _ := benchData()
 	var rows []sim.StudyRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table8(ds)
+		rows = sim.Engine{}.Table8(ds)
 	}
 	b.ReportMetric(rows[0].MAP, "single_mAP_moderate")
 	b.ReportMetric(rows[1].MAP, "catdet_mAP_moderate")
@@ -147,7 +149,7 @@ func BenchmarkFigure6CThreshSweep(b *testing.B) {
 	grid := []float64{0.01, 0.1, 0.6}
 	var pts []sim.SweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = sim.Figure6(ds, grid)
+		pts = sim.Engine{}.Figure6(ds, grid)
 	}
 	// Report the tracker-vs-no-tracker mAP gap for resnet10a at the
 	// lowest and highest thresholds.
@@ -176,7 +178,7 @@ func BenchmarkFigure7DelayRecall(b *testing.B) {
 	ds, _ := benchData()
 	var curves map[dataset.Class][]metrics.CurvePoint
 	for i := 0; i < b.N; i++ {
-		curves = sim.Figure7(ds)
+		curves = sim.Engine{}.Figure7(ds)
 	}
 	for _, c := range ds.Classes {
 		if pts := curves[c]; len(pts) > 0 {
@@ -236,8 +238,9 @@ func BenchmarkRunParallel(b *testing.B) {
 	spec := engineBenchSpec()
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			eng := sim.Engine{Workers: w}
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunParallel(spec.Factory(ds.Classes), ds, w); err != nil {
+				if _, err := eng.RunFactory(spec.Factory(ds.Classes), ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -269,7 +272,7 @@ func serveBenchConfig() ServeConfig {
 		Seed:      1,
 		Streams:   4,
 		FPS:       10,
-		Arrivals:  Poisson,
+		Arrivals:  serve.Poisson,
 		Duration:  5,
 		Executors: 2,
 	}
@@ -384,7 +387,7 @@ func BenchmarkServeFair(b *testing.B) {
 	cfg.Executors = 1
 	cfg.StreamFPS = []float64{40, 10, 10, 10, 10, 10, 10, 10}
 	cfg.MaxStaleness = 0.3
-	cfg.Scheduler = SchedFair
+	cfg.Scheduler = sched.Fair
 	var res *ServeResult
 	for i := 0; i < b.N; i++ {
 		var err error

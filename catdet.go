@@ -4,13 +4,18 @@
 // Detection from Video", MLSYS 2019) together with the synthetic
 // evaluation substrate used to reproduce the paper's experiments.
 //
-// The package re-exports the stable surface of the internal packages:
+// The package exports the paper's surface and nothing else:
 //
 //   - building detection systems (single-model / cascaded / CaTDet) from
 //     the calibrated model zoo;
 //   - generating synthetic KITTI-like and CityPersons-like datasets;
 //   - running systems over datasets and evaluating mAP and mean Delay;
-//   - regenerating every table and figure of the paper's evaluation.
+//   - serving systems online through the push-based Server.
+//
+// The tables and figures are regenerated by cmd/experiments, and every
+// serving mode (schedulers, chaos, the adaptive controller, the sharded
+// cluster) is driven by cmd/serve; their engines live in the internal
+// packages.
 //
 // Quick start:
 //
@@ -28,13 +33,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/detector"
-	"repro/internal/gpumodel"
 	"repro/internal/serve"
-	"repro/internal/serve/cluster"
-	"repro/internal/serve/control"
-	"repro/internal/serve/sched"
 	"repro/internal/sim"
-	"repro/internal/tracker"
 	"repro/internal/video"
 )
 
@@ -42,10 +42,6 @@ import (
 type (
 	// Dataset is a collection of labeled video sequences.
 	Dataset = dataset.Dataset
-	// Sequence is one contiguous clip with per-frame ground truth.
-	Sequence = dataset.Sequence
-	// Object is one ground-truth object in one frame.
-	Object = dataset.Object
 	// Class is an object category (Car, Pedestrian).
 	Class = dataset.Class
 	// Difficulty is a KITTI evaluation difficulty level.
@@ -65,15 +61,8 @@ type (
 	SystemKind = sim.SystemKind
 	// RunResult is the outcome of running a system over a dataset.
 	RunResult = sim.RunResult
-	// Engine runs experiments sharded per sequence across a worker
-	// pool; the zero value uses GOMAXPROCS workers.
-	Engine = sim.Engine
-	// SystemFactory builds a fresh System per worker for RunParallel.
-	SystemFactory = sim.SystemFactory
 	// Evaluation bundles mAP and mean-Delay results.
 	Evaluation = sim.Evaluation
-	// TrackerConfig holds the SORT-style tracker parameters.
-	TrackerConfig = tracker.Config
 	// Detector is a simulated detection model with a cost model.
 	Detector = detector.Detector
 	// WorldPreset describes a synthetic dataset generator.
@@ -103,10 +92,6 @@ const (
 // DefaultConfig returns the cascade settings used for the paper's main
 // tables.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultTrackerConfig returns the paper's tracker settings (eta=0.7,
-// beta=0, adaptive confidence, 10px/boundary prediction filters).
-func DefaultTrackerConfig() TrackerConfig { return tracker.DefaultConfig() }
 
 // NewDetector builds a calibrated simulated detector from a zoo name:
 // resnet50, vgg16, resnet18, resnet10a/b/c, retinanet-res50.
@@ -147,6 +132,9 @@ func Generate(p WorldPreset, seed int64) *Dataset { return video.Generate(p, see
 // frames).
 func GenerateKITTI(seed int64) *Dataset { return video.Generate(video.KITTIPreset(), seed) }
 
+// LoadDataset reads a dataset from a JSON (optionally .gz) file.
+func LoadDataset(path string) (*Dataset, error) { return dataset.LoadFile(path) }
+
 // Run executes a system over a dataset sequence by sequence.
 func Run(sys System, ds *Dataset) *RunResult { return sim.Run(sys, ds) }
 
@@ -154,7 +142,7 @@ func Run(sys System, ds *Dataset) *RunResult { return sim.Run(sys, ds) }
 // (0 = GOMAXPROCS). Each worker owns a private system instance; the
 // merged result is byte-identical to Run for any worker count.
 func RunParallel(spec SystemSpec, ds *Dataset, workers int) (*RunResult, error) {
-	return sim.RunParallel(spec.Factory(ds.Classes), ds, workers)
+	return sim.Engine{Workers: workers}.Run(spec, ds)
 }
 
 // Evaluate computes mAP and (for densely labeled datasets) mD@beta.
@@ -162,15 +150,15 @@ func Evaluate(ds *Dataset, r *RunResult, diff Difficulty, beta float64) Evaluati
 	return sim.Evaluate(ds, r, diff, beta)
 }
 
-// Online serving layer: a long-lived push-based Server modeling a
-// fleet that serves N concurrent video streams (one private per-stream
-// session each) against GPU executors priced by the Appendix I timing
-// model, with a pluggable scheduler, batched launches and queue-cap /
-// stale-skip / degrade backpressure policies. Callers push frames with
-// Server.Submit (or feed a ServeSource through Ingest), observe
-// per-frame outcomes on a ServeSink, poll live ServeStats snapshots,
-// and Drain for the cumulative ServeResult; Serve remains the
-// closed-loop driver replaying a preset arrival schedule.
+// Online serving: a long-lived push-based Server modeling a fleet that
+// serves N concurrent video streams (one private per-stream session
+// each) against GPU executors priced by the Appendix I timing model.
+// Callers push frames with Server.Submit (or feed a channel through
+// Server.Ingest and ServeChannelSource), observe per-frame outcomes on
+// a sink, poll live Server.Stats snapshots, and Drain for the
+// cumulative ServeResult; Serve is the closed-loop driver replaying a
+// preset arrival schedule. Scheduler, backpressure, chaos and control
+// knobs are ServeConfig fields typed in internal/serve.
 type (
 	// ServeConfig describes one serving scenario (streams, arrival
 	// process, executors, policies, sink).
@@ -178,67 +166,19 @@ type (
 	// ServeResult is the scenario outcome: per-stream and fleet
 	// throughput, drop rate and p50/p95/p99 latency.
 	ServeResult = serve.Result
-	// ServeStreamStats is one stream's (or the fleet's) counters.
-	ServeStreamStats = serve.StreamStats
-	// LatencySummary condenses a latency sample set (nearest-rank
-	// percentiles, seconds).
-	LatencySummary = serve.LatencySummary
 	// Server is the long-lived push-based serving fleet.
 	Server = serve.Server
-	// ServeStats is a live Server snapshot: cumulative totals, queue
-	// depth, busy executors, and latency percentiles over a sliding
-	// window of recent served frames.
-	ServeStats = serve.Stats
-	// ServeEvent is one per-frame outcome (served / dropped-queue /
-	// dropped-stale) streamed to a ServeSink.
+	// ServeEvent is one per-frame outcome streamed to the config's
+	// sink.
 	ServeEvent = serve.Event
-	// ServeEventKind classifies a ServeEvent.
-	ServeEventKind = serve.EventKind
-	// ServeSink receives per-frame events synchronously from the
-	// engine.
-	ServeSink = serve.Sink
-	// ServeSinkFunc adapts a function to ServeSink.
+	// ServeSinkFunc adapts a function to the config's sink.
 	ServeSinkFunc = serve.SinkFunc
-	// ServeArrival is one frame offered to a Server by a ServeSource.
+	// ServeArrival is one frame offered to a Server by a source.
 	ServeArrival = serve.Arrival
-	// ServeSource produces arrivals for Server.Ingest.
-	ServeSource = serve.Source
-	// ServeReconnectPolicy selects what Submit does when a stream's
-	// frame numbering goes backwards (a camera reconnecting).
-	ServeReconnectPolicy = serve.ReconnectPolicy
-	// ServePoisonPolicy selects what Submit does with corrupt
-	// submissions (negative or out-of-bound frames, non-finite stamps).
-	ServePoisonPolicy = serve.PoisonPolicy
-	// ServeChaos describes operational faults injected into a preset
-	// arrival schedule as a pure, seeded transform: dropouts, restarted
-	// numbering, FPS jitter, clock skew and poison pills.
-	ServeChaos = serve.Chaos
 )
 
-// Per-frame serving outcomes.
-const (
-	ServeEventServed        = serve.EventServed
-	ServeEventDroppedQueue  = serve.EventDroppedQueue
-	ServeEventDroppedStale  = serve.EventDroppedStale
-	ServeEventDroppedPoison = serve.EventDroppedPoison
-	ServeEventReconnect     = serve.EventReconnect
-)
-
-// Reconnect and poison policies, and the default per-stream frame-index
-// bound (ServeConfig.MaxFrame) guarding against runaway indices.
-const (
-	ServeReconnectReject = serve.ReconnectReject
-	ServeReconnectResume = serve.ReconnectResume
-	ServeReconnectReset  = serve.ReconnectReset
-
-	ServePoisonError = serve.PoisonError
-	ServePoisonDrop  = serve.PoisonDrop
-
-	ServeDefaultMaxFrame = serve.DefaultMaxFrame
-)
-
-// ErrServerClosed is returned by Server methods after Close.
-var ErrServerClosed = serve.ErrClosed
+// ServeEventServed marks a ServeEvent for a frame that was served.
+const ServeEventServed = serve.EventServed
 
 // NewServer builds a long-lived push-based serving fleet from a
 // validated config. Frames are pushed with Submit(stream, frame,
@@ -246,209 +186,14 @@ var ErrServerClosed = serve.ErrClosed
 // returns the cumulative ServeResult.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
-// ServeScheduleSource replays the config's preset arrival schedule in
-// global time order — the source Serve drives a Server with.
-func ServeScheduleSource(cfg ServeConfig) ServeSource { return serve.ScheduleSource(cfg) }
-
-// ServeChannelSource wraps a caller-owned channel as a ServeSource for
+// ServeChannelSource wraps a caller-owned channel as a source for
 // Server.Ingest; producer goroutines push arrivals until they close
 // the channel.
-func ServeChannelSource(ch <-chan ServeArrival) ServeSource { return serve.ChannelSource(ch) }
-
-// SchedKind names a serving-queue scheduling policy (see
-// internal/serve/sched for the policy semantics).
-type SchedKind = sched.Kind
-
-// Serving arrival processes, drop policies and schedulers.
-const (
-	FixedFPS   = serve.FixedFPS
-	Poisson    = serve.Poisson
-	Burst      = serve.Burst
-	DropOldest = serve.DropOldest
-	DropNewest = serve.DropNewest
-
-	// SchedFIFO is the shared arrival-order queue; SchedFair is
-	// deficit round-robin across streams; SchedPriority serves by
-	// per-stream priority class (ServeConfig.Priorities, higher
-	// first); SchedEDF is earliest-deadline-first with deadline =
-	// arrive + MaxStaleness.
-	SchedFIFO     = sched.FIFO
-	SchedFair     = sched.Fair
-	SchedPriority = sched.Priority
-	SchedEDF      = sched.EDF
-)
+func ServeChannelSource(ch <-chan ServeArrival) serve.Source { return serve.ChannelSource(ch) }
 
 // Serve runs one closed-loop online serving scenario on the virtual
 // clock: it builds a Server, replays the config's preset arrival
 // schedule through Submit, and drains. The same config (seed included)
 // produces a byte-identical result at any executor count, any
-// ServeConfig.StepWorkers fan-out (the knob that maps the engine's real
-// per-frame CPU work onto physical cores) and on any machine.
+// ServeConfig.StepWorkers fan-out and on any machine.
 func Serve(cfg ServeConfig) (*ServeResult, error) { return serve.Run(cfg) }
-
-// Adaptive control plane (see internal/serve/control): a Controller
-// observes per-stream sliding-window statistics at virtual-clock
-// control ticks and retunes per-stream policy online — operating mode
-// (full / cascade / proposal-only), effective batch size and EDF
-// deadline budgets. Select it via ServeConfig.Control; the determinism
-// contract is unchanged (same config, byte-identical result).
-type (
-	// ControlConfig selects and parameterizes a controller
-	// (ServeConfig.Control; the zero value is off).
-	ControlConfig = control.Config
-	// ControlKind names a controller implementation.
-	ControlKind = control.Kind
-	// Controller is the control plane's decision procedure, invoked at
-	// every control tick with the current virtual time and fleet view.
-	Controller = control.Controller
-	// ControlPolicy is the per-stream knob set a controller drives.
-	ControlPolicy = control.Policy
-	// ControlAction is one decision of a control tick.
-	ControlAction = control.Action
-	// ControlView is the fleet state a control tick observes.
-	ControlView = control.View
-	// ControlStreamSignal is one stream's sliding-window observation.
-	ControlStreamSignal = control.StreamSignal
-	// StreamMode is a cascade stream's operating mode.
-	StreamMode = control.Mode
-)
-
-// Controllers and per-stream operating modes.
-const (
-	// ControllerNop decides nothing and schedules nothing: a
-	// nop-controlled run is byte-identical to a controller-less one.
-	ControllerNop = control.KindNop
-	// ControllerBaseline is the deterministic seeded hysteresis
-	// controller.
-	ControllerBaseline = control.KindBaseline
-
-	// ModeAuto is the legacy automatic policy (DegradeDepth decides per
-	// admission); ModeFull runs full-frame refinement, ModeCascade the
-	// paper's region-gated cascade, ModeProposal the shed proposal-only
-	// tier.
-	ModeAuto     = control.ModeAuto
-	ModeFull     = control.ModeFull
-	ModeCascade  = control.ModeCascade
-	ModeProposal = control.ModeProposal
-)
-
-// Sharded cluster serving layer: a ClusterRouter partitions one
-// ServeConfig's streams across N shard Servers by consistent hashing
-// with load-aware placement, migrates streams off saturated shards,
-// autoscales each shard's executor count from live stats, and prices
-// capacity by heterogeneous GPU tiers. The single-fleet determinism
-// contract holds cluster-wide: the same ClusterConfig produces
-// byte-identical merged books on any machine at any StepWorkers
-// fan-out, and a one-shard cluster with the control policies off
-// reproduces Serve byte for byte.
-type (
-	// ClusterConfig describes one cluster scenario: the Base serving
-	// scenario to shard plus topology (shards, virtual nodes, placement
-	// load factor, hop latency, GPU tiers) and control policies.
-	ClusterConfig = cluster.Config
-	// ClusterMigration bounds when and how often a stream moves off a
-	// saturated shard (queue-depth trigger, cooldown, per-stream cap).
-	ClusterMigration = cluster.Migration
-	// ClusterAutoscale configures the per-shard elastic capacity loop
-	// (control-tick interval, min/max executors, growth and release
-	// hysteresis).
-	ClusterAutoscale = cluster.Autoscale
-	// ClusterRouter is the long-lived sharded serving cluster.
-	ClusterRouter = cluster.Router
-	// ClusterResult is the merged outcome: fleet and per-stream books,
-	// per-shard ledgers, migration/resize totals and modeled cost.
-	ClusterResult = cluster.Result
-	// ClusterShardBook is one shard's slice of the result: its tier,
-	// owned streams, rental cost and full single-fleet ServeResult.
-	ClusterShardBook = cluster.ShardBook
-	// ClusterStats is a live merged Router snapshot (per-shard queue
-	// depths, control-plane totals, sliding-window latency).
-	ClusterStats = cluster.Stats
-	// ClusterEvent is one cluster occurrence streamed to a ClusterSink:
-	// a shard's per-frame ServeEvent with attribution, a stream
-	// migration, or an executor resize.
-	ClusterEvent = cluster.Event
-	// ClusterEventKind classifies a ClusterEvent.
-	ClusterEventKind = cluster.EventKind
-	// ClusterSink receives ClusterEvents synchronously from the engine.
-	ClusterSink = cluster.Sink
-	// ClusterSinkFunc adapts a function to ClusterSink.
-	ClusterSinkFunc = cluster.SinkFunc
-	// ClusterFaultPlan is the deterministic failure-injection plan:
-	// explicit scheduled faults plus a seeded stochastic kill/revive
-	// process, and the seized-frame failover policy. The zero value
-	// injects nothing and leaves the cluster byte-identical to a
-	// fault-free build.
-	ClusterFaultPlan = cluster.FaultPlan
-	// ClusterFault is one scheduled fault: kill, revive or add-shard at
-	// a virtual time.
-	ClusterFault = cluster.Fault
-	// ClusterFaultKind classifies a ClusterFault.
-	ClusterFaultKind = cluster.FaultKind
-	// ClusterFailoverPolicy selects what happens to the frames a shard
-	// kill seizes: replay on the survivors, drop, or replay degraded.
-	ClusterFailoverPolicy = cluster.FailoverPolicy
-	// ClusterFaultBook is the cluster-wide failure ledger merged into a
-	// ClusterResult: kill/revival/rebalance totals, downtime,
-	// availability and availability-adjusted economics.
-	ClusterFaultBook = cluster.FaultBook
-	// ClusterShardFaultBook is one shard's failure ledger: kills,
-	// downtime and kill-to-first-served recovery latencies.
-	ClusterShardFaultBook = cluster.ShardFaultBook
-	// ServeFailedFrame is one frame seized by Server.FailAt, in
-	// dispatch-then-queue order.
-	ServeFailedFrame = serve.FailedFrame
-	// GPUTier is one rentable GPU class: relative speed, price per hour
-	// and scale-up latency (see GPUTierByName for the catalog).
-	GPUTier = gpumodel.Tier
-)
-
-// Cluster event kinds.
-const (
-	ClusterEventServe     = cluster.EventServe
-	ClusterEventMigrate   = cluster.EventMigrate
-	ClusterEventResize    = cluster.EventResize
-	ClusterEventKill      = cluster.EventKill
-	ClusterEventRevive    = cluster.EventRevive
-	ClusterEventAddShard  = cluster.EventAddShard
-	ClusterEventRebalance = cluster.EventRebalance
-)
-
-// Scheduled fault kinds for a ClusterFaultPlan.
-const (
-	ClusterFaultKill     = cluster.FaultKill
-	ClusterFaultRevive   = cluster.FaultRevive
-	ClusterFaultAddShard = cluster.FaultAddShard
-)
-
-// Seized-frame failover policies.
-const (
-	ClusterFailoverReplay  = cluster.FailoverReplay
-	ClusterFailoverDrop    = cluster.FailoverDrop
-	ClusterFailoverDegrade = cluster.FailoverDegrade
-)
-
-// ErrClusterClosed is returned by ClusterRouter methods after Close.
-var ErrClusterClosed = cluster.ErrClosed
-
-// NewCluster builds a sharded serving cluster from a validated config.
-// Frames are pushed with Submit(stream, frame, arriveAt) and routed to
-// the owning shard; Drain runs every shard's backlog dry and merges the
-// books into a ClusterResult.
-func NewCluster(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.New(cfg) }
-
-// ServeCluster runs one closed-loop cluster scenario: it builds a
-// ClusterRouter, replays the Base preset arrival schedule through it,
-// and drains — the cluster counterpart of Serve.
-func ServeCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
-
-// GPUTierByName resolves a catalog GPU tier (k80, titanx, v100); an
-// unknown name fails with an error listing every valid choice. The
-// reference tier titanx leaves the base timing model untouched.
-func GPUTierByName(name string) (GPUTier, error) { return gpumodel.TierByName(name) }
-
-// GPUTierNames lists the catalog tiers, sorted.
-func GPUTierNames() []string { return gpumodel.TierNames() }
-
-// LoadDataset reads a dataset from a JSON (optionally .gz) file.
-func LoadDataset(path string) (*Dataset, error) { return dataset.LoadFile(path) }

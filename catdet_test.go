@@ -3,7 +3,9 @@ package catdet
 // End-to-end tests through the public facade, including the oracle
 // invariant: a pipeline fed a perfect detector must produce perfect
 // metrics, which exercises every layer (world, systems, tracker,
-// matching, AP, delay) at once.
+// matching, AP, delay) at once. The serving tests drive the facade's
+// ServeConfig/Serve/NewServer; the knobs the facade does not re-export
+// (chaos, control, the cluster) are named by their internal packages.
 
 import (
 	"context"
@@ -13,6 +15,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/detector"
+	"repro/internal/gpumodel"
+	"repro/internal/serve"
+	"repro/internal/serve/cluster"
+	"repro/internal/serve/control"
 	"repro/internal/sim"
 )
 
@@ -114,9 +120,9 @@ func TestFacadeServerPath(t *testing.T) {
 	}
 }
 
-// TestFacadeChaosPath exercises the scenario-pack registry and the
-// chaos/reconnect/poison surface through the public facade: a pack
-// resolved by name runs under every fault channel, the relaxed
+// TestFacadeChaosPath exercises the facade's scenario-pack registry and
+// Serve under the chaos/reconnect/poison knobs of internal/serve: a
+// pack resolved by name runs under every fault channel, the relaxed
 // policies absorb the faults, and the books still balance with pills
 // counted outside the partition.
 func TestFacadeChaosPath(t *testing.T) {
@@ -137,9 +143,9 @@ func TestFacadeChaosPath(t *testing.T) {
 		FPS:       10,
 		Duration:  3,
 		Executors: 1,
-		Reconnect: ServeReconnectResume,
-		Poison:    ServePoisonDrop,
-		Chaos: ServeChaos{
+		Reconnect: serve.ReconnectResume,
+		Poison:    serve.PoisonDrop,
+		Chaos: serve.Chaos{
 			DropoutRate: 30, DropoutMeanLen: 0.6, Renumber: true,
 			FPSJitter: 0.15, ClockSkew: 0.08, PoisonRate: 0.05,
 		},
@@ -159,13 +165,14 @@ func TestFacadeChaosPath(t *testing.T) {
 	}
 }
 
-// TestFacadeClusterPath exercises the sharded cluster layer through the
-// public facade: a two-shard mixed-tier cluster with migration and
-// autoscaling on, driven closed-loop, must keep balanced books, price
-// its capacity, and stream attributed events to the sink.
+// TestFacadeClusterPath exercises the sharded cluster layer
+// (internal/serve/cluster) over a facade ServeConfig: a two-shard
+// mixed-tier cluster with migration and autoscaling on, driven
+// closed-loop, must keep balanced books, price its capacity, and
+// stream attributed events to the sink.
 func TestFacadeClusterPath(t *testing.T) {
 	var serves, migrations, resizes int
-	res, err := ServeCluster(ClusterConfig{
+	res, err := cluster.Run(cluster.Config{
 		Base: ServeConfig{
 			Spec: SystemSpec{
 				Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: DefaultConfig(),
@@ -180,17 +187,17 @@ func TestFacadeClusterPath(t *testing.T) {
 		},
 		Shards:    2,
 		GPUTiers:  []string{"v100", "k80"},
-		Migration: ClusterMigration{QueueDepth: 4},
-		Autoscale: ClusterAutoscale{Enabled: true, Min: 1, Max: 3},
-		Sink: ClusterSinkFunc(func(e ClusterEvent) {
+		Migration: cluster.Migration{QueueDepth: 4},
+		Autoscale: cluster.Autoscale{Enabled: true, Min: 1, Max: 3},
+		Sink: cluster.SinkFunc(func(e cluster.Event) {
 			switch e.Kind {
-			case ClusterEventServe:
+			case cluster.EventServe:
 				if e.Serve.Kind == ServeEventServed {
 					serves++
 				}
-			case ClusterEventMigrate:
+			case cluster.EventMigrate:
 				migrations++
-			case ClusterEventResize:
+			case cluster.EventResize:
 				resizes++
 			}
 		}),
@@ -215,7 +222,7 @@ func TestFacadeClusterPath(t *testing.T) {
 	}
 	var shardCost float64
 	for _, b := range res.PerShard {
-		if _, err := GPUTierByName(b.Tier); err != nil {
+		if _, err := gpumodel.TierByName(b.Tier); err != nil {
 			t.Errorf("shard %d priced on unknown tier: %v", b.Shard, err)
 		}
 		shardCost += b.Cost
@@ -223,8 +230,8 @@ func TestFacadeClusterPath(t *testing.T) {
 	if math.Abs(shardCost-res.Cost) > 1e-9 {
 		t.Fatalf("shard costs sum to %v, cluster cost %v", shardCost, res.Cost)
 	}
-	if len(GPUTierNames()) < 3 {
-		t.Fatalf("tier catalog too small: %v", GPUTierNames())
+	if len(gpumodel.TierNames()) < 3 {
+		t.Fatalf("tier catalog too small: %v", gpumodel.TierNames())
 	}
 }
 
@@ -323,7 +330,7 @@ func TestAblationsRun(t *testing.T) {
 	}
 	p := MiniKITTIPreset()
 	ds := Generate(p, 1)
-	rows := sim.Ablations(ds)
+	rows := sim.Engine{}.Ablations(ds)
 	if len(rows) != 5 {
 		t.Fatalf("ablation rows = %d", len(rows))
 	}
@@ -339,11 +346,11 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-// TestFacadeAdaptivePath exercises the adaptive control plane through
-// the public facade: an overloaded fleet under the baseline controller
-// sheds streams to cheaper modes, the result echoes the controller's
-// activity, and the mode constants carry the documented quality
-// ordering.
+// TestFacadeAdaptivePath exercises the adaptive control plane
+// (internal/serve/control) through the facade's Serve: an overloaded
+// fleet under the baseline controller sheds streams to cheaper modes,
+// the result echoes the controller's activity, and the mode constants
+// carry the documented quality ordering.
 func TestFacadeAdaptivePath(t *testing.T) {
 	res, err := Serve(ServeConfig{
 		Spec: SystemSpec{
@@ -356,15 +363,15 @@ func TestFacadeAdaptivePath(t *testing.T) {
 		Duration:  3,
 		Executors: 1,
 		QueueCap:  48,
-		Control: ControlConfig{
-			Kind:     ControllerBaseline,
+		Control: control.Config{
+			Kind:     control.KindBaseline,
 			Interval: 0.1,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Control == nil || res.Control.Kind != ControllerBaseline {
+	if res.Control == nil || res.Control.Kind != control.KindBaseline {
 		t.Fatalf("result did not echo the controller: %+v", res.Control)
 	}
 	if res.ControlTicks == 0 {
@@ -374,20 +381,21 @@ func TestFacadeAdaptivePath(t *testing.T) {
 		t.Errorf("overloaded adaptive fleet never shed: %d switches, %d degraded",
 			res.ModeSwitches, res.Fleet.Degraded)
 	}
-	if !(ModeFull.Quality() > ModeCascade.Quality() && ModeCascade.Quality() > ModeProposal.Quality()) {
+	if !(control.ModeFull.Quality() > control.ModeCascade.Quality() && control.ModeCascade.Quality() > control.ModeProposal.Quality()) {
 		t.Error("mode quality weights not ordered full > cascade > proposal")
 	}
-	if ModeAuto.Quality() != ModeCascade.Quality() {
+	if control.ModeAuto.Quality() != control.ModeCascade.Quality() {
 		t.Error("ModeAuto frames must carry the cascade quality weight")
 	}
 }
 
-// TestFacadeFailoverPath drives the failure-injection surface through
-// the facade: a scheduled kill and revival with the replay failover,
-// fault events on the sink, and the availability ledger on the result.
+// TestFacadeFailoverPath drives the cluster's failure-injection surface
+// over a facade ServeConfig: a scheduled kill and revival with the
+// replay failover, fault events on the sink, and the availability
+// ledger on the result.
 func TestFacadeFailoverPath(t *testing.T) {
 	var kills, revivals, rebalances int
-	res, err := ServeCluster(ClusterConfig{
+	res, err := cluster.Run(cluster.Config{
 		Base: ServeConfig{
 			Spec: SystemSpec{
 				Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: DefaultConfig(),
@@ -401,20 +409,20 @@ func TestFacadeFailoverPath(t *testing.T) {
 		},
 		Shards:   2,
 		GPUTiers: []string{"titanx", "v100"},
-		Faults: ClusterFaultPlan{
-			Faults: []ClusterFault{
-				{Time: 1, Kind: ClusterFaultKill, Shard: 0},
-				{Time: 2.5, Kind: ClusterFaultRevive, Shard: 0},
+		Faults: cluster.FaultPlan{
+			Faults: []cluster.Fault{
+				{Time: 1, Kind: cluster.FaultKill, Shard: 0},
+				{Time: 2.5, Kind: cluster.FaultRevive, Shard: 0},
 			},
-			Failover: ClusterFailoverReplay,
+			Failover: cluster.FailoverReplay,
 		},
-		Sink: ClusterSinkFunc(func(e ClusterEvent) {
+		Sink: cluster.SinkFunc(func(e cluster.Event) {
 			switch e.Kind {
-			case ClusterEventKill:
+			case cluster.EventKill:
 				kills++
-			case ClusterEventRevive:
+			case cluster.EventRevive:
 				revivals++
-			case ClusterEventRebalance:
+			case cluster.EventRebalance:
 				rebalances++
 			}
 		}),

@@ -130,7 +130,7 @@ func main() {
 		Cfg:        cfg,
 	}
 	fmt.Fprintf(os.Stderr, "running %s on %s (%d frames)...\n", spec.Kind, ds.Name, ds.NumFrames())
-	r, err := sim.RunParallel(spec.Factory(ds.Classes), ds, *workers)
+	r, err := sim.Engine{Workers: *workers}.Run(spec, ds)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -185,7 +185,20 @@ func main() {
 		if err := ccfg.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		runCluster(ccfg, *sweep, *jsonOut, *trace)
+		record, done := openOutput(*trace, *sweep, *jsonOut)
+		defer done()
+		if record != nil {
+			ccfg.Sink = cluster.SinkFunc(func(e cluster.Event) { record(e) })
+		}
+		if *sweep {
+			runClusterSweep(ccfg)
+			return
+		}
+		res, err := cluster.Run(ccfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		writeResult(res, *jsonOut)
 		return
 	}
 	if err := cfg.Validate(); err != nil {
@@ -193,53 +206,74 @@ func main() {
 		// the flag to fix before any session is built.
 		log.Fatal(err)
 	}
-	if *trace != "" {
-		if *sweep {
-			log.Fatal("-trace streams one scenario's events; it does not combine with -sweep")
-		}
-		if *trace == "-" && *jsonOut {
-			log.Fatal("-trace - and -json would interleave two machine formats on stdout; trace to a file instead")
-		}
-		w := io.Writer(os.Stdout)
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		cfg.Sink = serve.SinkFunc(func(e serve.Event) {
-			if err := enc.Encode(e); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-		})
+	record, done := openOutput(*trace, *sweep, *jsonOut)
+	defer done()
+	if record != nil {
+		cfg.Sink = serve.SinkFunc(func(e serve.Event) { record(e) })
 	}
-	if *sweep {
-		if *jsonOut {
-			log.Fatal("-sweep prints a text comparison table; it has no -json form")
-		}
-		if presetAll {
-			runPresetSweep(cfg)
-			return
-		}
+	switch {
+	case *sweep && presetAll:
+		runPresetSweep(cfg)
+	case *sweep:
 		runSweep(cfg)
-		return
-	}
-	res, err := serve.Run(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+	default:
+		res, err := serve.Run(cfg)
+		if err != nil {
 			log.Fatal(err)
 		}
+		writeResult(res, *jsonOut)
+	}
+}
+
+// openOutput is the output path both modes share. It refuses the
+// -trace/-sweep/-json combinations that cannot work and opens the
+// -trace target ("-" = stdout). record writes one sink event as a JSONL
+// line; it is nil without -trace. done closes the trace file.
+func openOutput(trace string, sweep, jsonOut bool) (record func(any), done func()) {
+	if trace != "" && sweep {
+		log.Fatal("-trace streams one scenario's events; it does not combine with -sweep")
+	}
+	if trace == "-" && jsonOut {
+		log.Fatal("-trace - and -json would interleave two machine formats on stdout; trace to a file instead")
+	}
+	if sweep && jsonOut {
+		log.Fatal("-sweep prints a text comparison table; it has no -json form")
+	}
+	if trace == "" {
+		return nil, func() {}
+	}
+	w, done := io.Writer(os.Stdout), func() {}
+	if trace != "-" {
+		f, err := os.Create(trace)
+		if err != nil {
+			log.Fatal(err)
+		}
+		w, done = f, func() {
+			if err := f.Close(); err != nil {
+				log.Fatalf("trace: %v", err)
+			}
+		}
+	}
+	enc := json.NewEncoder(w)
+	return func(e any) {
+		if err := enc.Encode(e); err != nil {
+			log.Fatalf("trace: %v", err)
+		}
+	}, done
+}
+
+// writeResult prints one scenario's result: indented JSON with -json,
+// its text report otherwise.
+func writeResult(res interface{ WriteText(io.Writer) }, jsonOut bool) {
+	if !jsonOut {
+		res.WriteText(os.Stdout)
 		return
 	}
-	res.WriteText(os.Stdout)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // runSweep replays the exact same offered load under every scheduler
@@ -366,54 +400,6 @@ func runPresetSweep(base serve.Config) {
 	}
 	fmt.Println("\nEach pack is a distinct world distribution (density, object size,")
 	fmt.Println("apparent speed); night additionally degrades the detectors' noise.")
-}
-
-// runCluster is the -shards entry point: one sharded scenario (text or
-// JSON, optionally traced) or the static-vs-elastic capacity sweep.
-func runCluster(cfg cluster.Config, sweep, jsonOut bool, trace string) {
-	if trace != "" {
-		if sweep {
-			log.Fatal("-trace streams one scenario's events; it does not combine with -sweep")
-		}
-		if trace == "-" && jsonOut {
-			log.Fatal("-trace - and -json would interleave two machine formats on stdout; trace to a file instead")
-		}
-		w := io.Writer(os.Stdout)
-		if trace != "-" {
-			f, err := os.Create(trace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		cfg.Sink = cluster.SinkFunc(func(e cluster.Event) {
-			if err := enc.Encode(e); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-		})
-	}
-	if sweep {
-		if jsonOut {
-			log.Fatal("-sweep prints a text comparison table; it has no -json form")
-		}
-		runClusterSweep(cfg)
-		return
-	}
-	res, err := cluster.Run(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	res.WriteText(os.Stdout)
 }
 
 // runClusterSweep replays the exact same offered load under static

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -316,6 +317,11 @@ func TestClusterValidation(t *testing.T) {
 		{Base: baseConfig(), GPUTiers: []string{"tpu"}},
 		{Base: baseConfig(), Shards: 3, GPUTiers: []string{"titanx", "v100"}},
 		{Base: baseConfig(), HopLatency: -1},
+		{Base: baseConfig(), HopLatency: math.NaN()},
+		{Base: baseConfig(), HopLatency: math.Inf(1)},
+		{Base: baseConfig(), Autoscale: Autoscale{Enabled: true, Interval: math.NaN()}},
+		{Base: baseConfig(), Autoscale: Autoscale{Enabled: true, P99: math.NaN()}},
+		{Base: baseConfig(), Migration: Migration{QueueDepth: 2}, Autoscale: Autoscale{Interval: math.Inf(1)}},
 		{Base: baseConfig(), Autoscale: Autoscale{Enabled: true, Min: 5, Max: 2}},
 		{Base: baseConfig(), Migration: Migration{QueueDepth: 2, MinGain: -1}},
 		{Base: serve.Config{}},

@@ -297,8 +297,8 @@ func (c Config) validate() error {
 	if err := c.Base.Validate(); err != nil {
 		return fmt.Errorf("serve/cluster: Base: %w", err)
 	}
-	if c.HopLatency < 0 {
-		return fail("HopLatency", "must be non-negative, got %v", c.HopLatency)
+	if c.HopLatency < 0 || math.IsNaN(c.HopLatency) || math.IsInf(c.HopLatency, 0) {
+		return fail("HopLatency", "must be a non-negative finite time, got %v", c.HopLatency)
 	}
 	if len(c.GPUTiers) != 1 && len(c.GPUTiers) != c.Shards {
 		return fail("GPUTiers", "len %d != Shards %d (or 1 for a homogeneous cluster)", len(c.GPUTiers), c.Shards)
@@ -322,25 +322,29 @@ func (c Config) validate() error {
 		if a.Max < a.Min {
 			return fail("Autoscale.Max", "%d below Min %d", a.Max, a.Min)
 		}
-		if a.P99 < 0 {
+		if a.P99 < 0 || math.IsNaN(a.P99) {
 			return fail("Autoscale.P99", "must be non-negative, got %v", a.P99)
 		}
 	}
-	// The rate checks run even when the plan is otherwise disabled: a
-	// negative MTBF never enables the stochastic process, but silently
-	// ignoring it would hide a config typo.
+	if i := c.Autoscale.Interval; c.controlled() && (math.IsNaN(i) || math.IsInf(i, 0)) {
+		return fail("Autoscale.Interval", "control tick must be finite, got %v", i)
+	}
+	// The rate and policy checks run even when the plan is otherwise
+	// disabled: a negative MTBF never enables the stochastic process and
+	// a disabled plan seizes no frames, but silently ignoring either
+	// would hide a config typo.
 	if f := c.Faults; f.MTBF < 0 || math.IsNaN(f.MTBF) || math.IsInf(f.MTBF, 0) {
 		return fail("Faults.MTBF", "must be a non-negative finite time, got %v", f.MTBF)
 	} else if f.MTTR < 0 || math.IsNaN(f.MTTR) || math.IsInf(f.MTTR, 0) {
 		return fail("Faults.MTTR", "must be a non-negative finite time, got %v", f.MTTR)
 	}
+	switch c.Faults.Failover {
+	case "", FailoverReplay, FailoverDrop, FailoverDegrade:
+	default:
+		return fail("Faults.Failover", "unknown policy %q (want %q, %q or %q)",
+			c.Faults.Failover, FailoverReplay, FailoverDrop, FailoverDegrade)
+	}
 	if f := c.Faults; f.Enabled() {
-		switch f.Failover {
-		case FailoverReplay, FailoverDrop, FailoverDegrade:
-		default:
-			return fail("Faults.Failover", "unknown policy %q (want %q, %q or %q)",
-				f.Failover, FailoverReplay, FailoverDrop, FailoverDegrade)
-		}
 		adds := 0
 		for _, ft := range f.Faults {
 			if ft.Kind == FaultAddShard {

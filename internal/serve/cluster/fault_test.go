@@ -340,6 +340,7 @@ func TestFaultPlanValidation(t *testing.T) {
 		wantField string
 	}{
 		{"unknown failover", Config{Base: baseConfig(), Faults: FaultPlan{Faults: kill(0, 1), Failover: "teleport"}}, "Faults.Failover"},
+		{"unknown failover on a disabled plan", Config{Base: baseConfig(), Faults: FaultPlan{Failover: "nope"}}, "Faults.Failover"},
 		{"negative mtbf", Config{Base: baseConfig(), Faults: FaultPlan{MTBF: -1}}, "Faults.MTBF"},
 		{"negative mttr", Config{Base: baseConfig(), Faults: FaultPlan{MTBF: 2, MTTR: -1}}, "Faults.MTTR"},
 		{"negative time", Config{Base: baseConfig(), Faults: FaultPlan{Faults: kill(0, -1)}}, "Faults.Faults[0].Time"},

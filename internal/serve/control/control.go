@@ -21,7 +21,10 @@
 // deterministic-package lists to keep that statically checked.
 package control
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mode selects how a cascade stream's admitted frames are priced by
 // the timing model. Like DegradeDepth, a mode is a timing-model shed
@@ -348,10 +351,10 @@ func (c Config) Validate() error {
 		}
 		return nil
 	}
-	if c.Interval <= 0 {
+	if c.Interval <= 0 || math.IsNaN(c.Interval) {
 		return fail("Interval", "control tick must be positive, got %v", c.Interval)
 	}
-	if c.Cooldown < 0 {
+	if c.Cooldown < 0 || math.IsNaN(c.Cooldown) {
 		return fail("Cooldown", "must be non-negative, got %v", c.Cooldown)
 	}
 	if c.HighDepth < 1 {
@@ -360,10 +363,10 @@ func (c Config) Validate() error {
 	if c.LowDepth < 0 || c.LowDepth >= c.HighDepth {
 		return fail("LowDepth", "hysteresis band inverted: LowDepth %d not below HighDepth %d", c.LowDepth, c.HighDepth)
 	}
-	if c.HighP99 <= 0 {
+	if c.HighP99 <= 0 || math.IsNaN(c.HighP99) {
 		return fail("HighP99", "must be positive, got %v", c.HighP99)
 	}
-	if c.LowP99 < 0 || c.LowP99 >= c.HighP99 {
+	if c.LowP99 < 0 || c.LowP99 >= c.HighP99 || math.IsNaN(c.LowP99) {
 		return fail("LowP99", "hysteresis band inverted: LowP99 %v not below HighP99 %v", c.LowP99, c.HighP99)
 	}
 	if c.MaxBatch < 1 {
@@ -372,7 +375,7 @@ func (c Config) Validate() error {
 	if c.BatchDepth < 1 {
 		return fail("BatchDepth", "must be at least 1, got %d", c.BatchDepth)
 	}
-	if c.TightenScale <= 0 || c.TightenScale > 1 {
+	if c.TightenScale <= 0 || c.TightenScale > 1 || math.IsNaN(c.TightenScale) {
 		return fail("TightenScale", "outside (0,1], got %v", c.TightenScale)
 	}
 	if c.FullTicks < 1 {

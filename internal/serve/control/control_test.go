@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,13 @@ func TestValidateFieldPaths(t *testing.T) {
 			HighP99: 0.3, LowP99: 0.1, MaxBatch: 4, BatchDepth: -1, FullTicks: 2}, "Control.BatchDepth"},
 		{Config{Kind: KindBaseline, Interval: 0.25, Cooldown: 0.5, HighDepth: 3, LowDepth: 1,
 			HighP99: 0.3, LowP99: 0.1, MaxBatch: 4, BatchDepth: 6, TightenScale: 1.5, FullTicks: 2}, "Control.TightenScale"},
+		// NaN passes every sign and ordering comparison; each float
+		// field must still reject it.
+		{nanField(func(c *Config) { c.Interval = math.NaN() }), "Control.Interval"},
+		{nanField(func(c *Config) { c.Cooldown = math.NaN() }), "Control.Cooldown"},
+		{nanField(func(c *Config) { c.HighP99 = math.NaN() }), "Control.HighP99"},
+		{nanField(func(c *Config) { c.LowP99 = math.NaN() }), "Control.LowP99"},
+		{nanField(func(c *Config) { c.TightenScale = math.NaN() }), "Control.TightenScale"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -95,6 +103,15 @@ func TestValidateFieldPaths(t *testing.T) {
 			t.Errorf("%+v: error %q does not name %s", tc.cfg, err, tc.path)
 		}
 	}
+}
+
+// nanField returns a fully specified valid baseline config with one
+// field overwritten by set.
+func nanField(set func(*Config)) Config {
+	c := Config{Kind: KindBaseline, Interval: 0.25, Cooldown: 0.5, HighDepth: 3, LowDepth: 1,
+		HighP99: 0.3, LowP99: 0.1, MaxBatch: 4, BatchDepth: 6, TightenScale: 0.6, FullTicks: 2}
+	set(&c)
+	return c
 }
 
 func TestNewUnknownKind(t *testing.T) {

@@ -33,6 +33,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/gpumodel"
@@ -337,14 +338,20 @@ func (c Config) validate() error {
 	if c.FPS <= 0 {
 		return fail("FPS", "preset %q has no native rate and FPS is unset", c.Preset.Name)
 	}
+	if math.IsNaN(c.FPS) || math.IsInf(c.FPS, 0) {
+		return fail("FPS", "must be finite, got %v", c.FPS)
+	}
+	if math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
+		return fail("Duration", "must be finite, got %v", c.Duration)
+	}
 	if c.Arrivals != FixedFPS && c.Arrivals != Poisson && c.Arrivals != Burst {
 		return fail("Arrivals", "unknown arrival process %q", c.Arrivals)
 	}
 	if c.Arrivals == Burst {
-		if c.BurstPeriod <= 0 {
+		if c.BurstPeriod <= 0 || math.IsNaN(c.BurstPeriod) {
 			return fail("BurstPeriod", "must be positive, got %v", c.BurstPeriod)
 		}
-		if c.BurstDuty <= 0 || c.BurstDuty > 1 {
+		if c.BurstDuty <= 0 || c.BurstDuty > 1 || math.IsNaN(c.BurstDuty) {
 			return fail("BurstDuty", "outside (0,1], got %v", c.BurstDuty)
 		}
 	}
@@ -352,8 +359,8 @@ func (c Config) validate() error {
 		return fail("StreamFPS", "len %d != Streams %d", len(c.StreamFPS), c.Streams)
 	}
 	for s, fps := range c.StreamFPS {
-		if fps <= 0 {
-			return fail(fmt.Sprintf("StreamFPS[%d]", s), "must be positive, got %v", fps)
+		if fps <= 0 || math.IsNaN(fps) || math.IsInf(fps, 0) {
+			return fail(fmt.Sprintf("StreamFPS[%d]", s), "must be positive and finite, got %v", fps)
 		}
 	}
 	switch c.Scheduler {
@@ -367,7 +374,7 @@ func (c Config) validate() error {
 	if c.Drop != DropOldest && c.Drop != DropNewest {
 		return fail("Drop", "unknown drop policy %q", c.Drop)
 	}
-	if c.MaxStaleness < 0 {
+	if c.MaxStaleness < 0 || math.IsNaN(c.MaxStaleness) {
 		return fail("MaxStaleness", "must be non-negative, got %v", c.MaxStaleness)
 	}
 	if c.DegradeDepth < 0 {
@@ -386,19 +393,19 @@ func (c Config) validate() error {
 	if c.MaxFrame <= 0 {
 		return fail("MaxFrame", "must be positive, got %d", c.MaxFrame)
 	}
-	if c.Chaos.DropoutRate < 0 {
+	if c.Chaos.DropoutRate < 0 || math.IsNaN(c.Chaos.DropoutRate) {
 		return fail("Chaos.DropoutRate", "must be non-negative, got %v", c.Chaos.DropoutRate)
 	}
-	if c.Chaos.DropoutMeanLen < 0 {
+	if c.Chaos.DropoutMeanLen < 0 || math.IsNaN(c.Chaos.DropoutMeanLen) {
 		return fail("Chaos.DropoutMeanLen", "must be non-negative, got %v", c.Chaos.DropoutMeanLen)
 	}
-	if c.Chaos.FPSJitter < 0 || c.Chaos.FPSJitter > 2 {
+	if c.Chaos.FPSJitter < 0 || c.Chaos.FPSJitter > 2 || math.IsNaN(c.Chaos.FPSJitter) {
 		return fail("Chaos.FPSJitter", "outside [0,2], got %v", c.Chaos.FPSJitter)
 	}
-	if c.Chaos.ClockSkew < 0 {
-		return fail("Chaos.ClockSkew", "must be non-negative, got %v", c.Chaos.ClockSkew)
+	if c.Chaos.ClockSkew < 0 || math.IsNaN(c.Chaos.ClockSkew) || math.IsInf(c.Chaos.ClockSkew, 0) {
+		return fail("Chaos.ClockSkew", "must be non-negative and finite, got %v", c.Chaos.ClockSkew)
 	}
-	if c.Chaos.PoisonRate < 0 || c.Chaos.PoisonRate > 1 {
+	if c.Chaos.PoisonRate < 0 || c.Chaos.PoisonRate > 1 || math.IsNaN(c.Chaos.PoisonRate) {
 		return fail("Chaos.PoisonRate", "outside [0,1], got %v", c.Chaos.PoisonRate)
 	}
 	if c.Chaos.Renumber && c.Reconnect == ReconnectReject {

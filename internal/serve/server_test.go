@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/serve/control"
 )
 
 // TestServerMatchesGolden drives a Server by hand — New, per-arrival
@@ -371,6 +373,23 @@ func TestValidateFieldPaths(t *testing.T) {
 		{func(c *Config) { c.Chaos.PoisonRate = 1.5 }, "serve: Chaos.PoisonRate: outside [0,1]"},
 		{func(c *Config) { c.Chaos.Renumber = true }, "serve: Chaos.Renumber: restarted frame numbering needs Reconnect"},
 		{func(c *Config) { c.Chaos.PoisonRate = 0.1 }, "serve: Chaos.PoisonRate: injected pills need Poison"},
+		// Non-finite values pass the sign checks; each must still fail
+		// (NaN or +Inf rates and durations never end the arrival loop).
+		{func(c *Config) { c.FPS = math.NaN() }, "serve: FPS: must be finite"},
+		{func(c *Config) { c.FPS = math.Inf(1) }, "serve: FPS: must be finite"},
+		{func(c *Config) { c.Duration = math.Inf(1) }, "serve: Duration: must be finite"},
+		{func(c *Config) { c.StreamFPS = []float64{10, math.NaN(), 10, 10} }, "serve: StreamFPS[1]: must be positive and finite"},
+		{func(c *Config) { c.StreamFPS = []float64{10, 10, 10, math.Inf(1)} }, "serve: StreamFPS[3]: must be positive and finite"},
+		{func(c *Config) { c.MaxStaleness = math.NaN() }, "serve: MaxStaleness: must be non-negative"},
+		{func(c *Config) { c.Arrivals, c.BurstPeriod = Burst, math.NaN() }, "serve: BurstPeriod: must be positive"},
+		{func(c *Config) { c.Arrivals, c.BurstDuty = Burst, math.NaN() }, "serve: BurstDuty: outside (0,1]"},
+		{func(c *Config) { c.Chaos.DropoutRate = math.NaN() }, "serve: Chaos.DropoutRate: must be non-negative"},
+		{func(c *Config) { c.Chaos.DropoutMeanLen = math.NaN() }, "serve: Chaos.DropoutMeanLen: must be non-negative"},
+		{func(c *Config) { c.Chaos.FPSJitter = math.NaN() }, "serve: Chaos.FPSJitter: outside [0,2]"},
+		{func(c *Config) { c.Chaos.ClockSkew = math.NaN() }, "serve: Chaos.ClockSkew: must be non-negative"},
+		{func(c *Config) { c.Chaos.ClockSkew = math.Inf(1) }, "serve: Chaos.ClockSkew: must be non-negative and finite"},
+		{func(c *Config) { c.Chaos.PoisonRate = math.NaN() }, "serve: Chaos.PoisonRate: outside [0,1]"},
+		{func(c *Config) { c.Control = control.Config{Kind: control.KindBaseline, Interval: math.NaN()} }, "serve: Control.Interval: control tick must be positive"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()

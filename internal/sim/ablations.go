@@ -19,17 +19,13 @@ type AblationRow struct {
 }
 
 // Ablations evaluates the design choices DESIGN.md calls out, all on
-// the (Res10a, Res50) CaTDet system:
+// the (Res10a, Res50) CaTDet system, on this engine's worker pool:
 //
 //   - exponential-decay motion model (the paper's choice) vs SORT's
 //     Kalman filter;
 //   - adaptive match/miss confidence vs fixed-age track retention;
 //   - prediction workload filters (min width, boundary chop) on vs off;
 //   - per-class vs class-agnostic association.
-func Ablations(ds *dataset.Dataset) []AblationRow { return DefaultEngine.Ablations(ds) }
-
-// Ablations evaluates the tracker design variants on this engine's
-// worker pool.
 func (e Engine) Ablations(ds *dataset.Dataset) []AblationRow {
 	variant := func(name string, mutate func(*tracker.Config)) AblationRow {
 		tcfg := tracker.DefaultConfig()

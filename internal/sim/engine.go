@@ -34,10 +34,6 @@ type Engine struct {
 	Workers int
 }
 
-// DefaultEngine is the engine the package-level table and figure
-// functions run on.
-var DefaultEngine = Engine{}
-
 func (e Engine) workers(nseq int) int {
 	w := e.Workers
 	if w <= 0 {
@@ -165,16 +161,11 @@ func metricsDetections(ds *dataset.Dataset, shards []seqShard) metrics.Detection
 	return dets
 }
 
-// RunParallel executes the system built by factory over every sequence
-// of the dataset, sharded across workers (<= 0 means GOMAXPROCS). Each
-// worker owns a private system instance; per-sequence results are
-// merged in dataset order, so the output is byte-identical to the
-// serial Run for any worker count.
-func RunParallel(factory SystemFactory, ds *dataset.Dataset, workers int) (*RunResult, error) {
-	return Engine{Workers: workers}.RunFactory(factory, ds)
-}
-
-// RunFactory is RunParallel on this engine's worker pool.
+// RunFactory executes the system built by factory over every sequence
+// of the dataset, sharded across this engine's worker pool. Each worker
+// owns a private system instance; per-sequence results are merged in
+// dataset order, so the output is byte-identical to the serial Run for
+// any worker count.
 func (e Engine) RunFactory(factory SystemFactory, ds *dataset.Dataset) (*RunResult, error) {
 	// One probe instance names the result and validates the factory
 	// before the pool spins up; it doubles as the first worker.

@@ -18,7 +18,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	serial := Run(spec.MustBuild(ds.Classes), ds)
 
 	for _, workers := range []int{1, 2, 8} {
-		par, err := RunParallel(spec.Factory(ds.Classes), ds, workers)
+		par, err := Engine{Workers: workers}.RunFactory(spec.Factory(ds.Classes), ds)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

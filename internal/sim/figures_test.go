@@ -18,7 +18,7 @@ func miniCity() *dataset.Dataset {
 // several points of AP while CaTDet recovers (nearly) all of them, at
 // a large ops saving.
 func TestTable6Shape(t *testing.T) {
-	rows := Table6(miniCity())
+	rows := Engine{}.Table6(miniCity())
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -44,7 +44,7 @@ func TestTable8Shape(t *testing.T) {
 	p.NumSequences = 3
 	p.FramesPerSeq = 200
 	ds := video.Generate(p, 1)
-	rows := Table8(ds)
+	rows := Engine{}.Table8(ds)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -66,7 +66,7 @@ func TestFigure6Shape(t *testing.T) {
 	p.FramesPerSeq = 220
 	ds := video.Generate(p, 1)
 	grid := []float64{0.01, 0.4}
-	pts := Figure6(ds, grid)
+	pts := Engine{}.Figure6(ds, grid)
 
 	get := func(model string, tracker bool, ct float64) SweepPoint {
 		for _, pt := range pts {
@@ -115,7 +115,7 @@ func TestFigure7Shape(t *testing.T) {
 	p.NumSequences = 3
 	p.FramesPerSeq = 220
 	ds := video.Generate(p, 1)
-	curves := Figure7(ds)
+	curves := Engine{}.Figure7(ds)
 	for _, c := range ds.Classes {
 		pts := curves[c]
 		if len(pts) < 5 {
@@ -148,7 +148,7 @@ func TestAblationsTable(t *testing.T) {
 	p.NumSequences = 2
 	p.FramesPerSeq = 150
 	ds := video.Generate(p, 1)
-	rows := Ablations(ds)
+	rows := Engine{}.Ablations(ds)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -32,12 +32,6 @@ type Report struct {
 	Figure7 map[string][]metrics.CurvePoint `json:"figure7"`
 }
 
-// RunAll regenerates every table and figure on the default engine.
-// city may be nil to skip the CityPersons experiments.
-func RunAll(kitti, city *dataset.Dataset, seed int64) *Report {
-	return DefaultEngine.RunAll(kitti, city, seed)
-}
-
 // RunAll regenerates every table and figure on this engine's worker
 // pool. city may be nil to skip the CityPersons experiments.
 func (e Engine) RunAll(kitti, city *dataset.Dataset, seed int64) *Report {

@@ -19,7 +19,7 @@ func TestRunAllReportAndShapeCheck(t *testing.T) {
 	cp.NumSequences = 40
 	city := video.Generate(cp, 1)
 
-	rep := RunAll(kitti, city, 1)
+	rep := Engine{}.RunAll(kitti, city, 1)
 	if len(rep.Table1) != 4 || len(rep.Table2) != 5 || len(rep.Table6) != 5 {
 		t.Fatalf("report incomplete: %d/%d/%d", len(rep.Table1), len(rep.Table2), len(rep.Table6))
 	}

@@ -47,7 +47,7 @@ func (r *RunResult) AvgGops() float64 {
 // per-sequence state in between (tracker state never crosses clips).
 // It is the serial path of the sharded engine: each sequence is
 // accumulated into its own shard and the shards are merged in dataset
-// order, exactly as RunParallel does, so the two agree bit for bit.
+// order, exactly as Engine.RunFactory does, so the two agree bit for bit.
 func Run(sys core.System, ds *dataset.Dataset) *RunResult {
 	shards := make([]seqShard, len(ds.Sequences))
 	for si := range ds.Sequences {

@@ -77,7 +77,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 // while the plain cascade is cheaper but less accurate than CaTDet.
 func TestTable2Shape(t *testing.T) {
 	ds := miniKITTI()
-	rows := Table2(ds)
+	rows := Engine{}.Table2(ds)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -103,7 +103,7 @@ func TestTable2Shape(t *testing.T) {
 // shares overlap (sum >= refinement) and each is <= refinement.
 func TestTable3Breakdown(t *testing.T) {
 	ds := miniKITTI()
-	rows := Table3(ds)
+	rows := Engine{}.Table3(ds)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -133,7 +133,7 @@ func TestTable3Breakdown(t *testing.T) {
 // net weakens.
 func TestTable4Shape(t *testing.T) {
 	ds := miniKITTI()
-	rows := Table4(ds)
+	rows := Engine{}.Table4(ds)
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -164,7 +164,7 @@ func TestTable4Shape(t *testing.T) {
 // own single-model accuracy.
 func TestTable5Shape(t *testing.T) {
 	ds := miniKITTI()
-	rows := Table5(ds)
+	rows := Engine{}.Table5(ds)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -184,7 +184,7 @@ func TestTable7Timing(t *testing.T) {
 	p.NumSequences = 2
 	p.FramesPerSeq = 120
 	ds := video.Generate(p, 1)
-	rows := Table7(ds)
+	rows := Engine{}.Table7(ds)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -204,10 +204,10 @@ func TestFormattersProduceOutput(t *testing.T) {
 	ds := miniKITTI()
 	var buf bytes.Buffer
 	WriteTable1(&buf, Table1())
-	rows2 := Table2(ds)
+	rows2 := Engine{}.Table2(ds)
 	WriteTable2(&buf, rows2)
-	WriteTable3(&buf, Table3(ds))
-	WriteStudy(&buf, Table5(ds))
+	WriteTable3(&buf, Engine{}.Table3(ds))
+	WriteStudy(&buf, Engine{}.Table5(ds))
 	if buf.Len() == 0 || !strings.Contains(buf.String(), "resnet") {
 		t.Fatal("formatters produced nothing useful")
 	}

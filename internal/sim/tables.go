@@ -54,9 +54,6 @@ func table2Specs() []SystemSpec {
 	}
 }
 
-// Table2 runs the five KITTI systems on the default engine.
-func Table2(ds *dataset.Dataset) []MainRow { return DefaultEngine.Table2(ds) }
-
 // Table2 runs the five KITTI systems and reports ops, mAP and mD@0.8 at
 // Moderate and Hard.
 func (e Engine) Table2(ds *dataset.Dataset) []MainRow {
@@ -86,10 +83,6 @@ type BreakdownRow struct {
 	FromTracker  float64
 	FromProposal float64
 }
-
-// Table3 reports the breakdown of the cascade systems on the default
-// engine.
-func Table3(ds *dataset.Dataset) []BreakdownRow { return DefaultEngine.Table3(ds) }
 
 // Table3 reports the per-frame operation breakdown of the four cascade
 // systems of Table 2.
@@ -128,9 +121,6 @@ func (e Engine) studyRow(ds *dataset.Dataset, spec SystemSpec, model, setting st
 	return StudyRow{Model: model, Setting: setting, MAP: ev.MAP, MD08: ev.MeanDelay, Gops: r.AvgGops()}
 }
 
-// Table4 sweeps the proposal network on the default engine.
-func Table4(ds *dataset.Dataset) []StudyRow { return DefaultEngine.Table4(ds) }
-
 // Table4 sweeps the proposal network (refinement fixed to ResNet-50):
 // every model is evaluated as a single Faster R-CNN and as CaTDet's
 // proposal net, at KITTI Hard.
@@ -143,9 +133,6 @@ func (e Engine) Table4(ds *dataset.Dataset) []StudyRow {
 	}
 	return rows
 }
-
-// Table5 sweeps the refinement network on the default engine.
-func Table5(ds *dataset.Dataset) []StudyRow { return DefaultEngine.Table5(ds) }
 
 // Table5 sweeps the refinement network (proposal fixed to ResNet-10b)
 // at KITTI Hard.
@@ -166,9 +153,6 @@ type CityRow struct {
 	MAP    float64
 	Gops   float64
 }
-
-// Table6 runs the CityPersons experiments on the default engine.
-func Table6(ds *dataset.Dataset) []CityRow { return DefaultEngine.Table6(ds) }
 
 // Table6 runs the Table 2 systems on the CityPersons-sim dataset with
 // identical hyper-parameters ("to ensure that CaTDet systems are robust
@@ -195,9 +179,6 @@ type TimingRow struct {
 	// frame (diagnostic, not in the paper's table).
 	AvgLaunches float64
 }
-
-// Table7 estimates GPU-platform timing on the default engine.
-func Table7(ds *dataset.Dataset) []TimingRow { return DefaultEngine.Table7(ds) }
 
 // timingShard is one sequence's share of the Table 7 accounting.
 type timingShard struct {
@@ -261,9 +242,6 @@ func (e Engine) Table7(ds *dataset.Dataset) []TimingRow {
 	return rows
 }
 
-// Table8 runs the RetinaNet comparison on the default engine.
-func Table8(ds *dataset.Dataset) []StudyRow { return DefaultEngine.Table8(ds) }
-
 // Table8 compares single-model RetinaNet with RetinaNet-based CaTDet at
 // KITTI Moderate (Appendix II).
 func (e Engine) Table8(ds *dataset.Dataset) []StudyRow {
@@ -286,11 +264,6 @@ type SweepPoint struct {
 
 // Figure6CThresh is the paper's sweep grid.
 var Figure6CThresh = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6}
-
-// Figure6 runs the C-thresh sweep on the default engine.
-func Figure6(ds *dataset.Dataset, cthreshs []float64) []SweepPoint {
-	return DefaultEngine.Figure6(ds, cthreshs)
-}
 
 // Figure6 sweeps the proposal network's output threshold for three
 // proposal nets, with and without the tracker (KITTI Hard, refinement
@@ -319,11 +292,6 @@ func (e Engine) Figure6(ds *dataset.Dataset, cthreshs []float64) []SweepPoint {
 		}
 	}
 	return pts
-}
-
-// Figure7 produces the per-class curves on the default engine.
-func Figure7(ds *dataset.Dataset) map[dataset.Class][]metrics.CurvePoint {
-	return DefaultEngine.Figure7(ds)
 }
 
 // Figure7 produces the per-class recall/delay vs precision curves for
