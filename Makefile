@@ -203,8 +203,10 @@ trace:
 # knobs are tracked change by change: non-test Go lines in tracked
 # files; exported declarations over every package (each symbol
 # `go doc -short` lists, plus the exported methods it folds under their
-# types); and the exported fields of serve.Config and cluster.Config,
-# the serving knobs a caller can turn.
+# types); the exported fields of serve.Config and cluster.Config, the
+# serving knobs a caller can turn; and the exported fields of the knob
+# structs nested inside them (control.Config, serve.Chaos and the
+# cluster's Migration, Autoscale and FaultPlan).
 surface:
 	@echo "go lines (non-test): $$(git ls-files '*.go' ':!:*_test.go' | xargs cat | wc -l)"
 	@n=0; for p in $$($(GO) list ./...); do \
@@ -213,6 +215,10 @@ surface:
 	done; echo "exported declarations: $$n"
 	@echo "config fields: $$({ $(GO) doc -short ./internal/serve Config; \
 		$(GO) doc -short ./internal/serve/cluster Config; } | grep -cE '^[[:space:]][A-Z]')"
+	@echo "nested knob fields: $$({ $(GO) doc -short ./internal/serve/control Config; \
+		$(GO) doc -short ./internal/serve Chaos; \
+		for t in Migration Autoscale FaultPlan; do $(GO) doc -short ./internal/serve/cluster $$t; done; } \
+		| grep -cE '^[[:space:]][A-Z]')"
 
 clean:
 	rm -f $(REPRO_OUT) $(BENCH_OUT) bench_base.txt bench_head.txt \

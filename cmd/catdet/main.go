@@ -15,6 +15,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -23,36 +24,21 @@ import (
 	"repro/internal/video"
 )
 
-// inspectModel prints per-layer operation reports for a backbone at
-// KITTI resolution.
+// inspectModel prints per-layer operation reports for a Faster R-CNN
+// backbone at KITTI resolution.
 func inspectModel(name string) error {
-	var b ops.Backbone
-	switch name {
-	case "resnet50":
-		b = ops.BuildResNet50()
-	case "vgg16":
-		b = ops.BuildVGG16()
-	default:
-		found := false
-		for _, spec := range ops.Table1Specs {
-			if spec.Name == name {
-				b = ops.BuildSmallResNet(spec)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown backbone %q", name)
-		}
+	m, err := ops.NewCostModel(name)
+	frcnn, ok := m.(*ops.FasterRCNN)
+	if err != nil || !ok {
+		return fmt.Errorf("unknown backbone %q", name)
 	}
+	b := frcnn.Backbone
 	fmt.Printf("=== %s trunk (image pass) at %dx%d ===\n", name, ops.KITTIWidth, ops.KITTIHeight)
 	b.Trunk.WriteReport(os.Stdout, ops.KITTIWidth, ops.KITTIHeight)
 	fmt.Printf("\n=== %s head (per RoI) at %dx%d ===\n", name, b.RoISize, b.RoISize)
 	b.Head.WriteReport(os.Stdout, b.RoISize, b.RoISize)
-	if m, err := ops.NewCostModel(name); err == nil {
-		fmt.Printf("\ncalibrated full-frame total: %.1f Gops (KITTI, 300 proposals)\n",
-			ops.Gops(m.FullFrameOps(ops.KITTIWidth, ops.KITTIHeight)))
-	}
+	fmt.Printf("\ncalibrated full-frame total: %.1f Gops (KITTI, 300 proposals)\n",
+		ops.Gops(m.FullFrameOps(ops.KITTIWidth, ops.KITTIHeight)))
 	return nil
 }
 
@@ -63,7 +49,7 @@ func main() {
 	system := flag.String("system", "catdet", "system kind: single | cascaded | catdet")
 	proposal := flag.String("proposal", "resnet10a", "proposal network (cascaded/catdet)")
 	refinement := flag.String("refinement", "resnet50", "refinement network (or the single model)")
-	preset := flag.String("preset", "kitti", "synthetic world: kitti | citypersons | mini")
+	preset := flag.String("preset", "kitti", "synthetic world: "+strings.Join(video.PresetNames(), " | "))
 	data := flag.String("data", "", "load a dataset JSON(.gz) instead of generating one")
 	seqs := flag.Int("seqs", 0, "override sequence count (0 = preset default)")
 	seed := flag.Int64("seed", 1, "world seed")
@@ -91,16 +77,9 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		var p video.Preset
-		switch *preset {
-		case "kitti":
-			p = video.KITTIPreset()
-		case "citypersons":
-			p = video.CityPersonsPreset()
-		case "mini":
-			p = video.MiniKITTIPreset()
-		default:
-			log.Fatalf("unknown preset %q", *preset)
+		p, err := video.PresetByName(*preset)
+		if err != nil {
+			log.Fatal(err) // carries the full valid-name list
 		}
 		if *seqs > 0 {
 			p.NumSequences = *seqs

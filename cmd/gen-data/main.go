@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/video"
 )
@@ -19,23 +20,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gen-data: ")
 
-	preset := flag.String("preset", "kitti", "world preset: kitti | citypersons | mini")
+	preset := flag.String("preset", "kitti", "world preset: "+strings.Join(video.PresetNames(), " | "))
 	seqs := flag.Int("seqs", 0, "override sequence count (0 = preset default)")
 	frames := flag.Int("frames", 0, "override frames per sequence (0 = preset default)")
 	seed := flag.Int64("seed", 1, "world seed")
 	out := flag.String("o", "dataset.json.gz", "output path (.gz for compression)")
 	flag.Parse()
 
-	var p video.Preset
-	switch *preset {
-	case "kitti":
-		p = video.KITTIPreset()
-	case "citypersons":
-		p = video.CityPersonsPreset()
-	case "mini":
-		p = video.MiniKITTIPreset()
-	default:
-		log.Fatalf("unknown preset %q", *preset)
+	p, err := video.PresetByName(*preset)
+	if err != nil {
+		log.Fatal(err) // carries the full valid-name list
 	}
 	if *seqs > 0 {
 		p.NumSequences = *seqs

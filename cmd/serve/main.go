@@ -39,6 +39,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -81,7 +82,7 @@ func main() {
 	policy := flag.String("policy", "drop-oldest", "queue overflow policy: drop-oldest | drop-newest")
 	stale := flag.Float64("stale", 0, "skip frames older than this many seconds at admission (0 = off)")
 	degradeDepth := flag.Int("degrade-depth", 0, "degrade to proposal-only when this many frames wait behind the admitted one (0 = off)")
-	controller := flag.String("controller", "", "adaptive control plane: nop | baseline (\"\" = off; see internal/serve/control)")
+	controller := flag.String("controller", "", "adaptive control plane: baseline (\"\" = off; see internal/serve/control)")
 	controlTick := flag.Float64("control-tick", 0, "control-tick spacing in virtual seconds (0 = controller default; needs -controller)")
 	reconnect := flag.String("reconnect", "", "camera reconnect policy: reject | resume-with-gap | reset-session (\"\" = reject, or resume-with-gap when a failover policy replays frames)")
 	poison := flag.String("poison", "error", "corrupt-frame policy: error | drop")
@@ -118,11 +119,6 @@ func main() {
 		}
 	}
 
-	ch, err := parseChaos(*chaos)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	cfg := serve.Config{
 		Spec: sim.SystemSpec{
 			Kind:       sim.SystemKind(*system),
@@ -134,7 +130,7 @@ func main() {
 		Seed:         *seed,
 		Streams:      *streams,
 		FPS:          *fps,
-		StreamFPS:    parseFloats(*streamFPS),
+		StreamFPS:    must(parseList[float64]("stream-fps", *streamFPS)),
 		Arrivals:     serve.ArrivalKind(*arrivals),
 		BurstPeriod:  *burstPeriod,
 		BurstDuty:    *burstDuty,
@@ -143,7 +139,7 @@ func main() {
 		StepWorkers:  *stepWorkers,
 		Scheduler:    sched.Kind(*schedKind),
 		BatchSize:    *batch,
-		Priorities:   parseInts(*priorities),
+		Priorities:   must(parseList[int]("priorities", *priorities)),
 		QueueCap:     *queueCap,
 		Drop:         serve.DropKind(*policy),
 		MaxStaleness: *stale,
@@ -151,19 +147,11 @@ func main() {
 		Reconnect:    serve.ReconnectPolicy(*reconnect),
 		Poison:       serve.PoisonPolicy(*poison),
 		MaxFrame:     *maxFrame,
-		Chaos:        ch,
+		Chaos:        must(parseChaos(*chaos)),
 		Control: control.Config{
 			Kind:     control.Kind(*controller),
 			Interval: *controlTick,
 		},
-	}
-	as, err := parseAutoscale(*autoscale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	faults, err := parseFaults(*kill, *revive, *addShard, *mtbf, *mttr, *failover)
-	if err != nil {
-		log.Fatal(err)
 	}
 	if *shards <= 0 && (*gpuTiers != "" || *hop != 0 || *migrateDepth > 0 || *autoscale != "" ||
 		*kill != "" || *revive != "" || *addShard != "" || *mtbf != 0 || *mttr != 0 || *failover != "") {
@@ -177,10 +165,10 @@ func main() {
 			Base:       cfg,
 			Shards:     *shards,
 			HopLatency: *hop,
-			GPUTiers:   parseNames(*gpuTiers),
+			GPUTiers:   must(parseList[string]("gpu-tiers", *gpuTiers)),
 			Migration:  cluster.Migration{QueueDepth: *migrateDepth},
-			Autoscale:  as,
-			Faults:     faults,
+			Autoscale:  must(parseAutoscale(*autoscale)),
+			Faults:     must(parseFaults(*kill, *revive, *addShard, *mtbf, *mttr, *failover)),
 		}
 		if err := ccfg.Validate(); err != nil {
 			log.Fatal(err)
@@ -437,18 +425,6 @@ func runClusterSweep(base cluster.Config) {
 	fmt.Println("per modeled rental dollar at the shard tiers' prices.")
 }
 
-// parseNames parses a comma-separated name list ("" = nil).
-func parseNames(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i, p := range parts {
-		parts[i] = strings.TrimSpace(p)
-	}
-	return parts
-}
-
 // parseAutoscale parses the -autoscale flag: "" (off), "on" (defaults),
 // or a comma-separated k=v list ("min=0,max=2,interval=0.25,up-queue=4,
 // down-idle=1,p99=0.5"). Range checking is cluster.Config.Validate's
@@ -462,44 +438,11 @@ func parseAutoscale(s string) (cluster.Autoscale, error) {
 	if s == "on" {
 		return a, nil
 	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		key, val, hasVal := strings.Cut(part, "=")
-		if !hasVal {
-			return a, fmt.Errorf("autoscale: %q is not k=v (keys: min, max, interval, up-queue, down-idle, p99)", part)
-		}
-		val = strings.TrimSpace(val)
-		switch key {
-		case "interval", "p99":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return a, fmt.Errorf("autoscale: bad value in %q: %v", part, err)
-			}
-			if key == "interval" {
-				a.Interval = v
-			} else {
-				a.P99 = v
-			}
-		case "min", "max", "up-queue", "down-idle":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return a, fmt.Errorf("autoscale: bad value in %q: %v", part, err)
-			}
-			switch key {
-			case "min":
-				a.Min = v
-			case "max":
-				a.Max = v
-			case "up-queue":
-				a.UpQueue = v
-			case "down-idle":
-				a.DownIdle = v
-			}
-		default:
-			return a, fmt.Errorf("autoscale: unknown key %q (keys: min, max, interval, up-queue, down-idle, p99)", key)
-		}
-	}
-	return a, nil
+	err := parseKV("autoscale", s, []knob{
+		kv("min", &a.Min), kv("max", &a.Max), kv("interval", &a.Interval),
+		kv("up-queue", &a.UpQueue), kv("down-idle", &a.DownIdle), kv("p99", &a.P99),
+	})
+	return a, err
 }
 
 // parseFaults maps the failure-injection flags onto a cluster
@@ -515,20 +458,17 @@ func parseFaults(kill, revive, addShard string, mtbf, mttr float64, failover str
 		Failover: cluster.FailoverPolicy(failover),
 	}
 	shardAt := func(name string, list string, kind cluster.FaultKind) error {
-		if list == "" {
-			return nil
-		}
-		for _, part := range strings.Split(list, ",") {
-			part = strings.TrimSpace(part)
+		parts, _ := parseList[string](name, list)
+		for _, part := range parts {
 			s, at, ok := strings.Cut(part, "@")
 			if !ok {
 				return fmt.Errorf("%s: %q is not shard@t (e.g. \"0@5\")", name, part)
 			}
-			shard, err := strconv.Atoi(strings.TrimSpace(s))
+			shard, err := parseValue[int](strings.TrimSpace(s))
 			if err != nil {
 				return fmt.Errorf("%s: bad shard in %q: %v", name, part, err)
 			}
-			t, err := strconv.ParseFloat(strings.TrimSpace(at), 64)
+			t, err := parseValue[float64](strings.TrimSpace(at))
 			if err != nil {
 				return fmt.Errorf("%s: bad time in %q: %v", name, part, err)
 			}
@@ -542,16 +482,14 @@ func parseFaults(kill, revive, addShard string, mtbf, mttr float64, failover str
 	if err := shardAt("revive", revive, cluster.FaultRevive); err != nil {
 		return plan, err
 	}
-	if addShard != "" {
-		for _, part := range strings.Split(addShard, ",") {
-			part = strings.TrimSpace(part)
-			at, tier, _ := strings.Cut(part, ":")
-			t, err := strconv.ParseFloat(strings.TrimSpace(at), 64)
-			if err != nil {
-				return plan, fmt.Errorf("add-shard: bad time in %q (want t or t:tier): %v", part, err)
-			}
-			plan.Faults = append(plan.Faults, cluster.Fault{Time: t, Kind: cluster.FaultAddShard, Tier: strings.TrimSpace(tier)})
+	adds, _ := parseList[string]("add-shard", addShard)
+	for _, part := range adds {
+		at, tier, _ := strings.Cut(part, ":")
+		t, err := parseValue[float64](strings.TrimSpace(at))
+		if err != nil {
+			return plan, fmt.Errorf("add-shard: bad time in %q (want t or t:tier): %v", part, err)
 		}
+		plan.Faults = append(plan.Faults, cluster.Fault{Time: t, Kind: cluster.FaultAddShard, Tier: strings.TrimSpace(tier)})
 	}
 	return plan, nil
 }
@@ -562,76 +500,103 @@ func parseFaults(kill, revive, addShard string, mtbf, mttr float64, failover str
 // only maps names to fields.
 func parseChaos(s string) (serve.Chaos, error) {
 	var ch serve.Chaos
+	err := parseKV("chaos", s, []knob{
+		kv("dropout", &ch.DropoutRate), kv("len", &ch.DropoutMeanLen),
+		{key: "renumber", on: &ch.Renumber},
+		kv("jitter", &ch.FPSJitter), kv("skew", &ch.ClockSkew), kv("poison", &ch.PoisonRate),
+	})
+	return ch, err
+}
+
+// knob binds one key of a comma-separated k=v flag to its config
+// field: set parses a k=v value, on is the target of a bare switch.
+type knob struct {
+	key string
+	set func(string) error
+	on  *bool
+}
+
+// kv is the knob that parses key's value into *p.
+func kv[T int | float64](key string, p *T) knob {
+	return knob{key: key, set: func(s string) (err error) {
+		*p, err = parseValue[T](s)
+		return err
+	}}
+}
+
+// parseKV sets the knobs a comma-separated k=v flag value names ("" =
+// none), in order: each entry is key=value, or a bare key for a
+// switch.
+func parseKV(name, s string, knobs []knob) error {
 	if s == "" {
-		return ch, nil
+		return nil
+	}
+	keys := make([]string, len(knobs))
+	for i, k := range knobs {
+		keys[i] = k.key
 	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		key, val, hasVal := strings.Cut(part, "=")
-		if key == "renumber" {
+		i := slices.Index(keys, key)
+		switch {
+		case i >= 0 && knobs[i].on != nil:
 			if hasVal {
-				return ch, fmt.Errorf("chaos: renumber is a bare switch, got %q", part)
+				return fmt.Errorf("%s: %s is a bare switch, got %q", name, key, part)
 			}
-			ch.Renumber = true
-			continue
-		}
-		if !hasVal {
-			return ch, fmt.Errorf("chaos: %q is not k=v (keys: dropout, len, renumber, jitter, skew, poison)", part)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return ch, fmt.Errorf("chaos: bad value in %q: %v", part, err)
-		}
-		switch key {
-		case "dropout":
-			ch.DropoutRate = v
-		case "len":
-			ch.DropoutMeanLen = v
-		case "jitter":
-			ch.FPSJitter = v
-		case "skew":
-			ch.ClockSkew = v
-		case "poison":
-			ch.PoisonRate = v
+			*knobs[i].on = true
+		case !hasVal:
+			return fmt.Errorf("%s: %q is not k=v (keys: %s)", name, part, strings.Join(keys, ", "))
+		case i < 0:
+			return fmt.Errorf("%s: unknown key %q (keys: %s)", name, key, strings.Join(keys, ", "))
 		default:
-			return ch, fmt.Errorf("chaos: unknown key %q (keys: dropout, len, renumber, jitter, skew, poison)", key)
+			if err := knobs[i].set(strings.TrimSpace(val)); err != nil {
+				return fmt.Errorf("%s: bad value in %q: %v", name, part, err)
+			}
 		}
 	}
-	return ch, nil
+	return nil
+}
+
+// parseList parses a comma-separated flag list ("" = nil), trimming
+// each entry.
+func parseList[T int | float64 | string](name, s string) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	out := make([]T, len(parts))
+	for i, p := range parts {
+		v, err := parseValue[T](strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("%s: bad list entry %q: %v", name, p, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// parseValue parses one flag value as a T.
+func parseValue[T int | float64 | string](s string) (T, error) {
+	var v T
+	var err error
+	switch p := any(&v).(type) {
+	case *int:
+		*p, err = strconv.Atoi(s)
+	case *float64:
+		*p, err = strconv.ParseFloat(s, 64)
+	case *string:
+		*p = s
+	}
+	return v, err
+}
+
+// must ends the command on a flag parse error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }
 
 func msStr(s float64) string { return fmt.Sprintf("%.1fms", 1000*s) }
-
-// parseInts parses a comma-separated integer list ("" = nil).
-func parseInts(s string) []int {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			log.Fatalf("bad integer list entry %q: %v", p, err)
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// parseFloats parses a comma-separated float list ("" = nil).
-func parseFloats(s string) []float64 {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			log.Fatalf("bad float list entry %q: %v", p, err)
-		}
-		out[i] = v
-	}
-	return out
-}

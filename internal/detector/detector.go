@@ -28,6 +28,11 @@ type Frame struct {
 	Objects []dataset.Object
 }
 
+// FrameOf is the detector input for frame i of seq.
+func FrameOf(seq *dataset.Sequence, i int) Frame {
+	return Frame{SeqID: seq.ID, Index: i, Width: seq.Width, Height: seq.Height, Objects: seq.Frames[i].Objects}
+}
+
 // Detection extends a scored box with the ground-truth track that
 // produced it (TrackID < 0 for false positives). The track identity is
 // simulation metadata — the evaluation layer never reads it, but tests

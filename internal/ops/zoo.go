@@ -1,6 +1,9 @@
 package ops
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CostModel is the interface both detector families implement: full-frame
 // cost and selected-region cost (covered area fraction plus an explicit
@@ -40,31 +43,26 @@ var paperAnchors = map[string][]OpsAnchor{
 // Known names: resnet18, resnet10a, resnet10b, resnet10c, resnet50,
 // vgg16 (Faster R-CNN family) and retinanet-res50.
 func NewCostModel(name string) (CostModel, error) {
-	switch name {
-	case "resnet18", "resnet10a", "resnet10b", "resnet10c":
-		for _, spec := range Table1Specs {
-			if spec.Name == name {
-				m := NewFasterRCNN(BuildSmallResNet(spec))
-				m.Calibrate(paperAnchors[name])
-				return m, nil
-			}
-		}
-		panic("ops: Table1Specs out of sync with NewCostModel")
-	case "resnet50":
-		m := NewFasterRCNN(BuildResNet50())
-		m.Calibrate(paperAnchors[name])
-		return m, nil
-	case "vgg16":
-		m := NewFasterRCNN(BuildVGG16())
-		m.Calibrate(paperAnchors[name])
-		return m, nil
-	case "retinanet-res50":
-		m := NewRetinaNet(BuildResNet50())
-		m.Calibrate(paperAnchors[name])
-		return m, nil
-	default:
-		return nil, fmt.Errorf("ops: unknown model %q", name)
+	var m interface {
+		CostModel
+		Calibrate([]OpsAnchor)
 	}
+	switch name {
+	case "resnet50":
+		m = NewFasterRCNN(BuildResNet50())
+	case "vgg16":
+		m = NewFasterRCNN(BuildVGG16())
+	case "retinanet-res50":
+		m = NewRetinaNet(BuildResNet50())
+	default:
+		i := slices.IndexFunc(Table1Specs, func(s SmallResNetSpec) bool { return s.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("ops: unknown model %q", name)
+		}
+		m = NewFasterRCNN(BuildSmallResNet(Table1Specs[i]))
+	}
+	m.Calibrate(paperAnchors[name])
+	return m, nil
 }
 
 // MustCostModel is NewCostModel for static names; it panics on error.

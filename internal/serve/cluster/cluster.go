@@ -86,8 +86,7 @@ func (fn SinkFunc) ClusterEvent(e Event) { fn(e) }
 type Router struct {
 	mu     sync.Mutex
 	cfg    Config // normalized
-	shards []*serve.Server
-	tiers  []gpumodel.Tier
+	shards []*shard
 
 	// Stream routing state: hash home, current owner, cluster epoch
 	// (bumped per migration) and migration count per stream.
@@ -96,34 +95,22 @@ type Router struct {
 	migCount    []int
 
 	// Control-plane state.
-	nextTick  float64   // next control tick on the virtual clock
-	lastMig   []float64 // last migration time per source shard
-	pending   []float64 // per shard: time until which a resize is in flight
-	idleTicks []int     // per shard: consecutive fully-idle control ticks
-
+	nextTick   float64 // next control tick on the virtual clock
 	migrations int
 	resizes    int
 
 	// Failure-injection state. The schedule is pre-generated at New
 	// (explicit faults merged with the seeded stochastic process) and
-	// executed in order on the control-tick grid; the per-shard and
-	// per-stream slices below stay all-alive/all-zero without an active
-	// FaultPlan, so the fault-free paths never branch on them.
+	// executed in order on the control-tick grid; the per-stream slices
+	// below stay all-zero without an active FaultPlan, so the
+	// fault-free paths never branch on them.
 	ring       *ring   // current live consistent-hash ring
 	ringEpoch  int     // bumped per online ring resize
 	faults     []Fault // merged schedule, (Time, declaration) order
 	nextFault  int     // first unexecuted schedule entry
-	alive      []bool
-	bornAt     []float64   // per shard: when it joined the cluster
-	downSince  []float64   // per shard: kill time while dead
-	lastKill   []float64   // per shard: most recent kill time
-	downtime   []float64   // per shard: accumulated dead seconds
-	killCount  []int       // per shard: kills taken
-	awaitServe []bool      // per shard: awaiting first post-revival serve
-	recoveries [][]float64 // per shard: kill -> first-served latencies
-	replayed   []int       // per stream: seized frames re-submitted
-	dropFail   []int       // per stream: seized frames dropped
-	pinOwner   []int       // per stream: dead shard holding its degrade pin, -1 if none
+	replayed   []int   // per stream: seized frames re-submitted
+	dropFail   []int   // per stream: seized frames dropped
+	pinOwner   []int   // per stream: dead shard holding its degrade pin, -1 if none
 	orphans    []orphanFrame
 	kills      int
 	revivals   int
@@ -139,6 +126,27 @@ type Router struct {
 	wn     int
 
 	closed bool
+}
+
+// shard is one shard Server with its tier and its control-plane and
+// failure ledger. Shards without an active FaultPlan stay alive with
+// a zero ledger.
+type shard struct {
+	srv  *serve.Server
+	tier gpumodel.Tier
+
+	lastMig   float64 // last migration off this shard
+	pending   float64 // time until which a resize is in flight
+	idleTicks int     // consecutive fully-idle control ticks
+
+	alive      bool
+	bornAt     float64   // when it joined the cluster
+	downSince  float64   // kill time while dead
+	lastKill   float64   // most recent kill time
+	downtime   float64   // accumulated dead seconds
+	killCount  int       // kills taken
+	awaitServe bool      // awaiting first post-revival serve
+	recoveries []float64 // kill -> first-served latencies
 }
 
 // orphanFrame is a frame the Router could not place on any live shard:
@@ -158,18 +166,19 @@ type orphanFrame struct {
 // lock, which the Router only takes while already holding its own lock,
 // so the unguarded field access is safe.
 type shardSink struct {
-	r     *Router
-	shard int
+	r   *Router
+	sh  *shard
+	idx int
 }
 
 func (s shardSink) ServeEvent(e serve.Event) {
-	r := s.r
+	r, sh := s.r, s.sh
 	if e.Kind == serve.EventServed {
-		if r.awaitServe[s.shard] {
+		if sh.awaitServe {
 			// Recovery latency: kill instant to the first frame the
 			// revived shard completes.
-			r.awaitServe[s.shard] = false
-			r.recoveries[s.shard] = append(r.recoveries[s.shard], e.Time-r.lastKill[s.shard])
+			sh.awaitServe = false
+			sh.recoveries = append(sh.recoveries, e.Time-sh.lastKill)
 		}
 		r.lat[e.Stream] = append(r.lat[e.Stream], e.Latency)
 		if len(r.window) < cap(r.window) {
@@ -181,7 +190,7 @@ func (s shardSink) ServeEvent(e serve.Event) {
 	}
 	if r.cfg.Sink != nil {
 		ev := e
-		r.cfg.Sink.ClusterEvent(Event{Kind: EventServe, Shard: s.shard, Serve: &ev, Time: e.Time})
+		r.cfg.Sink.ClusterEvent(Event{Kind: EventServe, Shard: s.idx, Serve: &ev, Time: e.Time})
 	}
 }
 
@@ -194,37 +203,21 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rg := newRing(cfg.Shards, cfg.VirtualNodes)
-	home, owner := place(rg, cfg.Base.Streams, cfg.PlacementLoadFactor)
+	rg := newRing(cfg.Shards, virtualNodes)
+	home, owner := place(rg, cfg.Base.Streams, placementLoadFactor)
 	r := &Router{
-		cfg:        cfg,
-		shards:     make([]*serve.Server, cfg.Shards),
-		tiers:      make([]gpumodel.Tier, cfg.Shards),
-		home:       home,
-		owner:      owner,
-		epoch:      make([]int, cfg.Base.Streams),
-		migCount:   make([]int, cfg.Base.Streams),
-		lastMig:    make([]float64, cfg.Shards),
-		pending:    make([]float64, cfg.Shards),
-		idleTicks:  make([]int, cfg.Shards),
-		ring:       rg,
-		faults:     buildFaultSchedule(cfg),
-		alive:      make([]bool, cfg.Shards),
-		bornAt:     make([]float64, cfg.Shards),
-		downSince:  make([]float64, cfg.Shards),
-		lastKill:   make([]float64, cfg.Shards),
-		downtime:   make([]float64, cfg.Shards),
-		killCount:  make([]int, cfg.Shards),
-		awaitServe: make([]bool, cfg.Shards),
-		recoveries: make([][]float64, cfg.Shards),
-		replayed:   make([]int, cfg.Base.Streams),
-		dropFail:   make([]int, cfg.Base.Streams),
-		pinOwner:   make([]int, cfg.Base.Streams),
-		lat:        make([][]float64, cfg.Base.Streams),
-		window:     make([]float64, 0, cfg.Base.StatsWindow),
-	}
-	for s := range r.alive {
-		r.alive[s] = true
+		cfg:      cfg,
+		home:     home,
+		owner:    owner,
+		epoch:    make([]int, cfg.Base.Streams),
+		migCount: make([]int, cfg.Base.Streams),
+		ring:     rg,
+		faults:   buildFaultSchedule(cfg),
+		replayed: make([]int, cfg.Base.Streams),
+		dropFail: make([]int, cfg.Base.Streams),
+		pinOwner: make([]int, cfg.Base.Streams),
+		lat:      make([][]float64, cfg.Base.Streams),
+		window:   make([]float64, 0, cfg.Base.StatsWindow),
 	}
 	for i := range r.pinOwner {
 		r.pinOwner[i] = -1
@@ -234,40 +227,45 @@ func New(cfg Config) (*Router, error) {
 	} else {
 		r.nextTick = math.Inf(1)
 	}
-	for i := range r.lastMig {
-		r.lastMig[i] = math.Inf(-1)
-	}
-	base := gpumodel.Default()
-	if cfg.Base.GPU != nil {
-		base = *cfg.Base.GPU
-	}
 	for s := 0; s < cfg.Shards; s++ {
-		tier, err := gpumodel.TierByName(cfg.GPUTiers[s%len(cfg.GPUTiers)])
+		sh, err := r.newShard(cfg.GPUTiers[s%len(cfg.GPUTiers)], 0)
 		if err != nil {
+			r.Close()
 			return nil, err
 		}
-		r.tiers[s] = tier
-		shardCfg := cfg.Base
-		shardCfg.Sink = shardSink{r: r, shard: s}
-		model := tier.Apply(base)
-		shardCfg.GPU = &model
-		srv, err := serve.New(shardCfg)
-		if err != nil {
-			for _, prev := range r.shards {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return nil, err
-		}
-		r.shards[s] = srv
 		if cfg.Autoscale.Enabled {
-			if err := srv.ResizeAt(cfg.Autoscale.Min, 0); err != nil {
+			if err := sh.srv.ResizeAt(cfg.Autoscale.Min, 0); err != nil {
+				r.Close()
 				return nil, err
 			}
 		}
 	}
 	return r, nil
+}
+
+// newShard builds the next shard — a Server over the full Base on the
+// named GPU tier, its events feeding the merged books — and appends it
+// to the cluster. Called with r.mu held (or before the Router escapes
+// New).
+func (r *Router) newShard(tierName string, bornAt float64) (*shard, error) {
+	tier, err := gpumodel.TierByName(tierName)
+	if err != nil {
+		return nil, err
+	}
+	model := gpumodel.Default()
+	if r.cfg.Base.GPU != nil {
+		model = *r.cfg.Base.GPU
+	}
+	model = tier.Apply(model)
+	sh := &shard{tier: tier, alive: true, bornAt: bornAt, lastMig: math.Inf(-1)}
+	cfg := r.cfg.Base
+	cfg.Sink = shardSink{r: r, sh: sh, idx: len(r.shards)}
+	cfg.GPU = &model
+	if sh.srv, err = serve.New(cfg); err != nil {
+		return nil, err
+	}
+	r.shards = append(r.shards, sh)
+	return sh, nil
 }
 
 // Config returns the router's normalized configuration.
@@ -300,34 +298,30 @@ func (r *Router) Submit(stream, frame int, arriveAt float64) error {
 		return fmt.Errorf("serve/cluster: Submit: stream %d out of range [0,%d)", stream, r.cfg.Base.Streams)
 	}
 	r.controlTo(arriveAt)
-	at := arriveAt
 	s := r.owner[stream]
-	if !r.alive[s] {
+	if !r.shards[s].alive {
 		// The owner is dead and no live shard could take the stream (a
 		// whole-cluster outage): buffer the frame, keeping its arrival
 		// stamp, until a revival or addition restores capacity.
 		r.orphans = append(r.orphans, orphanFrame{stream: stream, frame: frame, at: arriveAt})
 		return nil
 	}
-	if s != r.home[stream] && !math.IsNaN(at) {
+	return r.forward(s, stream, frame, arriveAt)
+}
+
+// forward submits a frame to shard s. Frames routed off their stream's
+// hash home pay the hop latency on their arrival stamp. Called with
+// r.mu held.
+func (r *Router) forward(s, stream, frame int, at float64) error {
+	if s != r.home[stream] {
 		at += r.cfg.HopLatency
 	}
-	return r.shards[s].Submit(stream, frame, at)
+	return r.shards[s].srv.Submit(stream, frame, at)
 }
 
 // Ingest submits every arrival the source yields, in order, stopping at
 // the first error.
-func (r *Router) Ingest(src serve.Source) error {
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
-			return err
-		}
-	}
-}
+func (r *Router) Ingest(src serve.Source) error { return serve.Ingest(src, r.Submit) }
 
 // controlTo runs every control tick at or before t: each shard is
 // advanced to the tick time so its Stats are current, then the
@@ -345,20 +339,20 @@ func (r *Router) controlTo(t float64) {
 		// survivors' backlog spike is exactly what they exist to shed.
 		r.runFaults(e)
 		stats := make([]serve.Stats, len(r.shards))
-		for s, srv := range r.shards {
-			srv.AdvanceTo(e)
-			stats[s] = srv.Stats()
+		for s, sh := range r.shards {
+			sh.srv.AdvanceTo(e)
+			stats[s] = sh.srv.Stats()
 		}
 		if r.cfg.Autoscale.Enabled {
-			for s := range r.shards {
-				if r.alive[s] {
+			for s, sh := range r.shards {
+				if sh.alive {
 					r.autoscaleShard(s, e, stats[s])
 				}
 			}
 		}
 		if r.cfg.Migration.QueueDepth > 0 {
-			for s := range r.shards {
-				if r.alive[s] {
+			for s, sh := range r.shards {
+				if sh.alive {
 					r.maybeMigrate(s, e, stats)
 				}
 			}
@@ -370,7 +364,8 @@ func (r *Router) controlTo(t float64) {
 // tick e. Called with r.mu held.
 func (r *Router) autoscaleShard(s int, e float64, st serve.Stats) {
 	a := r.cfg.Autoscale
-	if e < r.pending[s] {
+	sh := r.shards[s]
+	if e < sh.pending {
 		return // a resize is still provisioning; no stacked decisions
 	}
 	execs := st.Executors
@@ -388,28 +383,28 @@ func (r *Router) autoscaleShard(s int, e float64, st serve.Stats) {
 		if n > a.Max {
 			n = a.Max
 		}
-		r.resizeShard(s, n, e+r.tiers[s].ScaleUpLatency)
-		r.idleTicks[s] = 0
+		r.resizeShard(s, n, e+sh.tier.ScaleUpLatency)
+		sh.idleTicks = 0
 	case st.QueueDepth == 0 && st.BusyExecutors == 0 && execs > a.Min:
-		r.idleTicks[s]++
-		if r.idleTicks[s] >= a.DownIdle {
+		sh.idleTicks++
+		if sh.idleTicks >= a.DownIdle {
 			// Release is immediate: handing capacity back has no
 			// provisioning latency.
 			r.resizeShard(s, a.Min, e)
-			r.idleTicks[s] = 0
+			sh.idleTicks = 0
 		}
 	default:
-		r.idleTicks[s] = 0
+		sh.idleTicks = 0
 	}
 }
 
 // resizeShard schedules a shard capacity change and books the event.
 // Called with r.mu held.
 func (r *Router) resizeShard(s, n int, at float64) {
-	if err := r.shards[s].ResizeAt(n, at); err != nil {
+	if err := r.shards[s].srv.ResizeAt(n, at); err != nil {
 		return // only closed/invalid-time, neither reachable here
 	}
-	r.pending[s] = at
+	r.shards[s].pending = at
 	r.resizes++
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ClusterEvent(Event{Kind: EventResize, Shard: s, Executors: n, Time: at})
@@ -420,7 +415,7 @@ func (r *Router) resizeShard(s, n int, at float64) {
 // backlog justifies it. Called with r.mu held, stats indexed by shard.
 func (r *Router) maybeMigrate(s int, e float64, stats []serve.Stats) {
 	m := r.cfg.Migration
-	if len(r.shards) < 2 || e-r.lastMig[s] < m.Cooldown {
+	if len(r.shards) < 2 || e-r.shards[s].lastMig < m.Cooldown {
 		return
 	}
 	// Hottest candidate stream on s: deepest per-stream backlog at or
@@ -446,7 +441,7 @@ func (r *Router) maybeMigrate(s int, e float64, stats []serve.Stats) {
 	// count, then lowest index.
 	target := -1
 	for t := range r.shards {
-		if t == s || !r.alive[t] {
+		if t == s || !r.shards[t].alive {
 			continue
 		}
 		if target < 0 {
@@ -469,7 +464,7 @@ func (r *Router) maybeMigrate(s int, e float64, stats []serve.Stats) {
 	r.owner[hot] = target
 	r.epoch[hot]++
 	r.migCount[hot]++
-	r.lastMig[s] = e
+	r.shards[s].lastMig = e
 	r.migrations++
 	r.movePin(hot, s, target)
 	if r.cfg.Sink != nil {
@@ -492,6 +487,18 @@ func (r *Router) ownedCount(s int) int {
 	return n
 }
 
+// ownedBy lists the streams shard s currently owns, ascending (nil when
+// none). Called with r.mu held.
+func (r *Router) ownedBy(s int) []int {
+	var owned []int
+	for stream, o := range r.owner {
+		if o == s {
+			owned = append(owned, stream)
+		}
+	}
+	return owned
+}
+
 // Stats returns a live merged snapshot of the cluster.
 func (r *Router) Stats() Stats {
 	r.mu.Lock()
@@ -501,8 +508,8 @@ func (r *Router) Stats() Stats {
 		Migrations:    r.migrations,
 		Resizes:       r.resizes,
 	}
-	for s, srv := range r.shards {
-		ss := srv.Stats()
+	for s, sh := range r.shards {
+		ss := sh.srv.Stats()
 		if ss.Now > st.Now {
 			st.Now = ss.Now
 		}
@@ -518,7 +525,7 @@ func (r *Router) Stats() Stats {
 		st.BusyExecutors += ss.BusyExecutors
 		st.Executors += ss.Executors
 		st.PerShardQueue[s] = ss.QueueDepth
-		if !r.alive[s] {
+		if !sh.alive {
 			st.DeadShards++
 		}
 	}
@@ -527,13 +534,10 @@ func (r *Router) Stats() Stats {
 		st.DroppedFailover += r.dropFail[i]
 	}
 	st.Orphaned = len(r.orphans)
-	if st.Now > 0 {
-		st.Throughput = float64(st.Served) / st.Now
-	}
-	if st.Arrived > 0 {
-		st.DropRate = float64(st.DroppedQueue+st.DroppedStale) / float64(st.Arrived)
-	}
-	st.Window = serve.Summarize(r.window)
+	row := serve.StreamStats{Arrived: st.Arrived, Served: st.Served,
+		DroppedQueue: st.DroppedQueue, DroppedStale: st.DroppedStale}
+	row.Derive(st.Now, r.window)
+	st.Throughput, st.DropRate, st.Window = row.Throughput, row.DropRate, row.Latency
 	return st
 }
 
@@ -595,34 +599,34 @@ func (r *Router) Drain(ctx context.Context) (*Result, error) {
 		// the cluster's current makespan so every admitted frame still
 		// reaches an outcome in the merged book.
 		now := 0.0
-		for _, srv := range r.shards {
-			if st := srv.Stats(); st.Now > now {
+		for _, sh := range r.shards {
+			if st := sh.srv.Stats(); st.Now > now {
 				now = st.Now
 			}
 		}
-		for s := range r.shards {
-			if !r.alive[s] {
+		for s, sh := range r.shards {
+			if !sh.alive {
 				r.reviveShard(s, now)
 				break
 			}
 		}
 	}
-	for s, srv := range r.shards {
-		if !r.alive[s] {
+	for s, sh := range r.shards {
+		if !sh.alive {
 			continue // a dead shard's backlog was seized at the kill
 		}
-		st := srv.Stats()
+		st := sh.srv.Stats()
 		if st.QueueDepth > 0 && st.Executors == 0 {
 			n := 1
 			if r.cfg.Autoscale.Enabled && r.cfg.Autoscale.Min > n {
 				n = r.cfg.Autoscale.Min
 			}
-			r.resizeShard(s, n, st.Now+r.tiers[s].ScaleUpLatency)
+			r.resizeShard(s, n, st.Now+sh.tier.ScaleUpLatency)
 		}
 	}
 	books := make([]*serve.Result, len(r.shards))
-	for s, srv := range r.shards {
-		res, err := srv.Drain(ctx)
+	for s, sh := range r.shards {
+		res, err := sh.srv.Drain(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -636,8 +640,8 @@ func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	for _, srv := range r.shards {
-		srv.Close()
+	for _, sh := range r.shards {
+		sh.srv.Close()
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -235,13 +236,14 @@ func TestMigrationSemantics(t *testing.T) {
 func TestHopLatencyCharged(t *testing.T) {
 	base := baseConfig()
 	base.Arrivals = serve.FixedFPS
-	// Load factor 1.0 caps each of the two shards at streams/2; pick
-	// the smallest stream count whose (deterministic) hash placement
-	// actually overflows the cap, so an off-home stream pays the hop.
+	// The 1.25 load factor caps each of the two shards at
+	// floor(1.25*ceil(streams/2)) streams; pick the smallest stream
+	// count whose (deterministic) hash placement actually overflows
+	// the cap, so an off-home stream pays the hop.
 	offHome := false
 	for n := 2; n <= 8 && !offHome; n++ {
 		base.Streams = n
-		router, err := New(Config{Base: base, Shards: 2, PlacementLoadFactor: 1.0})
+		router, err := New(Config{Base: base, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +259,7 @@ func TestHopLatencyCharged(t *testing.T) {
 		t.Fatal("no stream count up to 8 overflowed the cap — placement override is dead code")
 	}
 	run := func(hop float64) *Result {
-		return mustRun(t, Config{Base: base, Shards: 2, HopLatency: hop, PlacementLoadFactor: 1.0})
+		return mustRun(t, Config{Base: base, Shards: 2, HopLatency: hop})
 	}
 	cheap, taxed := run(1e-9), run(0.5)
 	if cheap.Fleet.Arrived != taxed.Fleet.Arrived {
@@ -329,6 +331,25 @@ func TestClusterValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d validated: %+v", i, cfg)
+		}
+	}
+	// Migration knobs carry their field path, armed or not: a NaN
+	// cooldown would disarm the anti-flap bound and make the merged
+	// Result unencodable.
+	migration := []struct {
+		m     Migration
+		field string
+	}{
+		{Migration{QueueDepth: 2, Cooldown: math.NaN()}, "Migration.Cooldown"},
+		{Migration{QueueDepth: 2, Cooldown: math.Inf(1)}, "Migration.Cooldown"},
+		{Migration{Cooldown: math.NaN()}, "Migration.Cooldown"},
+		{Migration{MinGain: -1}, "Migration.MinGain"},
+		{Migration{QueueDepth: -1}, "Migration.QueueDepth"},
+	}
+	for _, tc := range migration {
+		err := Config{Base: baseConfig(), Migration: tc.m}.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Migration %+v: error %v, want one naming %s", tc.m, err, tc.field)
 		}
 	}
 	if err := (Config{Base: baseConfig()}).Validate(); err != nil {

@@ -27,6 +27,18 @@ import (
 	"repro/internal/serve"
 )
 
+// Placement constants, echoed in every Result. Each shard contributes
+// virtualNodes points to the consistent-hash ring. placementLoadFactor
+// caps placement skew: no shard is assigned more than
+// floor(factor * ceil(Streams/shards)) streams by the initial placement
+// or a failover re-placement; overflow walks the ring to the next shard
+// under the cap, and streams placed off their hash home this way pay
+// the hop latency like migrated ones.
+const (
+	virtualNodes        = 64
+	placementLoadFactor = 1.25
+)
+
 // FailoverPolicy selects what happens to the frames a shard kill
 // seizes — everything queued or in flight on the dead shard at the
 // failure instant.
@@ -174,17 +186,6 @@ type Config struct {
 	// Shards is the number of shard Servers (default 2).
 	Shards int
 
-	// VirtualNodes is the number of ring points per shard for the
-	// consistent-hash placement (default 64).
-	VirtualNodes int
-
-	// PlacementLoadFactor caps initial placement skew: no shard is
-	// assigned more than ceil(factor * Streams/Shards) streams at
-	// construction; overflow walks the ring to the next shard under the
-	// cap (default 1.25). Streams placed off their hash home this way
-	// pay the hop latency like migrated ones.
-	PlacementLoadFactor float64
-
 	// HopLatency is the modeled cross-node forwarding delay in seconds,
 	// added to the arrival stamp of every frame routed to a shard other
 	// than its stream's hash home (default 0.002).
@@ -239,12 +240,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
-	if c.PlacementLoadFactor <= 0 {
-		c.PlacementLoadFactor = 1.25
-	}
 	if c.HopLatency == 0 {
 		c.HopLatency = 0.002
 	}
@@ -260,9 +255,6 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if c.Autoscale.Enabled {
-		if c.Autoscale.Interval <= 0 {
-			c.Autoscale.Interval = 0.5
-		}
 		if c.Autoscale.Max <= 0 {
 			c.Autoscale.Max = 8
 		}
@@ -272,9 +264,10 @@ func (c Config) withDefaults() Config {
 		if c.Autoscale.DownIdle <= 0 {
 			c.Autoscale.DownIdle = 2
 		}
-	} else if (c.Migration.QueueDepth > 0 || c.Faults.Enabled()) && c.Autoscale.Interval <= 0 {
-		// Migration and failure injection share the control-tick grid
-		// even with the autoscaler off.
+	}
+	// Migration and failure injection share the autoscaler's
+	// control-tick grid even with the autoscaler off.
+	if c.controlled() && c.Autoscale.Interval <= 0 {
 		c.Autoscale.Interval = 0.5
 	}
 	return c
@@ -308,12 +301,14 @@ func (c Config) validate() error {
 			return fail(fmt.Sprintf("GPUTiers[%d]", i), "%v", err)
 		}
 	}
-	if m := c.Migration; m.QueueDepth > 0 {
-		if m.QueueDepth < 0 || m.MinGain < 0 {
-			return fail("Migration.MinGain", "must be non-negative, got %d", m.MinGain)
-		}
-	} else if m.QueueDepth < 0 {
+	// Like the fault-plan rates below, the migration knobs are checked
+	// even while migration is off (QueueDepth 0).
+	if m := c.Migration; m.QueueDepth < 0 {
 		return fail("Migration.QueueDepth", "must be non-negative, got %d", m.QueueDepth)
+	} else if m.MinGain < 0 {
+		return fail("Migration.MinGain", "must be non-negative, got %d", m.MinGain)
+	} else if math.IsNaN(m.Cooldown) || math.IsInf(m.Cooldown, 0) {
+		return fail("Migration.Cooldown", "must be a finite time, got %v", m.Cooldown)
 	}
 	if a := c.Autoscale; a.Enabled {
 		if a.Min < 0 {

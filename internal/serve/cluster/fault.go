@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/gpumodel"
 	"repro/internal/serve"
 	"repro/internal/serve/control"
 )
@@ -64,38 +62,32 @@ func (r *Router) runFaults(e float64) {
 // seized frames follow the configured FailoverPolicy. Killing a dead
 // or not-yet-added shard is a no-op. Called with r.mu held.
 func (r *Router) killShard(s int, e float64) {
-	if s >= len(r.shards) || !r.alive[s] {
+	if s >= len(r.shards) || !r.shards[s].alive {
 		return
 	}
-	r.alive[s] = false
+	sh := r.shards[s]
+	sh.alive = false
 	r.kills++
-	r.killCount[s]++
-	r.downSince[s] = e
-	r.lastKill[s] = e
-	r.awaitServe[s] = false
-	r.pending[s] = 0 // any provisioning resize died with the agenda
-	r.idleTicks[s] = 0
-	seized, _ := r.shards[s].FailAt(e) // open shard, finite time: cannot fail
+	sh.killCount++
+	sh.downSince = e
+	sh.lastKill = e
+	sh.awaitServe = false
+	sh.pending = 0 // any provisioning resize died with the agenda
+	sh.idleTicks = 0
+	seized, _ := sh.srv.FailAt(e) // open shard, finite time: cannot fail
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ClusterEvent(Event{Kind: EventKill, Shard: s, Time: e})
 	}
 	var ownedBefore []int
 	if r.cfg.Faults.Failover == FailoverDegrade {
-		for stream, o := range r.owner {
-			if o == s {
-				ownedBefore = append(ownedBefore, stream)
-			}
-		}
+		ownedBefore = r.ownedBy(s)
 	}
-	r.rebuildRing()
-	r.replaceDeadOwned(e)
+	r.rebuildRing(e)
 	for _, stream := range ownedBefore {
 		// Degrade failover: the dead shard's streams run proposal-only
 		// on their fallback shards until it revives.
 		r.pinOwner[stream] = s
-		if o := r.owner[stream]; r.alive[o] {
-			_ = r.shards[o].PinMode(stream, control.ModeProposal)
-		}
+		r.pin(r.owner[stream], stream, control.ModeProposal)
 	}
 	r.failover(seized, e)
 }
@@ -112,19 +104,15 @@ func (r *Router) failover(seized []serve.FailedFrame, e float64) {
 			continue
 		}
 		tgt := r.owner[f.Stream]
-		if !r.alive[tgt] {
+		if !r.shards[tgt].alive {
 			r.orphans = append(r.orphans, orphanFrame{stream: f.Stream, frame: f.Frame, at: e, seized: true})
 			continue
-		}
-		at := e
-		if tgt != r.home[f.Stream] {
-			at += r.cfg.HopLatency
 		}
 		r.replayed[f.Stream]++
 		// The seized world index re-enters Submit as a wire index
 		// against the target's own session; a collision is a frame
 		// regression the (defaulted) resume reconnect policy absorbs.
-		_ = r.shards[tgt].Submit(f.Stream, f.Frame, at)
+		_ = r.forward(tgt, f.Stream, f.Frame, e)
 	}
 }
 
@@ -134,17 +122,18 @@ func (r *Router) failover(seized []serve.FailedFrame, e float64) {
 // re-spreads streams (replaying any parked orphans). Reviving a live
 // shard is a no-op. Called with r.mu held.
 func (r *Router) reviveShard(s int, e float64) {
-	if s >= len(r.shards) || r.alive[s] {
+	if s >= len(r.shards) || r.shards[s].alive {
 		return
 	}
-	r.alive[s] = true
+	sh := r.shards[s]
+	sh.alive = true
 	r.revivals++
-	upAt := e + r.tiers[s].ScaleUpLatency
-	r.downtime[s] += upAt - r.downSince[s]
-	r.downSince[s] = 0
+	upAt := e + sh.tier.ScaleUpLatency
+	sh.downtime += upAt - sh.downSince
+	sh.downSince = 0
 	n := r.reviveExecutors()
 	r.resizeShard(s, n, upAt)
-	r.awaitServe[s] = true
+	sh.awaitServe = true
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ClusterEvent(Event{Kind: EventRevive, Shard: s, Executors: n, Time: upAt})
 	}
@@ -153,12 +142,9 @@ func (r *Router) reviveShard(s int, e float64) {
 			continue
 		}
 		r.pinOwner[stream] = -1
-		if o := r.owner[stream]; r.alive[o] {
-			_ = r.shards[o].PinMode(stream, control.ModeAuto)
-		}
+		r.pin(r.owner[stream], stream, control.ModeAuto)
 	}
-	r.rebuildRing()
-	r.replaceDeadOwned(e)
+	r.rebuildRing(e)
 	r.rebalance(e)
 	r.replayOrphans(e)
 }
@@ -186,109 +172,69 @@ func (r *Router) addShard(tierName string, e float64) {
 	if tierName == "" {
 		tierName = r.cfg.GPUTiers[s%len(r.cfg.GPUTiers)]
 	}
-	tier, err := gpumodel.TierByName(tierName)
+	sh, err := r.newShard(tierName, e)
 	if err != nil {
-		return // tier names are validated at New
-	}
-	base := gpumodel.Default()
-	if r.cfg.Base.GPU != nil {
-		base = *r.cfg.Base.GPU
-	}
-	shardCfg := r.cfg.Base
-	shardCfg.Sink = shardSink{r: r, shard: s}
-	model := tier.Apply(base)
-	shardCfg.GPU = &model
-	srv, err := serve.New(shardCfg)
-	if err != nil {
-		return // Base was validated at New
+		return // tier names and Base were validated at New
 	}
 	// Born parked: zero capacity from t=0 keeps the cost integral
 	// empty until the tier's provisioning completes at e+ScaleUpLatency.
-	_ = srv.ResizeAt(0, 0)
-	_ = srv.AdvanceTo(e)
-	r.shards = append(r.shards, srv)
-	r.tiers = append(r.tiers, tier)
-	r.lastMig = append(r.lastMig, math.Inf(-1))
-	r.pending = append(r.pending, 0)
-	r.idleTicks = append(r.idleTicks, 0)
-	r.alive = append(r.alive, true)
-	r.bornAt = append(r.bornAt, e)
-	r.downSince = append(r.downSince, 0)
-	r.lastKill = append(r.lastKill, 0)
-	r.downtime = append(r.downtime, 0)
-	r.killCount = append(r.killCount, 0)
-	r.awaitServe = append(r.awaitServe, false)
-	r.recoveries = append(r.recoveries, nil)
+	_ = sh.srv.ResizeAt(0, 0)
+	_ = sh.srv.AdvanceTo(e)
 	r.added++
 	n := r.reviveExecutors()
-	r.resizeShard(s, n, e+tier.ScaleUpLatency)
+	r.resizeShard(s, n, e+sh.tier.ScaleUpLatency)
 	if r.cfg.Sink != nil {
-		r.cfg.Sink.ClusterEvent(Event{Kind: EventAddShard, Shard: s, Executors: n, Tier: tier.Name, Time: e})
+		r.cfg.Sink.ClusterEvent(Event{Kind: EventAddShard, Shard: s, Executors: n, Tier: sh.tier.Name, Time: e})
 	}
-	r.rebuildRing()
-	r.replaceDeadOwned(e)
+	r.rebuildRing(e)
 	r.rebalance(e)
 	r.replayOrphans(e)
 }
 
 // rebuildRing rebuilds the live consistent-hash ring after a
-// membership change and recomputes every stream's hash home. Surviving
-// members keep their original vnode keys, so only keys owned by the
-// changed member move — the consistent-hashing property that keeps an
-// online resize minimal. Called with r.mu held.
-func (r *Router) rebuildRing() {
+// membership change at tick e and recomputes every stream's hash home.
+// Surviving members keep their original vnode keys, so only keys owned
+// by the changed member move — the consistent-hashing property that
+// keeps an online resize minimal. Streams owned by a dead shard then
+// re-place through the same load-capped walk as the initial placement.
+// Called with r.mu held.
+func (r *Router) rebuildRing(e float64) {
 	r.ringEpoch++
-	var live []int
-	for s := range r.shards {
-		if r.alive[s] {
-			live = append(live, s)
-		}
-	}
+	live := r.live()
 	if len(live) == 0 {
 		r.ring = nil
-		return
+		return // whole-cluster outage: frames park as orphans instead
 	}
-	r.ring = newRingMembers(live, r.cfg.VirtualNodes)
+	r.ring = newRingMembers(live, virtualNodes)
 	for i := range r.home {
 		r.home[i] = r.ring.owner(streamKey(i))
 	}
-}
-
-// replaceDeadOwned re-places every stream owned by a dead shard onto
-// the live ring with the same load-aware cap walk as the initial
-// placement. Called with r.mu held, after rebuildRing.
-func (r *Router) replaceDeadOwned(e float64) {
-	if r.ring == nil {
-		return // whole-cluster outage: frames park as orphans instead
-	}
-	capPer := (r.cfg.Base.Streams + r.ring.n - 1) / r.ring.n
-	capPer = int(float64(capPer) * r.cfg.PlacementLoadFactor)
-	if capPer < 1 {
-		capPer = 1
-	}
+	capPer := r.ring.loadCap(r.cfg.Base.Streams, placementLoadFactor)
 	counts := make([]int, len(r.shards))
 	for _, o := range r.owner {
-		if r.alive[o] {
+		if r.shards[o].alive {
 			counts[o]++
 		}
 	}
 	for i, o := range r.owner {
-		if r.alive[o] {
+		if r.shards[o].alive {
 			continue
 		}
-		tgt := r.home[i]
-		if counts[tgt] >= capPer {
-			for _, s := range r.ring.walk(streamKey(i)) {
-				if counts[s] < capPer {
-					tgt = s
-					break
-				}
-			}
-		}
-		counts[tgt]++
+		tgt := r.ring.capped(i, r.home[i], capPer, counts)
 		r.replaced++
 		r.moveOwner(i, o, tgt, e)
 	}
+}
+
+// live lists the live shards in index order. Called with r.mu held.
+func (r *Router) live() []int {
+	var live []int
+	for s, sh := range r.shards {
+		if sh.alive {
+			live = append(live, s)
+		}
+	}
+	return live
 }
 
 // moveOwner re-homes one stream outside the migration policy, bumping
@@ -312,11 +258,15 @@ func (r *Router) movePin(stream, from, to int) {
 	if r.pinOwner[stream] < 0 || from == to {
 		return
 	}
-	if from >= 0 && from < len(r.shards) && r.alive[from] {
-		_ = r.shards[from].PinMode(stream, control.ModeAuto)
-	}
-	if r.alive[to] {
-		_ = r.shards[to].PinMode(stream, control.ModeProposal)
+	r.pin(from, stream, control.ModeAuto)
+	r.pin(to, stream, control.ModeProposal)
+}
+
+// pin sets a stream's mode pin on shard s when s is a live shard.
+// Called with r.mu held.
+func (r *Router) pin(s, stream int, mode control.Mode) {
+	if s >= 0 && s < len(r.shards) && r.shards[s].alive {
+		_ = r.shards[s].srv.PinMode(stream, mode)
 	}
 }
 
@@ -331,22 +281,17 @@ func (r *Router) replayOrphans(e float64) {
 	r.orphans = nil
 	for _, o := range pending {
 		tgt := r.owner[o.stream]
-		if !r.alive[tgt] {
+		if !r.shards[tgt].alive {
 			r.orphans = append(r.orphans, o)
 			continue
 		}
 		at := o.at
-		if !math.IsNaN(at) {
-			if at < e {
-				at = e
-			}
-			if tgt != r.home[o.stream] {
-				at += r.cfg.HopLatency
-			}
+		if at < e { // a NaN stamp fails the comparison and stays poison
+			at = e
 		}
 		if o.seized {
 			r.replayed[o.stream]++
 		}
-		_ = r.shards[tgt].Submit(o.stream, o.frame, at)
+		_ = r.forward(tgt, o.stream, o.frame, at)
 	}
 }

@@ -16,19 +16,14 @@ import "sort"
 // there. Called with r.mu held; deterministic because targets, donors
 // and receivers all derive from virtual-clock state in fixed order.
 func (r *Router) rebalance(e float64) {
-	var live []int
-	for s := range r.shards {
-		if r.alive[s] {
-			live = append(live, s)
-		}
-	}
+	live := r.live()
 	if len(live) < 2 {
 		return
 	}
 	total := r.cfg.Base.Streams
 	sum := 0.0
 	for _, s := range live {
-		sum += r.tiers[s].Speed
+		sum += r.shards[s].tier.Speed
 	}
 	if sum <= 0 {
 		return
@@ -42,7 +37,7 @@ func (r *Router) rebalance(e float64) {
 	rems := make([]rem, 0, len(live))
 	assigned := 0
 	for _, s := range live {
-		q := float64(total) * r.tiers[s].Speed / sum
+		q := float64(total) * r.shards[s].tier.Speed / sum
 		target[s] = int(q)
 		assigned += target[s]
 		rems = append(rems, rem{s: s, frac: q - float64(target[s])})
@@ -58,10 +53,10 @@ func (r *Router) rebalance(e float64) {
 	}
 	// Receivers in fastest-first order (ties to the lower index).
 	recv := append([]int(nil), live...)
-	sort.SliceStable(recv, func(i, j int) bool { return r.tiers[recv[i]].Speed > r.tiers[recv[j]].Speed })
+	sort.SliceStable(recv, func(i, j int) bool { return r.shards[recv[i]].tier.Speed > r.shards[recv[j]].tier.Speed })
 	for i := 0; i < total; i++ {
 		d := r.owner[i]
-		if !r.alive[d] || counts[d] <= target[d] {
+		if !r.shards[d].alive || counts[d] <= target[d] {
 			continue
 		}
 		for _, rc := range recv {

@@ -141,8 +141,8 @@ func (r *Router) merge(books []*serve.Result) *Result {
 		Duration:            base.Duration,
 		Executors:           base.Executors,
 		Shards:              cfg.Shards,
-		VirtualNodes:        cfg.VirtualNodes,
-		PlacementLoadFactor: cfg.PlacementLoadFactor,
+		VirtualNodes:        virtualNodes,
+		PlacementLoadFactor: placementLoadFactor,
 		HopLatency:          cfg.HopLatency,
 		GPUTiers:            append([]string(nil), cfg.GPUTiers...),
 		Migrations:          r.migrations,
@@ -158,29 +158,22 @@ func (r *Router) merge(books []*serve.Result) *Result {
 		a := cfg.Autoscale
 		res.Autoscale = &a
 	}
-	for _, b := range books {
+	for s, b := range books {
 		if b.LastEventAt > res.LastEventAt {
 			res.LastEventAt = b.LastEventAt
 		}
 		res.ControlTicks += b.ControlTicks
 		res.ModeSwitches += b.ModeSwitches
-	}
-	for s, b := range books {
 		seconds := b.ExecutorSeconds
 		if b.Resizes == 0 && !cfg.Autoscale.Enabled {
 			seconds = float64(b.Executors) * b.LastEventAt
 		}
-		cost := seconds * r.tiers[s].DollarsPerSecond()
-		var owned []int
-		for stream, o := range r.owner {
-			if o == s {
-				owned = append(owned, stream)
-			}
-		}
+		tier := r.shards[s].tier
+		cost := seconds * tier.DollarsPerSecond()
 		res.PerShard[s] = ShardBook{
 			Shard:   s,
-			Tier:    r.tiers[s].Name,
-			Streams: owned,
+			Tier:    tier.Name,
+			Streams: r.ownedBy(s),
 			Cost:    cost,
 			Result:  b,
 		}
@@ -201,24 +194,12 @@ func (r *Router) merge(books []*serve.Result) *Result {
 		row.Replayed = r.replayed[i]
 		row.DroppedFailover = r.dropFail[i]
 		row.Arrived -= r.replayed[i]
-		row.Latency = serve.Summarize(r.lat[i])
+		row.Derive(res.LastEventAt, r.lat[i])
 		all = append(all, r.lat[i]...)
-		if res.LastEventAt > 0 {
-			row.Throughput = float64(row.Served) / res.LastEventAt
-		}
-		if row.Arrived > 0 {
-			row.DropRate = float64(row.DroppedQueue+row.DroppedStale) / float64(row.Arrived)
-		}
 		res.Fleet.Add(*row)
 	}
 	res.Fleet.ID = "cluster"
-	res.Fleet.Latency = serve.Summarize(all)
-	if res.LastEventAt > 0 {
-		res.Fleet.Throughput = float64(res.Fleet.Served) / res.LastEventAt
-	}
-	if res.Fleet.Arrived > 0 {
-		res.Fleet.DropRate = float64(res.Fleet.DroppedQueue+res.Fleet.DroppedStale) / float64(res.Fleet.Arrived)
-	}
+	res.Fleet.Derive(res.LastEventAt, all)
 	if res.Cost > 0 {
 		res.ServedPerDollar = float64(res.Fleet.Served) / res.Cost
 	}
@@ -235,24 +216,24 @@ func (r *Router) merge(books []*serve.Result) *Result {
 			DroppedFailover: res.Fleet.DroppedFailover,
 		}
 		lifespan := 0.0
-		for s := range books {
-			down := r.downtime[s]
-			if !r.alive[s] {
+		for s, sh := range r.shards {
+			down := sh.downtime
+			if !sh.alive {
 				// Still dead at the end: downtime runs to the makespan.
-				if d := res.LastEventAt - r.downSince[s]; d > 0 {
+				if d := res.LastEventAt - sh.downSince; d > 0 {
 					down += d
 				}
 			}
 			fb.Downtime += down
-			if span := res.LastEventAt - r.bornAt[s]; span > 0 {
+			if span := res.LastEventAt - sh.bornAt; span > 0 {
 				lifespan += span
 			}
 			res.PerShard[s].Fault = &ShardFaultBook{
-				Kills:             r.killCount[s],
+				Kills:             sh.killCount,
 				Downtime:          down,
-				RecoveryLatencies: append([]float64(nil), r.recoveries[s]...),
-				BornAt:            r.bornAt[s],
-				Down:              !r.alive[s],
+				RecoveryLatencies: append([]float64(nil), sh.recoveries...),
+				BornAt:            sh.bornAt,
+				Down:              !sh.alive,
 			}
 		}
 		if lifespan > 0 {
@@ -308,9 +289,5 @@ func (r *Result) WriteText(w io.Writer) {
 			b.Shard, b.Tier, 8-len(b.Tier), "", b.Result.Fleet.Served, b.Result.Fleet.Arrived,
 			100*b.Result.Utilization, b.Cost, b.Streams)
 	}
-	fmt.Fprintln(w, "per-stream:")
-	for _, st := range r.PerStream {
-		fmt.Fprintf(w, "  %-18s served %4d/%-4d  drop %5.1f%%  p50 %8s  p99 %8s\n",
-			st.ID, st.Served, st.Arrived, 100*st.DropRate, ms(st.Latency.P50), ms(st.Latency.P99))
-	}
+	serve.WriteRows(w, "per-stream", r.PerStream)
 }

@@ -114,33 +114,47 @@ func (r *ring) walk(key string) []int {
 // placement on the same string.
 func streamKey(stream int) string { return fmt.Sprintf("stream-%d", stream) }
 
-// place assigns every stream an initial shard: its hash home unless the
-// home already holds cap streams, in which case the ring walk finds the
-// next shard under the cap. cap is ceil(factor*streams/shards); homes
-// and owners are returned separately because off-home placement pays
-// the hop latency.
-func place(r *ring, streams int, factor float64) (home, owner []int) {
-	home = make([]int, streams)
-	owner = make([]int, streams)
-	capPer := (streams + r.n - 1) / r.n // ceil(streams/shards)
+// loadCap is the per-shard stream cap of a load-capped placement over
+// this ring's members: ceil(streams/members) scaled by factor, at
+// least 1.
+func (r *ring) loadCap(streams int, factor float64) int {
+	capPer := (streams + r.n - 1) / r.n
 	capPer = int(float64(capPer) * factor)
 	if capPer < 1 {
 		capPer = 1
 	}
-	counts := make([]int, r.n)
-	for i := 0; i < streams; i++ {
-		key := streamKey(i)
-		home[i] = r.owner(key)
-		owner[i] = home[i]
-		if counts[home[i]] >= capPer {
-			for _, s := range r.walk(key) {
-				if counts[s] < capPer {
-					owner[i] = s
-					break
-				}
+	return capPer
+}
+
+// capped picks the shard a stream lands on: its hash home unless the
+// home already holds capPer streams, in which case the ring walk finds
+// the next shard under the cap (the home again when none is). counts
+// is indexed by shard and books the placement.
+func (r *ring) capped(stream, home, capPer int, counts []int) int {
+	tgt := home
+	if counts[tgt] >= capPer {
+		for _, s := range r.walk(streamKey(stream)) {
+			if counts[s] < capPer {
+				tgt = s
+				break
 			}
 		}
-		counts[owner[i]]++
+	}
+	counts[tgt]++
+	return tgt
+}
+
+// place assigns every stream an initial shard through the load-capped
+// walk. Homes and owners are returned separately because off-home
+// placement pays the hop latency.
+func place(r *ring, streams int, factor float64) (home, owner []int) {
+	home = make([]int, streams)
+	owner = make([]int, streams)
+	capPer := r.loadCap(streams, factor)
+	counts := make([]int, r.n)
+	for i := range home {
+		home[i] = r.owner(streamKey(i))
+		owner[i] = r.capped(i, home[i], capPer, counts)
 	}
 	return home, owner
 }

@@ -39,8 +39,7 @@ const (
 	// DegradeDepth threshold decides per admission whether the frame
 	// runs cascaded or proposal-only. Streams stay in ModeAuto until a
 	// controller explicitly moves them, which is what keeps a
-	// controller-less (or nop-controlled) run byte-identical to the
-	// historical engine.
+	// controller-less run byte-identical to the historical engine.
 	ModeAuto Mode = ""
 	// ModeFull runs the refinement network on the entire frame (the
 	// proposal launch still runs, feeding the tracker): CaTDet's region
@@ -187,10 +186,6 @@ type Kind string
 
 // The built-in controllers.
 const (
-	// KindNop selects the do-nothing controller: the engine schedules
-	// no control ticks for it, so a nop-controlled run is byte-identical
-	// to a controller-less one — the golden-compatibility anchor.
-	KindNop Kind = "nop"
 	// KindBaseline selects the deterministic seeded hysteresis
 	// controller (see Config's threshold fields).
 	KindBaseline Kind = "baseline"
@@ -239,7 +234,9 @@ type Config struct {
 	// interval, so decision instants are stable under any fleet shape.
 	Interval float64 `json:"interval_s,omitempty"`
 	// Seed drives the baseline's per-stream cooldown jitter (and any
-	// future seeded choices); it composes with the scenario seed.
+	// future seeded choices). It is independent of the scenario seed:
+	// the engine passes the Config through unchanged, so two scenarios
+	// with different seeds draw the same jitter.
 	Seed int64 `json:"seed,omitempty"`
 
 	// Baseline hysteresis thresholds (see the Default* constants). A
@@ -277,15 +274,10 @@ type Config struct {
 	FullTicks int `json:"full_ticks,omitempty"`
 }
 
-// Enabled reports whether a controller is selected at all (nop
-// included).
-func (c Config) Enabled() bool { return c.Kind != "" }
-
-// Active reports whether the controller actually drives policy: the
-// engine schedules control ticks only for active controllers, which
-// is what lets KindNop reproduce controller-less goldens byte for
-// byte.
-func (c Config) Active() bool { return c.Kind != "" && c.Kind != KindNop }
+// Active reports whether a controller is selected: the engine builds
+// it and schedules control ticks only then, so a controller-less run
+// keeps its historical books byte for byte.
+func (c Config) Active() bool { return c.Kind != "" }
 
 // WithDefaults fills every unset field with its documented default.
 // The zero Config stays zero (no controller selected, nothing to
@@ -341,9 +333,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("Control.%s: %s", field, fmt.Sprintf(format, args...))
 	}
 	switch c.Kind {
-	case "", KindNop, KindBaseline:
+	case "", KindBaseline:
 	default:
-		return fail("Kind", "unknown controller %q (want %q or %q)", c.Kind, KindNop, KindBaseline)
+		return fail("Kind", "unknown controller %q (want %q, or none)", c.Kind, KindBaseline)
 	}
 	if c.Kind == "" {
 		if c.Interval != 0 {
@@ -388,25 +380,8 @@ func (c Config) Validate() error {
 // its defaults (WithDefaults) and validate; serve.Config.Validate
 // guarantees both for configs that reached the engine.
 func New(cfg Config) (Controller, error) {
-	switch cfg.Kind {
-	case KindNop:
-		return Nop{}, nil
-	case KindBaseline:
+	if cfg.Kind == KindBaseline {
 		return newBaseline(cfg), nil
 	}
 	return nil, fmt.Errorf("control: unknown controller kind %q", cfg.Kind)
 }
-
-// Nop is the do-nothing controller: it observes nothing and emits
-// nothing. The serving engine schedules no control ticks for it
-// (Config.Active is false), so a nop-controlled run's agenda — and
-// its Result — is byte-identical to a controller-less run: the
-// golden-compatibility anchor every adaptive change is measured
-// against.
-type Nop struct{}
-
-// Name implements Controller.
-func (Nop) Name() string { return string(KindNop) }
-
-// Tick implements Controller.
-func (Nop) Tick(float64, View) []Action { return nil }

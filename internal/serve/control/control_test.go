@@ -43,7 +43,7 @@ func TestWithDefaultsZeroStaysZero(t *testing.T) {
 	if got := zero.WithDefaults(); got != zero {
 		t.Errorf("zero Config gained defaults: %+v", got)
 	}
-	if zero.Enabled() || zero.Active() {
+	if zero.Active() {
 		t.Error("zero Config must select no controller")
 	}
 }
@@ -117,19 +117,6 @@ func nanField(set func(*Config)) Config {
 func TestNewUnknownKind(t *testing.T) {
 	if _, err := New(Config{Kind: "pid"}); err == nil {
 		t.Error("New accepted an unknown kind")
-	}
-}
-
-func TestNopIsInert(t *testing.T) {
-	n := Nop{}
-	if n.Name() != "nop" {
-		t.Errorf("Name = %q", n.Name())
-	}
-	if acts := n.Tick(1.0, view(4, 10, 1.0)); acts != nil {
-		t.Errorf("nop emitted %v", acts)
-	}
-	if (Config{Kind: KindNop}).Active() {
-		t.Error("nop config reports Active — the engine would schedule ticks for it")
 	}
 }
 

@@ -3,10 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -34,33 +31,6 @@ func adaptiveConfig() Config {
 		MaxBatch: 4, BatchDepth: 8,
 	}
 	return cfg
-}
-
-// TestNopControllerMatchesGolden pins the nop controller's whole
-// contract: selecting it changes nothing. The golden scenario with
-// Kind "nop" must reproduce testdata/golden_fifo.json byte for byte —
-// no control ticks on the agenda, no control echo in the Result.
-func TestNopControllerMatchesGolden(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Control = control.Config{Kind: control.KindNop}
-	r := mustRun(t, cfg)
-	got, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "golden_fifo.json")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("nop-controlled run drifted from %s:\n%s", path, got)
-	}
-	if r.Control != nil || r.ControlTicks != 0 || r.ModeSwitches != 0 {
-		t.Errorf("nop run echoed a control plane: %+v ticks=%d switches=%d",
-			r.Control, r.ControlTicks, r.ModeSwitches)
-	}
 }
 
 // TestAdaptiveDeterminism is the control plane's determinism contract:

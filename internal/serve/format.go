@@ -52,14 +52,16 @@ func (r *Result) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "queue:       avg depth %.2f, max %d; executor utilization %.1f%%; makespan %.2fs\n",
 		r.AvgQueueDepth, r.MaxQueueDepth, 100*r.Utilization, r.LastEventAt)
 	if len(r.PerClass) > 0 {
-		fmt.Fprintln(w, "per-class:")
-		for _, st := range r.PerClass {
-			fmt.Fprintf(w, "  %-18s served %4d/%-4d  drop %5.1f%%  p50 %8s  p99 %8s\n",
-				st.ID, st.Served, st.Arrived, 100*st.DropRate, ms(st.Latency.P50), ms(st.Latency.P99))
-		}
+		WriteRows(w, "per-class", r.PerClass)
 	}
-	fmt.Fprintln(w, "per-stream:")
-	for _, st := range r.PerStream {
+	WriteRows(w, "per-stream", r.PerStream)
+}
+
+// WriteRows prints one titled table of StreamStats rows: the per-class
+// and per-stream tables of the serve and cluster text reports.
+func WriteRows(w io.Writer, title string, rows []StreamStats) {
+	fmt.Fprintln(w, title+":")
+	for _, st := range rows {
 		fmt.Fprintf(w, "  %-18s served %4d/%-4d  drop %5.1f%%  p50 %8s  p99 %8s\n",
 			st.ID, st.Served, st.Arrived, 100*st.DropRate, ms(st.Latency.P50), ms(st.Latency.P99))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -246,15 +247,15 @@ type fleet struct {
 	works    []float64
 
 	sink Sink
-	win  *latWindow
+	win  *window
 
 	// Per-stream sliding windows, always maintained: latWinS[s] rings
 	// the stream's most recent served-frame latencies and arrWin[s] its
 	// most recent arrival instants, both capped at Config.StatsWindow —
 	// the signals Stats.PerStreamWindow exposes and the control plane's
 	// View is built from.
-	latWinS []*latWindow
-	arrWin  []*stampWindow
+	latWinS []*window
+	arrWin  []*window
 
 	// Adaptive control plane (nil/inert without an active
 	// Config.Control). ctrl is the per-fleet controller instance; mode,
@@ -289,7 +290,7 @@ func newFleet(cfg Config) (*fleet, error) {
 		gpu:     gpumodel.Default(),
 		cascade: cfg.Spec.Kind != sim.Single,
 		sink:    cfg.Sink,
-		win:     newLatWindow(cfg.StatsWindow),
+		win:     newWindow(cfg.StatsWindow),
 		workers: cfg.StepWorkers,
 		execs0:  cfg.Executors,
 	}
@@ -354,12 +355,13 @@ func newFleet(cfg Config) (*fleet, error) {
 	f.mode = make([]control.Mode, cfg.Streams)
 	f.effStale = make([]float64, cfg.Streams)
 	f.effBatch = cfg.BatchSize
-	f.latWinS = make([]*latWindow, cfg.Streams)
-	f.arrWin = make([]*stampWindow, cfg.Streams)
+	f.latWinS = make([]*window, cfg.Streams)
+	f.arrWin = make([]*window, cfg.Streams)
 	for s := range f.effStale {
 		f.effStale[s] = cfg.MaxStaleness
-		f.latWinS[s] = newLatWindow(cfg.StatsWindow)
-		f.arrWin[s] = newStampWindow(cfg.StatsWindow)
+		f.latWinS[s] = newWindow(cfg.StatsWindow)
+		// A rate needs two stamps, so the arrival ring holds at least two.
+		f.arrWin[s] = newWindow(max(cfg.StatsWindow, 2))
 	}
 	if cfg.Control.Active() {
 		ctrl, err := control.New(cfg.Control)
@@ -504,15 +506,13 @@ func (f *fleet) buildView() control.View {
 	for s := range f.view.Streams {
 		sig := &f.view.Streams[s]
 		sig.Stream = s
-		sig.Class = 0
-		if len(f.cfg.Priorities) > 0 {
-			sig.Class = f.cfg.Priorities[s]
-		}
+		sig.Class = f.class(s)
 		_, sig.Mode = f.modeOf(s)
 		sig.Pinned = f.pin(s) != control.ModeAuto
 		sig.Queue = f.queued[s]
 		sig.ArrivalRate = f.arrWin[s].rate()
-		sig.P50, sig.P99 = f.latWinS[s].quantiles()
+		lat := f.latWinS[s].summary()
+		sig.P50, sig.P99 = lat.P50, lat.P99
 		a := &f.acc[s]
 		sig.Served = a.Served
 		sig.DroppedQueue = a.DroppedQueue
@@ -856,14 +856,7 @@ func (f *fleet) closePool() {
 // the tracker causal; dropped frames are simply never seen, so the
 // tracker coasts across them.
 func (f *fleet) step(j sched.Job) core.FrameOutput {
-	seq := f.seqs[j.Stream]
-	return f.sessions[j.Stream].Step(detector.Frame{
-		SeqID:   seq.ID,
-		Index:   j.Frame,
-		Width:   seq.Width,
-		Height:  seq.Height,
-		Objects: seq.Frames[j.Frame].Objects,
-	})
+	return f.sessions[j.Stream].Step(detector.FrameOf(f.seqs[j.Stream], j.Frame))
 }
 
 // stepAdmitted advances the frame's session and computes its pricing
@@ -946,14 +939,21 @@ func (f *fleet) priceBatch(batch []admitted) float64 {
 // it (Policy.DeadlineScale), which moves both the EDF ordering and
 // the stale-drop bound together.
 func (f *fleet) job(stream, frame int, arrive float64, epoch int) sched.Job {
-	j := sched.Job{Stream: stream, Frame: frame, Arrive: arrive, Deadline: arrive, Epoch: epoch}
+	j := sched.Job{Stream: stream, Frame: frame, Arrive: arrive, Deadline: arrive,
+		Class: f.class(stream), Epoch: epoch}
 	if f.cfg.MaxStaleness > 0 {
 		j.Deadline += f.effStale[stream]
 	}
-	if len(f.cfg.Priorities) > 0 {
-		j.Class = f.cfg.Priorities[stream]
-	}
 	return j
+}
+
+// class is the stream's configured priority class (0 without
+// Priorities).
+func (f *fleet) class(stream int) int {
+	if len(f.cfg.Priorities) > 0 {
+		return f.cfg.Priorities[stream]
+	}
+	return 0
 }
 
 // dropPoison charges a poison pill to its stream and sinks it. Pills
@@ -1005,23 +1005,16 @@ func (f *fleet) stats() Stats {
 		_, mode := f.modeOf(s)
 		w.Mode = string(mode)
 	}
+	var tot StreamStats
 	for s := range f.acc {
-		a := &f.acc[s]
-		st.Arrived += a.Arrived
-		st.Served += a.Served
-		st.DroppedQueue += a.DroppedQueue
-		st.DroppedStale += a.DroppedStale
-		st.DroppedPoison += a.DroppedPoison
-		st.Reconnects += a.Reconnects
-		st.FailedOver += a.FailedOver
-		st.Degraded += a.Degraded
+		tot.Add(f.acc[s].StreamStats)
 	}
-	if st.Now > 0 {
-		st.Throughput = float64(st.Served) / st.Now
-	}
-	if st.Arrived > 0 {
-		st.DropRate = float64(st.DroppedQueue+st.DroppedStale) / float64(st.Arrived)
-	}
+	tot.Derive(st.Now, nil)
+	st.Arrived, st.Served = tot.Arrived, tot.Served
+	st.DroppedQueue, st.DroppedStale = tot.DroppedQueue, tot.DroppedStale
+	st.DroppedPoison, st.Reconnects = tot.DroppedPoison, tot.Reconnects
+	st.FailedOver, st.Degraded = tot.FailedOver, tot.Degraded
+	st.Throughput, st.DropRate = tot.Throughput, tot.DropRate
 	return st
 }
 
@@ -1077,9 +1070,9 @@ func (f *fleet) result() *Result {
 		r.ExecutorSeconds = f.capInt
 	}
 	if f.ctrl != nil {
-		// Echo the control-plane identity and totals only for actively
-		// controlled runs: controller-less and nop-controlled results
-		// keep their historical encoding byte for byte.
+		// Echo the control-plane identity and totals only for
+		// controlled runs: controller-less results keep their
+		// historical encoding byte for byte.
 		cc := cfg.Control
 		r.Control = &cc
 		r.ControlTicks = f.controlTicks
@@ -1095,12 +1088,12 @@ func (f *fleet) result() *Result {
 		a := &f.acc[s]
 		row := a.StreamStats
 		row.ID = f.seqs[s].ID
-		row.derive(horizon, a.latencies)
+		row.Derive(horizon, a.latencies)
 		r.PerStream = append(r.PerStream, row)
 		fleetRow.Add(a.StreamStats)
 		all = append(all, a.latencies...)
 	}
-	fleetRow.derive(horizon, all)
+	fleetRow.Derive(horizon, all)
 	r.Fleet = fleetRow
 	if cfg.Scheduler == sched.Priority {
 		r.PerClass = f.perClass(horizon)
@@ -1125,32 +1118,24 @@ func (f *fleet) result() *Result {
 // perClass aggregates the per-stream counters by priority class,
 // highest class first.
 func (f *fleet) perClass(horizon float64) []StreamStats {
-	classOf := func(s int) int {
-		if len(f.cfg.Priorities) > 0 {
-			return f.cfg.Priorities[s]
-		}
-		return 0
-	}
-	classes := map[int]*StreamStats{}
-	var order []int
-	var lats = map[int][]float64{}
+	var classes []int
 	for s := range f.acc {
-		c := classOf(s)
-		row, ok := classes[c]
-		if !ok {
-			row = &StreamStats{ID: fmt.Sprintf("class-%d", c)}
-			classes[c] = row
-			order = append(order, c)
+		if c := f.class(s); !slices.Contains(classes, c) {
+			classes = append(classes, c)
 		}
-		row.Add(f.acc[s].StreamStats)
-		lats[c] = append(lats[c], f.acc[s].latencies...)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	out := make([]StreamStats, 0, len(order))
-	for _, c := range order {
-		row := classes[c]
-		row.derive(horizon, lats[c])
-		out = append(out, *row)
+	sort.Sort(sort.Reverse(sort.IntSlice(classes)))
+	out := make([]StreamStats, len(classes))
+	for i, c := range classes {
+		out[i].ID = fmt.Sprintf("class-%d", c)
+		var lats []float64
+		for s := range f.acc {
+			if f.class(s) == c {
+				out[i].Add(f.acc[s].StreamStats)
+				lats = append(lats, f.acc[s].latencies...)
+			}
+		}
+		out[i].Derive(horizon, lats)
 	}
 	return out
 }

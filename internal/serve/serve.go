@@ -221,9 +221,10 @@ type Config struct {
 	// retunes per-stream policy online — operating mode (full /
 	// cascade / proposal-only, generalizing the binary DegradeDepth
 	// threshold), effective batch size, and EDF deadline budgets. The
-	// zero value is off; Kind "nop" selects a controller that decides
-	// nothing and schedules nothing, reproducing the controller-less
-	// engine byte for byte.
+	// zero value (Kind "") is off: no controller is built, no control
+	// tick is scheduled, and the books are the controller-less engine's
+	// byte for byte — the anchor every adaptive change is measured
+	// against.
 	Control control.Config
 
 	// GPU overrides the timing model; nil means gpumodel.Default().
@@ -498,10 +499,11 @@ func (s *StreamStats) Add(o StreamStats) {
 	s.ModeFull += o.ModeFull
 }
 
-// derive fills the row's derived fields from its counters: throughput
+// Derive fills the row's derived fields from its counters: throughput
 // over the makespan horizon, drop rate, and the summary of the row's
-// latency samples.
-func (s *StreamStats) derive(horizon float64, latencies []float64) {
+// latency samples. Every combined row (fleet, priority class, cluster
+// stream and cluster fleet) derives through it after its Add fold.
+func (s *StreamStats) Derive(horizon float64, latencies []float64) {
 	if horizon > 0 {
 		s.Throughput = float64(s.Served) / horizon
 	}
@@ -572,11 +574,10 @@ type Result struct {
 	Resizes         int     `json:"resizes,omitempty"`
 	ExecutorSeconds float64 `json:"executor_seconds,omitempty"`
 
-	// Adaptive-control bookkeeping, present only when an active
-	// controller ran (controller-less and nop-controlled results keep
-	// their historical encoding byte for byte): the control config,
-	// the number of control ticks fired, and the number of per-stream
-	// mode switches applied.
+	// Adaptive-control bookkeeping, present only when a controller
+	// ran (controller-less results keep their historical encoding
+	// byte for byte): the control config, the number of control ticks
+	// fired, and the number of per-stream mode switches applied.
 	Control      *control.Config `json:"control,omitempty"`
 	ControlTicks int             `json:"control_ticks,omitempty"`
 	ModeSwitches int             `json:"mode_switches,omitempty"`

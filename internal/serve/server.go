@@ -356,13 +356,18 @@ func (s *Server) Submit(stream, frame int, arriveAt float64) error {
 
 // Ingest submits every arrival the source yields, in order, stopping
 // at the first Submit error.
-func (s *Server) Ingest(src Source) error {
+func (s *Server) Ingest(src Source) error { return Ingest(src, s.Submit) }
+
+// Ingest feeds every arrival src yields to submit, in order, stopping
+// at the first error: the one loop behind Server.Ingest and the
+// cluster Router's Ingest.
+func Ingest(src Source, submit func(stream, frame int, at float64) error) error {
 	for {
 		a, ok := src.Next()
 		if !ok {
 			return nil
 		}
-		if err := s.Submit(a.Stream, a.Frame, a.At); err != nil {
+		if err := submit(a.Stream, a.Frame, a.At); err != nil {
 			return err
 		}
 	}

@@ -111,24 +111,25 @@ type StreamWindow struct {
 	Mode string `json:"mode,omitempty"`
 }
 
-// latWindow is a fixed-capacity ring over the most recent served-frame
-// latencies, feeding the sliding-window percentiles of Stats. The
-// window size is stored explicitly because make() may round a slice's
-// capacity up to an allocation size class.
-type latWindow struct {
+// window is a fixed-capacity ring over the most recent samples of one
+// signal — served-frame latencies or arrival instants — feeding the
+// sliding-window views of Stats and the control plane. The window size
+// is stored explicitly because make() may round a slice's capacity up
+// to an allocation size class.
+type window struct {
 	buf []float64
 	max int // window size
 	n   int // total samples ever added
 }
 
-func newLatWindow(capacity int) *latWindow {
+func newWindow(capacity int) *window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &latWindow{buf: make([]float64, 0, capacity), max: capacity}
+	return &window{buf: make([]float64, 0, capacity), max: capacity}
 }
 
-func (w *latWindow) add(v float64) {
+func (w *window) add(v float64) {
 	if len(w.buf) < w.max {
 		w.buf = append(w.buf, v)
 	} else {
@@ -137,48 +138,12 @@ func (w *latWindow) add(v float64) {
 	w.n++
 }
 
-func (w *latWindow) summary() LatencySummary { return Summarize(w.buf) }
+func (w *window) summary() LatencySummary { return Summarize(w.buf) }
 
-// quantiles returns the window's p50 and p99 without building a full
-// summary — the two signals a control tick reads per stream.
-func (w *latWindow) quantiles() (p50, p99 float64) {
-	if len(w.buf) == 0 {
-		return 0, 0
-	}
-	sorted := make([]float64, len(w.buf))
-	copy(sorted, w.buf)
-	sort.Float64s(sorted)
-	return percentile(sorted, 0.50), percentile(sorted, 0.99)
-}
-
-// stampWindow is a fixed-capacity ring over the most recent arrival
-// instants of one stream, feeding the windowed arrival-rate signal.
-type stampWindow struct {
-	buf []float64
-	max int // window size
-	n   int // total stamps ever added
-}
-
-func newStampWindow(capacity int) *stampWindow {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &stampWindow{buf: make([]float64, 0, capacity), max: capacity}
-}
-
-func (w *stampWindow) add(t float64) {
-	if len(w.buf) < w.max {
-		w.buf = append(w.buf, t)
-	} else {
-		w.buf[w.n%w.max] = t
-	}
-	w.n++
-}
-
-// rate is the windowed arrival rate: (count-1) arrivals over the span
-// from the oldest to the newest stamp in the ring, in frames/s. 0
-// until two arrivals have been seen or while the span is zero.
-func (w *stampWindow) rate() float64 {
+// rate reads the ring as arrival stamps: (count-1) arrivals over the
+// span from the oldest to the newest stamp, in frames/s. 0 until two
+// arrivals have been seen or while the span is zero.
+func (w *window) rate() float64 {
 	k := len(w.buf)
 	if k < 2 {
 		return 0

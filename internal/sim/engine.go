@@ -114,13 +114,7 @@ func runSequence(sys core.System, seq *dataset.Sequence) seqShard {
 	sh := seqShard{frames: make([][]geom.Scored, len(seq.Frames))}
 	sys.Reset(seq)
 	for fi := range seq.Frames {
-		out := sys.Step(detector.Frame{
-			SeqID:   seq.ID,
-			Index:   fi,
-			Width:   seq.Width,
-			Height:  seq.Height,
-			Objects: seq.Frames[fi].Objects,
-		})
+		out := sys.Step(detector.FrameOf(seq, fi))
 		sh.frames[fi] = out.Detections
 		sh.ops.Add(out.Ops)
 		sh.nFrames++

@@ -45,15 +45,11 @@ func (r *RunResult) AvgGops() float64 {
 
 // Run executes the system over every sequence of the dataset, resetting
 // per-sequence state in between (tracker state never crosses clips).
-// It is the serial path of the sharded engine: each sequence is
-// accumulated into its own shard and the shards are merged in dataset
-// order, exactly as Engine.RunFactory does, so the two agree bit for bit.
+// It is the one-worker Engine.RunFactory over this one system, so the
+// serial and the parallel paths agree bit for bit.
 func Run(sys core.System, ds *dataset.Dataset) *RunResult {
-	shards := make([]seqShard, len(ds.Sequences))
-	for si := range ds.Sequences {
-		shards[si] = runSequence(sys, &ds.Sequences[si])
-	}
-	return mergeShards(sys.Name(), ds, shards)
+	r, _ := Engine{Workers: 1}.RunFactory(func() (core.System, error) { return sys, nil }, ds) // the factory cannot fail
+	return r
 }
 
 // Evaluation bundles the metric outcomes the tables report.

@@ -212,10 +212,7 @@ func (e Engine) Table7(ds *dataset.Dataset) []TimingRow {
 			var sh timingShard
 			sys.Reset(seq)
 			for fi := range seq.Frames {
-				out := sys.Step(detector.Frame{
-					SeqID: seq.ID, Index: fi, Width: seq.Width, Height: seq.Height,
-					Objects: seq.Frames[fi].Objects,
-				})
+				out := sys.Step(detector.FrameOf(seq, fi))
 				ft := gm.CaTDetFrame(out.Ops.Proposal, out.Regions,
 					float64(seq.Width), float64(seq.Height), refCost, out.NumProposals)
 				sh.gpu += ft.GPU
