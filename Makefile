@@ -66,8 +66,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The full suite under the race detector, then the serving determinism
+# matrices five more times: their background step workers interleave
+# differently on every run, so repeats are what give a race a chance.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism)$$' ./internal/serve
 
 # Per-package statement coverage of the full suite (the golden preset
 # and chaos harnesses push internal/serve; CI runs this as its own job

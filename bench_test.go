@@ -340,14 +340,14 @@ func BenchmarkServeBatched(b *testing.B) {
 	b.ReportMetric(100*res.Fleet.DropRate, "drop_pct")
 }
 
-// BenchmarkServeParallelStep measures the parallel step fan-out: a
-// wide fleet (8 streams on 8 executors, so every dispatch round holds
-// work from many streams) run fully serial (workers=1) and fanned over
-// GOMAXPROCS workers. Outputs are byte-identical by construction
+// BenchmarkServeParallelStep measures the pipelined step: a wide fleet
+// (8 streams on 8 executors) with the engine stepping every frame
+// itself (workers=1) and with GOMAXPROCS-1 background step workers
+// beside it. Outputs are byte-identical by construction
 // (TestDeterminism pins it); the interesting number is the ns/op gap,
-// which on a single-core runner is the fan-out's bookkeeping overhead
-// and on multi-core hardware is the speedup of the real CPU work —
-// stepping detection sessions — that used to run one frame at a time.
+// which on a single-core runner is the step queue's bookkeeping and on
+// multi-core hardware the share of the sessions' stepping that
+// overlaps the event loop.
 func BenchmarkServeParallelStep(b *testing.B) {
 	base := serveBenchConfig()
 	base.Streams = 8

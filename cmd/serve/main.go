@@ -74,7 +74,7 @@ func main() {
 	burstDuty := flag.Float64("burst-duty", 0, "fraction of each burst window that offers load (burst arrivals; 0 = default 0.5)")
 	duration := flag.Float64("duration", 30, "virtual seconds of offered load")
 	executors := flag.Int("executors", 1, "number of GPU executors")
-	stepWorkers := flag.Int("step-workers", 0, "goroutines stepping stream sessions per dispatch round (0 = GOMAXPROCS; any value is byte-identical)")
+	stepWorkers := flag.Int("step-workers", 0, "goroutines stepping stream sessions beside the event loop (0 = GOMAXPROCS; any value is byte-identical)")
 	schedKind := flag.String("sched", "fifo", "scheduler: fifo | fair | priority | edf")
 	batch := flag.Int("batch", 1, "max frames fused into one batched launch")
 	priorities := flag.String("priorities", "", "comma-separated per-stream priority classes (higher first; priority scheduler)")

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -20,26 +18,32 @@ import (
 	"repro/internal/video"
 )
 
-// Event kinds. At equal virtual times completions sort before resizes,
-// resizes before control ticks and control ticks before arrivals, so an
-// executor freed at t can serve a frame arriving at t, a capacity
-// change effective at t governs that frame's dispatch, and a control
-// tick at t observes the fleet after completions and resizes but
-// before the instant's arrivals — the same before-Submit ordering the
-// cluster control plane runs its shard ticks in.
+// Event kinds. At equal virtual times price markers sort first, then
+// completions, resizes, control ticks and arrivals. A marker prices a
+// launch and schedules its completion no earlier than itself, so
+// marking first guarantees that completion is on the agenda before any
+// event at the instant is played. An executor freed at t can then
+// serve a frame arriving at t, a capacity change effective at t
+// governs that frame's dispatch, and a control tick at t observes the
+// fleet after completions and resizes but before the instant's
+// arrivals — the same before-Submit ordering the cluster control plane
+// runs its shard ticks in. A marker is bookkeeping, not a fleet
+// event: it neither advances the clock nor dispatches.
 const (
-	evCompletion = iota
+	evPriced = iota
+	evCompletion
 	evResize
 	evControl
 	evArrival
 )
 
 // event is one entry of the virtual-clock agenda. (t, kind, stream,
-// frame, epoch) is a total order: a stream never has two events of the
-// same kind for the same frame (a batch completion is keyed by its
-// first frame) — except across reset-session reconnects, where frame
-// indices restart and the epoch breaks the tie — so heap order, and
-// with it the whole simulation, is deterministic. arrive is the
+// frame, epoch, execs) is a total order: a stream never has two events
+// of the same kind for the same frame (a launch's price marker and
+// completion are keyed by its first frame) — except across
+// reset-session reconnects, where frame indices restart and the epoch
+// breaks the tie — so pop order does not depend on the heap's layout,
+// and the whole simulation is deterministic. arrive is the
 // frame's arrival stamp: normally equal to t, earlier only for a frame
 // submitted behind the clock (see Server.Submit), whose latency still
 // counts from the true arrival. frame is always the effective (world)
@@ -55,44 +59,84 @@ type event struct {
 	execs int
 }
 
+// before reports whether e plays before o.
+func (e *event) before(o *event) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	if e.kind != o.kind {
+		return e.kind < o.kind
+	}
+	if e.stream != o.stream {
+		return e.stream < o.stream
+	}
+	if e.frame != o.frame {
+		return e.frame < o.frame
+	}
+	if e.epoch != o.epoch {
+		return e.epoch < o.epoch
+	}
+	return e.execs < o.execs
+}
+
+// agenda is a binary min-heap of events under event.before, sifted by
+// hand: container/heap would box every event into an interface on both
+// Push and Pop.
 type agenda []event
 
-func (a agenda) Len() int { return len(a) }
-func (a agenda) Less(i, j int) bool {
-	if a[i].t != a[j].t {
-		return a[i].t < a[j].t
+// add puts e on the agenda.
+func (a *agenda) add(e event) {
+	h := append(*a, e)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
-	if a[i].kind != a[j].kind {
-		return a[i].kind < a[j].kind
-	}
-	if a[i].stream != a[j].stream {
-		return a[i].stream < a[j].stream
-	}
-	if a[i].frame != a[j].frame {
-		return a[i].frame < a[j].frame
-	}
-	if a[i].epoch != a[j].epoch {
-		return a[i].epoch < a[j].epoch
-	}
-	return a[i].execs < a[j].execs
+	*a = h
 }
-func (a agenda) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
-func (a *agenda) Push(x any)   { *a = append(*a, x.(event)) }
-func (a *agenda) Pop() any     { old := *a; n := len(old); e := old[n-1]; *a = old[:n-1]; return e }
-func (a *agenda) add(e event)  { heap.Push(a, e) }
-func (a *agenda) next() event  { return heap.Pop(a).(event) }
+
+// next removes and returns the earliest event; the agenda must not be
+// empty.
+func (a *agenda) next() event {
+	h := *a
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*a = h
+	return top
+}
 
 // admitted is one frame an executor pulled from the scheduler, together
 // with the operating mode resolved at its admission (fleet.modeOf) and,
-// once the step phase has run, the frame's pricing components: its
+// once stepped (stepAdmitted), the frame's pricing components: its
 // full dispatch price, used by per-frame launches (effective batch
 // <= 1), and its workload, which feeds the fused-launch price under
-// batching.
+// batching. Records are reused through fleet.free and never move while
+// a step may write them.
 type admitted struct {
 	job     sched.Job
 	mode    control.Mode
 	service float64 // effective batch <= 1: this frame's dispatch price
 	work    float64 // effective batch > 1: this frame's ops for BatchFrames
+	stepped bool    // set under the step pool's lock once the step ran
 }
 
 // degraded reports the frame ran proposal-only (the refinement pass
@@ -111,16 +155,21 @@ type streamAcc struct {
 // completion event fires so a failAt between dispatch and completion
 // can seize its frames as if the launch never happened. Its n frames
 // are the launch's run within fleet.adm, which keeps the in-flight
-// frames in dispatch order. (t, stream, frame, epoch) mirrors the
-// evCompletion event's identity; batch is the dispatch ordinal the
-// served events carry.
+// frames in dispatch order. at is the dispatch instant and effBatch
+// the effective batch size then, which fix the launch's price form;
+// (stream, frame, epoch) is its head frame, the identity of its price
+// marker and of its completion event at t, set once priced. batch is
+// the dispatch ordinal the served events carry.
 type pendingBatch struct {
-	t      float64
-	stream int
-	frame  int
-	epoch  int
-	batch  int
-	n      int
+	at       float64
+	t        float64
+	stream   int
+	frame    int
+	epoch    int
+	batch    int
+	n        int
+	effBatch int
+	priced   bool
 }
 
 // arrivalTimes precomputes every stream's frame arrival instants within
@@ -226,25 +275,22 @@ type fleet struct {
 	capInt  float64
 	execs0  int // Config.Executors at construction (Result identity)
 
-	// workers is Config.StepWorkers: the fan-out width of the step
-	// phase. poolWork feeds the persistent step workers one active
-	// stream index at a time (started lazily on the first parallel
-	// round, released by closePool); poolWG is the round barrier. adm
-	// holds every in-flight frame in dispatch order, each launch's
+	// workers is Config.StepWorkers and pool the pipelined step (see
+	// stepPool); minService is its lookahead, the virtual time between
+	// a launch's dispatch and its price marker (0: priced at dispatch).
+	// adm holds every in-flight frame in dispatch order, each launch's
 	// frames one contiguous run, and pend the in-flight launches in the
 	// same order (at most the executor count, matched linearly); a
-	// launch reuses their capacity rather than allocating. The
-	// remaining fields are the dispatch round's reused scratch: the
-	// per-stream step groups with the list of active streams, and the
-	// workload vector for batched pricing.
-	workers  int
-	poolWork chan int
-	poolWG   sync.WaitGroup
-	adm      []admitted
-	pend     []pendingBatch
-	byStream [][]*admitted
-	active   []int
-	works    []float64
+	// launch reuses their capacity rather than allocating, and free
+	// holds the admitted records of settled launches for reuse. works
+	// is the reused workload vector for batched pricing.
+	workers    int
+	pool       stepPool
+	minService float64
+	adm        []*admitted
+	free       []*admitted
+	pend       []pendingBatch
+	works      []float64
 
 	sink Sink
 	win  *window
@@ -297,6 +343,8 @@ func newFleet(cfg Config) (*fleet, error) {
 	if cfg.GPU != nil {
 		f.gpu = *cfg.GPU
 	}
+	f.minService = minService(f.gpu, f.cascade)
+	f.initPool(cfg.Streams, cfg.StepWorkers)
 	var err error
 	f.sched, err = sched.New(cfg.Scheduler, sched.Config{
 		Cap:        cfg.QueueCap,
@@ -349,7 +397,7 @@ func newFleet(cfg Config) (*fleet, error) {
 	f.acc = make([]streamAcc, cfg.Streams)
 	// Sized for one single-frame launch per executor, so a fleet that
 	// never batches or resizes never grows them.
-	f.adm = make([]admitted, 0, cfg.Executors)
+	f.adm = make([]*admitted, 0, cfg.Executors)
 	f.pend = make([]pendingBatch, 0, cfg.Executors)
 	f.queued = make([]int, cfg.Streams)
 	f.mode = make([]control.Mode, cfg.Streams)
@@ -384,28 +432,22 @@ func newFleet(cfg Config) (*fleet, error) {
 	return f, nil
 }
 
-// ensureFrame grows stream s's world so frame exists. The grower
-// extends the sequence in place, emitting only the missing frames —
-// frames already served are never touched (generation is
-// prefix-stable), total work over a Server's lifetime is linear in the
-// largest frame index actually submitted (the former
-// regenerate-at-doubled-length scheme redid the whole prefix on every
-// growth, O(n²) total), and memory stays proportional to that index.
-func (f *fleet) ensureFrame(s, frame int) {
-	f.growers[s].Grow(frame + 1)
-}
-
 // advanceTo processes every agenda event up to and including virtual
 // time t, in (t, kind, stream, frame) order.
 func (f *fleet) advanceTo(t float64) {
-	for f.agenda.Len() > 0 && f.agenda[0].t <= t {
+	for len(f.agenda) > 0 && f.agenda[0].t <= t {
 		f.handle(f.agenda.next())
 	}
 }
 
 // handle plays one event: advance the clock, apply the event, then let
-// idle executors pull work.
+// idle executors pull work. A price marker does none of that; it only
+// prices its launch.
 func (f *fleet) handle(e event) {
+	if e.kind == evPriced {
+		f.priceMarked(e)
+		return
+	}
 	f.tick(e.t)
 	switch e.kind {
 	case evArrival:
@@ -567,20 +609,17 @@ func (f *fleet) admit(j sched.Job) {
 }
 
 // dispatch hands queued frames to idle executors until one of the two
-// runs out, in three phases. Phase 1 (serial): gather every batch the
-// round's idle executors can take — up to BatchSize frames each, with
-// the stale-skip and degrade policies applied per frame as it pops —
-// exactly as the serial engine would, since gathering touches only the
-// scheduler and the clock, never the step results. Phase 2 (parallel):
-// step every admitted frame's session, fanned out per stream across
-// StepWorkers goroutines (see stepRound for why this cannot change the
-// output). Phase 3 (serial): price every batch and schedule its
-// completion in gather order, which is the exact event order the
-// serial engine produced. A launch reaches the books only when its
-// completion event fires (settle); until then its frames wait in adm
-// and the launch in pend.
+// runs out. Gathering is serial — up to the effective batch size of
+// frames per launch, with the stale-skip and degrade policies applied
+// per frame as it pops — and touches only the scheduler and the clock,
+// never a step result, so launches are gathered and numbered exactly
+// as the serial engine would. Each launch's frames are queued on the
+// step pool, and the launch is priced when its evPriced marker fires
+// minService later (with no lookahead, right away): only then is its
+// completion event scheduled. A launch reaches the books when that
+// completion fires (settle); until then its frames wait in adm and the
+// launch in pend.
 func (f *fleet) dispatch() {
-	round, launches := len(f.adm), len(f.pend)
 	for f.busy < f.cfg.Executors && f.sched.Len() > 0 {
 		start := len(f.adm)
 		f.gather()
@@ -588,25 +627,63 @@ func (f *fleet) dispatch() {
 			continue // every candidate was stale; re-check the queue
 		}
 		f.busy++
-		f.pend = append(f.pend, pendingBatch{n: len(f.adm) - start})
-	}
-	if len(f.pend) == launches {
-		return
-	}
-	f.stepRound(f.adm[round:])
-	for i := launches; i < len(f.pend); i++ {
-		p := &f.pend[i]
-		batch := f.adm[round : round+p.n]
-		round += p.n
-		service := f.priceBatch(batch)
-		if service > f.maxService {
-			f.maxService = service
-		}
 		f.batches++
-		head := batch[0].job
-		p.t, p.stream, p.frame, p.epoch, p.batch = f.now+service, head.Stream, head.Frame, head.Epoch, f.batches
-		f.agenda.add(event{t: p.t, kind: evCompletion, stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
+		head := f.adm[start].job
+		f.pend = append(f.pend, pendingBatch{
+			at: f.now, stream: head.Stream, frame: head.Frame, epoch: head.Epoch,
+			batch: f.batches, n: len(f.adm) - start, effBatch: f.effBatch,
+		})
+		f.launch(f.adm[start:])
+		if f.minService > 0 {
+			f.agenda.add(event{t: f.now + f.minService, kind: evPriced,
+				stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
+		}
 	}
+	if f.minService <= 0 {
+		f.priceRest()
+	}
+}
+
+// priceMarked prices the launch whose marker just fired: the unpriced
+// launch with the marker's head frame. At most Executors launches are
+// in flight, so the linear match is cheap.
+func (f *fleet) priceMarked(e event) {
+	off := 0
+	for i := range f.pend {
+		p := &f.pend[i]
+		if !p.priced && p.stream == e.stream && p.frame == e.frame && p.epoch == e.epoch {
+			f.price(p, f.adm[off:off+p.n])
+			return
+		}
+		off += p.n
+	}
+}
+
+// priceRest prices every launch still unpriced, in dispatch order.
+func (f *fleet) priceRest() {
+	off := 0
+	for i := range f.pend {
+		p := &f.pend[i]
+		if !p.priced {
+			f.price(p, f.adm[off:off+p.n])
+		}
+		off += p.n
+	}
+}
+
+// price waits for the steps of launch p's frames, prices the launch in
+// the batch form of its dispatch and schedules its completion at
+// dispatch plus service. The completion cannot precede the marker:
+// service >= minService, and adding the same dispatch instant to both
+// is monotone.
+func (f *fleet) price(p *pendingBatch, batch []*admitted) {
+	f.join(batch)
+	service := f.priceBatch(batch, p.effBatch)
+	if service > f.maxService {
+		f.maxService = service
+	}
+	p.t, p.priced = p.at+service, true
+	f.agenda.add(event{t: p.t, kind: evCompletion, stream: p.stream, frame: p.frame, epoch: p.epoch})
 }
 
 // account records a launch's frames as served at its completion instant
@@ -614,9 +691,8 @@ func (f *fleet) dispatch() {
 // EventServed emissions. settle calls it when the completion event
 // fires, so the books, the controller's latency windows and the sink
 // see a frame only once it has actually finished.
-func (f *fleet) account(batch []admitted, done float64, batchNo int) {
-	for i := range batch {
-		adm := &batch[i]
+func (f *fleet) account(batch []*admitted, done float64, batchNo int) {
+	for _, adm := range batch {
 		a := &f.acc[adm.job.Stream]
 		a.Served++
 		if adm.degraded() {
@@ -650,13 +726,15 @@ func (f *fleet) account(batch []admitted, done float64, batchNo int) {
 // live launches — a head frame can only reappear after the launch
 // holding it was seized by failAt, which empties pend first. Removal
 // closes the gap in adm and pend rather than swapping, keeping both in
-// the dispatch order failAt seizes in.
+// the dispatch order failAt seizes in; the launch's admitted records
+// go back to the free list.
 func (f *fleet) settle(e event) {
 	off := 0
 	for i := range f.pend {
 		p := &f.pend[i]
-		if p.t == e.t && p.stream == e.stream && p.frame == e.frame && p.epoch == e.epoch {
+		if p.priced && p.t == e.t && p.stream == e.stream && p.frame == e.frame && p.epoch == e.epoch {
 			f.account(f.adm[off:off+p.n], p.t, p.batch)
+			f.free = append(f.free, f.adm[off:off+p.n]...)
 			f.adm = append(f.adm[:off], f.adm[off+p.n:]...)
 			f.pend = append(f.pend[:i], f.pend[i+1:]...)
 			return
@@ -674,9 +752,14 @@ func (f *fleet) settle(e event) {
 // dispatch-then-queue order — which preserves per-stream frame order,
 // so a caller replaying them elsewhere keeps every stream's timeline
 // monotone — each counted in StreamStats.FailedOver and emitted as an
-// EventFailedOver at the failure instant.
+// EventFailedOver at the failure instant. Launches still waiting for
+// their price marker are joined and priced first, so the sessions have
+// stepped and Result.MaxService counts exactly what the serial engine,
+// which prices at dispatch, would; their completions die with the
+// agenda.
 func (f *fleet) failAt(t float64) []FailedFrame {
 	f.tick(t)
+	f.priceRest()
 	var seized []FailedFrame
 	grab := func(j sched.Job) {
 		f.acc[j.Stream].FailedOver++
@@ -686,9 +769,10 @@ func (f *fleet) failAt(t float64) []FailedFrame {
 		})
 		seized = append(seized, FailedFrame{Stream: j.Stream, Frame: j.Frame, Arrive: j.Arrive, Epoch: j.Epoch})
 	}
-	for i := range f.adm {
-		grab(f.adm[i].job)
+	for _, a := range f.adm {
+		grab(a.job)
 	}
+	f.free = append(f.free, f.adm...)
 	f.adm, f.pend = f.adm[:0], f.pend[:0]
 	for f.sched.Len() > 0 {
 		j, ok := f.sched.Next()
@@ -733,7 +817,9 @@ func (f *fleet) gather() {
 			continue
 		}
 		mode, _ := f.modeOf(j.Stream)
-		f.adm = append(f.adm, admitted{job: j, mode: mode})
+		a := f.newAdmitted()
+		*a = admitted{job: j, mode: mode}
+		f.adm = append(f.adm, a)
 	}
 }
 
@@ -767,162 +853,30 @@ func (f *fleet) pin(s int) control.Mode {
 	return f.pinned[s]
 }
 
-// stepRound runs the round's real CPU work — stepping each admitted
-// frame's detection session and pricing the frame — across StepWorkers
-// goroutines. Determinism survives the fan-out because the work
-// decomposes per stream: each stream's session is private (its own
-// detectors, tracker and scratch), frames of one stream are stepped
-// sequentially in gather order (every scheduler preserves per-stream
-// arrival order), the frame prices depend only on the step output and
-// read-only shared state (gpu model, world dimensions), and phase 3
-// consumes the results in gather order regardless of which worker
-// produced them when. Workers share nothing mutable, so the fan-out is
-// also race-free by construction.
-func (f *fleet) stepRound(round []admitted) {
-	if f.workers <= 1 || len(round) == 1 {
-		for i := range round {
-			f.stepAdmitted(&round[i])
-		}
-		return
+// newAdmitted returns a record from the free list, or a new one.
+func (f *fleet) newAdmitted() *admitted {
+	if n := len(f.free); n > 0 {
+		a := f.free[n-1]
+		f.free = f.free[:n-1]
+		return a
 	}
-	if f.byStream == nil {
-		f.byStream = make([][]*admitted, f.cfg.Streams)
-	}
-	f.active = f.active[:0]
-	for i := range round {
-		s := round[i].job.Stream
-		if len(f.byStream[s]) == 0 {
-			f.active = append(f.active, s)
-		}
-		f.byStream[s] = append(f.byStream[s], &round[i])
-	}
-	if len(f.active) <= 1 {
-		for i := range round {
-			f.stepAdmitted(&round[i])
-		}
-	} else {
-		if f.poolWork == nil {
-			f.startPool()
-		}
-		f.poolWG.Add(len(f.active))
-		for _, s := range f.active {
-			f.poolWork <- s
-		}
-		f.poolWG.Wait()
-	}
-	for _, s := range f.active {
-		f.byStream[s] = f.byStream[s][:0]
-	}
+	return new(admitted)
 }
 
-// startPool launches the persistent step workers, lazily on the first
-// round that has cross-stream work. Rounds are frequent (one per
-// agenda event that frees an executor), so the pool amortizes the
-// goroutine spawn across the fleet's lifetime: a round costs one
-// channel send per active stream plus the WaitGroup barrier. The send
-// happens-before the worker's read of byStream, and poolWG.Wait
-// happens-after every stepAdmitted write, so phase 3 reads the step
-// results race-free. Idle workers block on the channel; closePool
-// releases them.
-func (f *fleet) startPool() {
-	f.poolWork = make(chan int)
-	// Workers range over a captured copy of the channel: reading the
-	// field would race with closePool nilling it, since nothing orders
-	// a worker's startup read against a later Close.
-	work := f.poolWork
-	for w := 0; w < f.workers; w++ {
-		go func() {
-			for s := range work {
-				for _, adm := range f.byStream[s] {
-					f.stepAdmitted(adm)
-				}
-				f.poolWG.Done()
-			}
-		}()
-	}
-}
-
-// closePool releases the step workers. Idempotent; called by
-// Server.Close. A fleet that never went parallel has no pool.
-func (f *fleet) closePool() {
-	if f.poolWork != nil {
-		close(f.poolWork)
-		f.poolWork = nil
-	}
-}
-
-// step advances the frame's stream session. Sessions are stepped in
-// per-stream arrival order (every scheduler preserves it), which keeps
-// the tracker causal; dropped frames are simply never seen, so the
-// tracker coasts across them.
-func (f *fleet) step(j sched.Job) core.FrameOutput {
-	return f.sessions[j.Stream].Step(detector.FrameOf(f.seqs[j.Stream], j.Frame))
-}
-
-// stepAdmitted advances the frame's session and computes its pricing
-// components in place: the full launch-by-launch dispatch price
-// (service, used under effective batch 1) and the frame's total
-// operations for the fused BatchFrames launch (work, used under
-// batching) — both read off one gpumodel.FrameTime. Pricing
-// happens here, at step time, because FrameOutput.Regions aliases the
-// session's scratch and is only valid until that session's next Step —
-// and because the price is a pure function of the step output and
-// read-only state, computing it on the worker is deterministic and
-// parallelizes the region-merge arithmetic for free.
-//
-// Degraded frames are a timing-model shed only: the session still
-// steps in full (the tracker keeps its refinement-fed state) and just
-// the price switches to the proposal-only launch — see
-// Config.DegradeDepth for what that does and does not model.
-func (f *fleet) stepAdmitted(adm *admitted) {
-	if s := adm.job.Stream; adm.job.Epoch != f.sessEpoch[s] {
-		// The stream reconnected under reset-session between this
-		// frame's epoch and the session's: start the new capture
-		// session here, in per-stream step order, so every frame steps
-		// against the session generation that watched it. Safe under
-		// the parallel fan-out — a stream's frames step on one worker.
-		f.sessions[s].Reset(f.seqs[s])
-		f.sessEpoch[s] = adm.job.Epoch
-	}
-	out := f.step(adm.job)
-	seq := f.seqs[adm.job.Stream]
-	// base is the proposal pass a refining cascade frame runs besides
-	// the refinement workload its FrameTime reports; a single-model or
-	// degraded frame's MergedWorkload already is its whole launch.
-	var ft gpumodel.FrameTime
-	base := 0.0
-	switch {
-	case !f.cascade:
-		ft = f.gpu.SingleModelFrame(out.Ops.Refinement)
-	case adm.degraded():
-		ft = f.gpu.ProposalOnlyFrame(out.Ops.Proposal)
-	case adm.mode == control.ModeFull:
-		ft = f.gpu.FullCascadeFrame(out.Ops.Proposal,
-			f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals))
-		base = out.Ops.Proposal
-	default:
-		ft = f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
-			float64(seq.Width), float64(seq.Height), f.refCost, out.NumProposals)
-		base = out.Ops.Proposal
-	}
-	adm.service = ft.Total
-	adm.work = base + ft.MergedWorkload
-}
-
-// priceBatch folds the batch's precomputed step results into the
-// dispatch's service time. A single-frame dispatch under effective
-// batch 1 keeps the per-frame, launch-by-launch pricing of PR 2;
-// larger batches fuse into one launch via gpumodel.Model.BatchFrames.
-// The effective batch size only moves at control ticks, which are
-// agenda events — never mid-dispatch — so gather, step and pricing
-// always agree on the form.
-func (f *fleet) priceBatch(batch []admitted) float64 {
-	if f.effBatch <= 1 {
+// priceBatch folds the batch's step results into the launch's service
+// time, under the effective batch size of its dispatch: a single-frame
+// launch under effective batch 1 keeps the per-frame, launch-by-launch
+// pricing; larger batches fuse into one launch via
+// gpumodel.Model.BatchFrames. A control tick between dispatch and the
+// price marker may move the fleet's effective batch size, so the form
+// is the one recorded at dispatch, where the frames were gathered.
+func (f *fleet) priceBatch(batch []*admitted, effBatch int) float64 {
+	if effBatch <= 1 {
 		return batch[0].service
 	}
 	f.works = f.works[:0]
-	for i := range batch {
-		f.works = append(f.works, batch[i].work)
+	for _, a := range batch {
+		f.works = append(f.works, a.work)
 	}
 	cpu := f.gpu.CPUOverheadCaTDet
 	if !f.cascade {

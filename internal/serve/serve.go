@@ -26,9 +26,10 @@
 // Submit, and drains. Everything runs on a virtual clock; the same
 // Config (seed included) always produces a byte-identical Result, at
 // any executor count, any Config.StepWorkers fan-out — the engine's
-// real CPU work, stepping the per-stream detection sessions, is
-// parallelized across streams within each dispatch round and merged
-// back in deterministic order — and on any machine.
+// real CPU work, stepping the per-stream detection sessions, runs on a
+// step pool beside the event loop, which reads each result only at a
+// virtual time it provably cannot be needed before — and on any
+// machine.
 package serve
 
 import (
@@ -128,18 +129,22 @@ type Config struct {
 	// scheduler (default 1).
 	Executors int
 
-	// StepWorkers is the number of goroutines the engine fans the real
-	// CPU work of a dispatch round — stepping the per-stream detection
-	// sessions — out to (default: GOMAXPROCS). Executors are virtual
-	// (they shape the discrete-event timeline); StepWorkers is what
-	// maps the simulation onto physical cores. Frames gathered in one
-	// round are grouped by stream, streams are stepped concurrently
-	// (sessions are private per stream), per-stream frame order is
-	// preserved, and results merge back in dispatch order — so every
-	// value, including 1 (the fully serial engine), produces
-	// byte-identical Results. Like sim.Engine.Workers it is an
-	// execution knob, not scenario identity, and is never serialized
-	// into the Result.
+	// StepWorkers is the number of goroutines that step the per-stream
+	// detection sessions — the engine's real CPU work (default:
+	// GOMAXPROCS). Executors are virtual (they shape the discrete-event
+	// timeline); StepWorkers is what maps the simulation onto physical
+	// cores. Dispatch queues each admitted frame's step and moves on;
+	// StepWorkers-1 background goroutines and the goroutine running the
+	// engine take steps off the queue, at most 2×StepWorkers of them
+	// outstanding, and never two of one stream at once, so each session
+	// sees its frames in arrival order. A launch is priced when the
+	// virtual clock reaches its dispatch plus the timing model's
+	// smallest possible price (launch overhead plus per-frame CPU
+	// overhead: no completion can come sooner), and only then does the
+	// engine wait for its steps — so every value, including 1 (the
+	// engine steps everything itself), produces byte-identical Results.
+	// Like sim.Engine.Workers it is an execution knob, not scenario
+	// identity, and is never serialized into the Result.
 	StepWorkers int
 
 	// Scheduler selects the queue discipline deciding which waiting

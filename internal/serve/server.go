@@ -245,10 +245,10 @@ func (s *Server) Config() Config { return s.f.cfg }
 // Submit offers one frame of a stream to the fleet at virtual time
 // arriveAt. frame is the stream's wire index: under the default
 // policies it directly indexes the stream's synthetic world (grown on
-// demand, so memory scales with the largest index submitted — bounded
-// by Config.MaxFrame) and must be strictly increasing per stream with
-// nondecreasing arrival times, the per-stream order that keeps the
-// tracker sessions causal.
+// demand when a frame is stepped, so memory scales with the largest
+// index served — bounded by Config.MaxFrame) and must be strictly
+// increasing per stream with nondecreasing arrival times, the
+// per-stream order that keeps the tracker sessions causal.
 //
 // Config.Poison and Config.Reconnect relax the strict contract for
 // faulty inputs. A poison pill — non-finite arriveAt, negative frame,
@@ -348,7 +348,6 @@ func (s *Server) Submit(stream, frame int, arriveAt float64) error {
 		s.f.noteReconnect(stream, eff, arriveAt, epoch)
 	}
 	s.lastFrame[stream], s.lastArrive[stream] = eff, arriveAt
-	s.f.ensureFrame(stream, eff)
 	s.f.agenda.add(event{t: t, kind: evArrival, stream: stream, frame: eff, arrive: arriveAt, epoch: epoch})
 	s.f.advanceTo(t)
 	return nil
@@ -518,7 +517,7 @@ func (s *Server) Drain(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	for s.f.agenda.Len() > 0 {
+	for len(s.f.agenda) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -528,8 +527,9 @@ func (s *Server) Drain(ctx context.Context) (*Result, error) {
 }
 
 // Close marks the server closed — subsequent Submit, Ingest and Drain
-// calls fail with ErrClosed — and releases the engine's step-worker
-// pool. Close does not drain — call Drain first if the backlog's
+// calls fail with ErrClosed — and stops the engine's step workers,
+// returning only once they have exited (a step in progress finishes
+// first). Close does not drain — call Drain first if the backlog's
 // results matter. Closing twice is a no-op.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -1,0 +1,255 @@
+package serve
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/detector"
+	"repro/internal/gpumodel"
+	"repro/internal/serve/control"
+)
+
+// stepPool runs the detection steps of dispatched frames off the event
+// loop. Dispatch queues one task per admitted frame; the engine needs a
+// task's result only when its launch's evPriced marker fires, at least
+// minService of virtual time later, and in the meantime StepWorkers-1
+// background goroutines and the engine itself step the queue.
+//
+// Determinism rests on two rules. A task is taken only when no earlier
+// task of its stream is running — the queue is in dispatch order, so
+// every session steps its frames in per-stream arrival order, exactly
+// as the serial engine would. And a step result is read only after the
+// engine has seen its task finish under mu, so where and when a frame
+// was stepped cannot show in the books.
+//
+// The pool's state is guarded by mu. A task's admitted record is
+// written by whichever goroutine steps it, then handed back to the
+// engine by the stepped flag.
+type stepPool struct {
+	mu sync.Mutex
+	// work parks idle background workers until a task is queued or the
+	// pool closes; done parks the engine while no queued task is
+	// runnable and the step it needs is running on a worker.
+	work, done sync.Cond
+	// queue holds the tasks not yet taken, in dispatch order;
+	// running[s] marks a step of stream s in progress; outstanding
+	// counts queued plus running tasks, capped at limit (2×StepWorkers)
+	// by launch.
+	queue       []*admitted
+	running     []bool
+	outstanding int
+	limit       int
+	idle        int  // background workers parked on work
+	waiting     bool // the engine is parked on done
+	closed      bool
+	started     bool
+	wg          sync.WaitGroup // background workers still running
+}
+
+// initPool prepares the step pool for a fleet of the given streams and
+// StepWorkers. The background workers start with the first launch.
+func (f *fleet) initPool(streams, workers int) {
+	p := &f.pool
+	p.work.L, p.done.L = &p.mu, &p.mu
+	p.running = make([]bool, streams)
+	p.limit = 2 * workers
+}
+
+// minService is the lookahead of the pipelined step: a lower bound on
+// every price the fleet can produce, so a launch dispatched at t
+// completes no earlier than t+minService. Every launch pays the launch
+// overhead b at least once (LaunchTime(w) = Alpha·w + b with w ≥ 0) and
+// the per-frame CPU overhead at least once, and floating-point addition
+// and multiplication by a count ≥ 1 are monotone, so with Alpha,
+// LaunchOverhead and the CPU overhead finite and non-negative every
+// FrameTime.Total and BatchFrames total is ≥ LaunchOverhead +
+// CPUOverhead. Any other model returns 0: no lookahead, so each launch
+// is priced as soon as it is dispatched.
+func minService(m gpumodel.Model, cascade bool) float64 {
+	cpu := m.CPUOverheadCaTDet
+	if !cascade {
+		cpu = m.CPUOverheadSingle
+	}
+	for _, v := range [...]float64{m.Alpha, m.LaunchOverhead, cpu} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return 0
+		}
+	}
+	return m.LaunchOverhead + cpu
+}
+
+// launch queues the steps of a new launch's frames and wakes idle
+// workers for them. Past the outstanding cap the engine works the queue
+// off itself, which bounds both the memory held by unpriced launches
+// and how far the workers can fall behind the event loop.
+func (f *fleet) launch(batch []*admitted) {
+	p := &f.pool
+	if f.workers > 1 && !p.started {
+		f.startPool()
+	}
+	p.mu.Lock()
+	p.queue = append(p.queue, batch...)
+	p.outstanding += len(batch)
+	for i := min(p.idle, len(batch)); i > 0; i-- {
+		p.work.Signal()
+	}
+	for p.outstanding > p.limit {
+		f.help()
+	}
+	p.mu.Unlock()
+}
+
+// join returns once every frame of batch has been stepped. While it
+// waits the engine steps whatever task is runnable — usually one of
+// batch's own — and parks on done only when none is.
+func (f *fleet) join(batch []*admitted) {
+	p := &f.pool
+	p.mu.Lock()
+	for _, a := range batch {
+		for !a.stepped {
+			f.help()
+		}
+	}
+	p.mu.Unlock()
+}
+
+// help makes one unit of progress on the engine, with p.mu held: it
+// steps the first runnable task, or, when no queued task is runnable,
+// parks until a worker finishes one. The engine itself steps nothing
+// while it parks, so some outstanding task is then running on a
+// background worker, and the park always ends.
+func (f *fleet) help() {
+	p := &f.pool
+	if a := p.take(); a != nil {
+		p.mu.Unlock()
+		f.stepAdmitted(a)
+		p.mu.Lock()
+		p.finish(a)
+		return
+	}
+	p.waiting = true
+	p.done.Wait()
+	p.waiting = false
+}
+
+// take removes and returns the first queued task whose stream has no
+// step running, marking the stream running; nil when there is none.
+// The first queued task of a stream is its earliest unstepped frame, so
+// taking it keeps per-stream order.
+func (p *stepPool) take() *admitted {
+	for i, a := range p.queue {
+		if s := a.job.Stream; !p.running[s] {
+			p.running[s] = true
+			p.queue = slices.Delete(p.queue, i, i+1)
+			return a
+		}
+	}
+	return nil
+}
+
+// finish records a stepped task and wakes the engine if it waits.
+func (p *stepPool) finish(a *admitted) {
+	a.stepped = true
+	p.running[a.job.Stream] = false
+	p.outstanding--
+	if p.waiting {
+		p.done.Signal()
+	}
+}
+
+// startPool launches the StepWorkers-1 background step workers; the
+// engine is the last worker. They live until closePool.
+func (f *fleet) startPool() {
+	p := &f.pool
+	p.started = true
+	for w := 1; w < f.workers; w++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			for !p.closed {
+				a := p.take()
+				if a == nil {
+					p.idle++
+					p.work.Wait()
+					p.idle--
+					continue
+				}
+				p.mu.Unlock()
+				f.stepAdmitted(a)
+				p.mu.Lock()
+				p.finish(a)
+			}
+		}()
+	}
+}
+
+// closePool stops the background workers and returns once they have
+// exited: a worker in the middle of a step finishes it first, queued
+// tasks are abandoned. Idempotent; called by Server.Close.
+func (f *fleet) closePool() {
+	p := &f.pool
+	p.mu.Lock()
+	p.closed = true
+	p.work.Broadcast()
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// stepAdmitted advances the frame's stream session and computes its
+// pricing components in place: the full launch-by-launch dispatch price
+// (service, used under effective batch 1) and the frame's total
+// operations for the fused BatchFrames launch (work, used under
+// batching) — both read off one gpumodel.FrameTime. Pricing happens
+// here, at step time, because FrameOutput.Regions aliases the session's
+// scratch and is only valid until that session's next Step — and
+// because the price is a pure function of the step output and read-only
+// state, computing it on a worker is deterministic.
+//
+// The stream's world grows here too, on the goroutine that steps the
+// frame: the grower extends the sequence in place (prefix-stable, so
+// the frames are those a from-scratch generation would emit), and a
+// stream's steps never overlap, so no other goroutine reads the
+// sequence while it grows.
+//
+// Degraded frames are a timing-model shed only: the session still
+// steps in full (the tracker keeps its refinement-fed state) and just
+// the price switches to the proposal-only launch — see
+// Config.DegradeDepth for what that does and does not model.
+func (f *fleet) stepAdmitted(adm *admitted) {
+	s := adm.job.Stream
+	if adm.job.Epoch != f.sessEpoch[s] {
+		// The stream reconnected under reset-session between this
+		// frame's epoch and the session's: start the new capture
+		// session here, in per-stream step order, so every frame steps
+		// against the session generation that watched it.
+		f.sessions[s].Reset(f.seqs[s])
+		f.sessEpoch[s] = adm.job.Epoch
+	}
+	f.growers[s].Grow(adm.job.Frame + 1)
+	seq := f.seqs[s]
+	out := f.sessions[s].Step(detector.FrameOf(seq, adm.job.Frame))
+	// base is the proposal pass a refining cascade frame runs besides
+	// the refinement workload its FrameTime reports; a single-model or
+	// degraded frame's MergedWorkload already is its whole launch.
+	var ft gpumodel.FrameTime
+	base := 0.0
+	switch {
+	case !f.cascade:
+		ft = f.gpu.SingleModelFrame(out.Ops.Refinement)
+	case adm.degraded():
+		ft = f.gpu.ProposalOnlyFrame(out.Ops.Proposal)
+	case adm.mode == control.ModeFull:
+		ft = f.gpu.FullCascadeFrame(out.Ops.Proposal,
+			f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals))
+		base = out.Ops.Proposal
+	default:
+		ft = f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
+			float64(seq.Width), float64(seq.Height), f.refCost, out.NumProposals)
+		base = out.Ops.Proposal
+	}
+	adm.service = ft.Total
+	adm.work = base + ft.MergedWorkload
+}
