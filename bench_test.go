@@ -262,6 +262,23 @@ func BenchmarkEngineTable2(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluate times the metrics layer alone: sim.Evaluate at Hard
+// (mAP and mD@0.8, one matching pass sharded by sequence) over one
+// full KITTI-sim world and one CaTDet (Res10a, Res50) run, both built
+// before the timer starts.
+func BenchmarkEvaluate(b *testing.B) {
+	ds := video.Generate(video.KITTIPreset(), 1)
+	r := sim.Engine{}.MustRun(engineBenchSpec(), ds)
+	var ev sim.Evaluation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev = sim.Evaluate(ds, r, dataset.Hard, sim.Beta)
+	}
+	b.ReportMetric(ev.MAP, "mAP_hard")
+	b.ReportMetric(ev.MeanDelay, "mD08_hard")
+}
+
 // --- Serving benches: the online layer under moderate and heavy load ---
 
 // serveBenchConfig is a small serving scenario on the mini world.

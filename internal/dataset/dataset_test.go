@@ -174,6 +174,25 @@ func TestDifficultyEligible(t *testing.T) {
 	}
 }
 
+// An out-of-range level has the zero spec: no minimum height, and only
+// fully visible, untruncated objects count.
+func TestDifficultyOutOfRangeZeroSpec(t *testing.T) {
+	tiny := Object{Box: geom.NewBox(0, 0, 2, 2)}
+	partly := Object{Box: geom.NewBox(0, 0, 60, 60), Occlusion: PartlyOccluded}
+	cut := Object{Box: geom.NewBox(0, 0, 60, 60), Truncation: 0.01}
+	for _, d := range []Difficulty{-1, Hard + 1, 100} {
+		if h := d.MinHeight(); h != 0 {
+			t.Errorf("%d: MinHeight %v, want 0", d, h)
+		}
+		if !d.Eligible(tiny) {
+			t.Errorf("%d: a 2px clear object must be eligible under the zero spec", d)
+		}
+		if d.Eligible(partly) || d.Eligible(cut) {
+			t.Errorf("%d: occluded or truncated objects must fail the zero spec", d)
+		}
+	}
+}
+
 // Hard must be a superset of Moderate, which must be a superset of Easy.
 func TestDifficultyMonotone(t *testing.T) {
 	objs := []Object{

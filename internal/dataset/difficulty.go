@@ -36,22 +36,34 @@ type difficultySpec struct {
 	maxTruncation float64
 }
 
-var difficultySpecs = map[Difficulty]difficultySpec{
+// difficultySpecs is indexed by Difficulty: the matcher consults it
+// for every object, class and frame it visits, so it is an array, not
+// a map.
+var difficultySpecs = [...]difficultySpec{
 	Easy:     {minHeight: 40, maxOcclusion: FullyVisible, maxTruncation: 0.15},
 	Moderate: {minHeight: 25, maxOcclusion: PartlyOccluded, maxTruncation: 0.30},
 	Hard:     {minHeight: 25, maxOcclusion: LargelyOccluded, maxTruncation: 0.50},
+}
+
+// spec returns the level's thresholds; an out-of-range level gets the
+// zero spec (no minimum height, fully visible and untruncated only).
+func (d Difficulty) spec() difficultySpec {
+	if d < 0 || int(d) >= len(difficultySpecs) {
+		return difficultySpec{}
+	}
+	return difficultySpecs[d]
 }
 
 // MinHeight returns the minimum bounding-box height (pixels) for an
 // object to be evaluated at this difficulty. Detections shorter than
 // this are ignored rather than counted as false positives, matching the
 // official development kit.
-func (d Difficulty) MinHeight() float64 { return difficultySpecs[d].minHeight }
+func (d Difficulty) MinHeight() float64 { return d.spec().minHeight }
 
 // Eligible reports whether the ground-truth object counts towards
 // evaluation at this difficulty.
 func (d Difficulty) Eligible(o Object) bool {
-	spec := difficultySpecs[d]
+	spec := d.spec()
 	if o.Box.Height() < spec.minHeight {
 		return false
 	}

@@ -8,6 +8,9 @@
 package gpumodel
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/geom"
 	"repro/internal/ops"
 )
@@ -37,6 +40,28 @@ func Default() Model {
 		CPUOverheadSingle: 0.034, // 0.193 - 0.159
 		CPUOverheadCaTDet: 0.046,
 	}
+}
+
+// Validate checks that every parameter is finite and non-negative, the
+// premise of every price the model produces: a NaN poisons the clock it
+// is added to, and a negative one runs it backwards. The error is
+// rooted at the field name ("Alpha: ..."), for callers to prefix with
+// the path of their model.
+func (m Model) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", m.Alpha},
+		{"LaunchOverhead", m.LaunchOverhead},
+		{"CPUOverheadSingle", m.CPUOverheadSingle},
+		{"CPUOverheadCaTDet", m.CPUOverheadCaTDet},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s: must be finite and non-negative, got %v", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // LaunchTime returns T = alpha*W + b for one launch of W operations.

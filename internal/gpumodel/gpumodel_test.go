@@ -3,6 +3,7 @@ package gpumodel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -331,5 +332,42 @@ func BenchmarkCaTDetFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frameSink = m.CaTDetFrame(1e9, regions, ops.KITTIWidth, ops.KITTIHeight, cost, 40)
+	}
+}
+
+// Validate accepts finite, non-negative parameters (zero included) and
+// names the first field that is NaN, infinite or negative.
+func TestModelValidate(t *testing.T) {
+	if err := Default().Validate(); err != nil {
+		t.Fatalf("default model rejected: %v", err)
+	}
+	if err := (Model{}).Validate(); err != nil {
+		t.Fatalf("all-zero model rejected: %v", err)
+	}
+	for _, tier := range TierNames() {
+		tr, _ := TierByName(tier)
+		if err := tr.Model().Validate(); err != nil {
+			t.Errorf("tier %s model rejected: %v", tier, err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		spoil func(*Model)
+		field string
+	}{
+		{func(m *Model) { m.Alpha = nan }, "Alpha"},
+		{func(m *Model) { m.Alpha = -1e-13 }, "Alpha"},
+		{func(m *Model) { m.LaunchOverhead = -0.2 }, "LaunchOverhead"},
+		{func(m *Model) { m.LaunchOverhead = inf }, "LaunchOverhead"},
+		{func(m *Model) { m.CPUOverheadSingle = -inf }, "CPUOverheadSingle"},
+		{func(m *Model) { m.CPUOverheadCaTDet = nan }, "CPUOverheadCaTDet"},
+	}
+	for _, tc := range cases {
+		m := Default()
+		tc.spoil(&m)
+		err := m.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.field+": ") {
+			t.Errorf("%+v: error %v, want one rooted at %s", m, err, tc.field)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package metrics
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -13,34 +14,144 @@ type PRPoint struct {
 	Recall    float64
 }
 
+// classIndex is one class's records as the scores of its true and of
+// its false positives, each sorted ascending. AP, the Eq. 5 threshold
+// and the Figure 7 curve walk its distinct scores upward with a cursor
+// and read the counts at or above each: counts at score boundaries
+// only, so how equal scores were ordered cannot change them.
+type classIndex struct {
+	tp, fp []float64
+	numGT  int
+}
+
+// newClassIndex sorts tp and fp in place and indexes them.
+func newClassIndex(tp, fp []float64, numGT int) classIndex {
+	slices.Sort(tp)
+	slices.Sort(fp)
+	return classIndex{tp: tp, fp: fp, numGT: numGT}
+}
+
+// index indexes a copy of the records, leaving r untouched.
+func (r *ClassRecords) index() classIndex {
+	var tp, fp []float64
+	for _, rec := range r.Records {
+		if rec.TP {
+			tp = append(tp, rec.Score)
+		} else {
+			fp = append(fp, rec.Score)
+		}
+	}
+	return newClassIndex(tp, fp, r.NumGT)
+}
+
+// empty reports whether the class has no records.
+func (ci *classIndex) empty() bool { return len(ci.tp)+len(ci.fp) == 0 }
+
+// precision is the precision of tp true and fp false positives: 1.0
+// when there are none, matching PrecisionRecallAt.
+func precision(tp, fp int) float64 {
+	if tp+fp == 0 {
+		return 1
+	}
+	return float64(tp) / float64(tp+fp)
+}
+
+// cursor walks a class's distinct scores upward from the lowest.
+type cursor struct {
+	ci   *classIndex
+	i, j int // records below the current score: ci.tp[:i], ci.fp[:j]
+}
+
+// done reports whether every score has been passed.
+func (c *cursor) done() bool { return c.i == len(c.ci.tp) && c.j == len(c.ci.fp) }
+
+// score returns the lowest score not yet passed; the cursor must not be
+// done.
+func (c *cursor) score() float64 {
+	switch {
+	case c.i == len(c.ci.tp):
+		return c.ci.fp[c.j]
+	case c.j == len(c.ci.fp):
+		return c.ci.tp[c.i]
+	}
+	return math.Min(c.ci.tp[c.i], c.ci.fp[c.j])
+}
+
+// counts returns the true and false positives not yet passed: those
+// scoring at or above any threshold in (the last passed score, score()].
+func (c *cursor) counts() (tp, fp int) { return len(c.ci.tp) - c.i, len(c.ci.fp) - c.j }
+
+// pass moves the cursor past every record scoring <= s.
+func (c *cursor) pass(s float64) {
+	for c.i < len(c.ci.tp) && c.ci.tp[c.i] <= s {
+		c.i++
+	}
+	for c.j < len(c.ci.fp) && c.ci.fp[c.j] <= s {
+		c.j++
+	}
+}
+
+// point returns the curve point at the cursor's score.
+func (c *cursor) point() PRPoint {
+	tp, fp := c.counts()
+	return PRPoint{
+		Threshold: c.score(),
+		Precision: precision(tp, fp),
+		Recall:    float64(tp) / float64(c.ci.numGT),
+	}
+}
+
+// curve returns the precision/recall curve, one point per distinct
+// score in descending-score (increasing-recall) order; nil without
+// records or ground truth.
+func (ci *classIndex) curve() []PRPoint {
+	if ci.empty() || ci.numGT == 0 {
+		return nil
+	}
+	var out []PRPoint
+	for c := (cursor{ci: ci}); !c.done(); c.pass(c.score()) {
+		out = append(out, c.point())
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// ap returns the 11-point interpolated average precision: the mean over
+// recall targets {0, 0.1, ..., 1.0} of the maximum precision at recall
+// >= the target. Walking the scores upward visits the curve in falling
+// recall, so one walk keeps the running maximum precision and settles
+// each target as recall drops below it.
+func (ci *classIndex) ap() float64 {
+	if ci.empty() || ci.numGT == 0 {
+		return 0
+	}
+	var best [11]float64
+	run, k := 0.0, 10
+	for c := (cursor{ci: ci}); !c.done(); c.pass(c.score()) {
+		p := c.point()
+		for ; k >= 0 && p.Recall < float64(k)/10; k-- {
+			best[k] = run
+		}
+		if p.Precision > run {
+			run = p.Precision
+		}
+	}
+	for ; k >= 0; k-- {
+		best[k] = run
+	}
+	sum := 0.0
+	for _, b := range best {
+		sum += b
+	}
+	return sum / 11
+}
+
 // PRCurve computes the precision/recall curve of pooled records, one
 // point per distinct score, in descending-score (increasing-recall)
 // order. An empty record set yields nil.
 func (r *ClassRecords) PRCurve() []PRPoint {
-	if len(r.Records) == 0 || r.NumGT == 0 {
-		return nil
-	}
-	recs := append([]Record(nil), r.Records...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
-	var out []PRPoint
-	tp, fp := 0, 0
-	for i, rec := range recs {
-		if rec.TP {
-			tp++
-		} else {
-			fp++
-		}
-		// Emit a point at each score boundary (last of equal scores).
-		if i+1 < len(recs) && recs[i+1].Score == rec.Score {
-			continue
-		}
-		out = append(out, PRPoint{
-			Threshold: rec.Score,
-			Precision: float64(tp) / float64(tp+fp),
-			Recall:    float64(tp) / float64(r.NumGT),
-		})
-	}
-	return out
+	ci := r.index()
+	return ci.curve()
 }
 
 // PrecisionRecallAt returns the operating point at a score threshold:
@@ -71,37 +182,12 @@ func (r *ClassRecords) PrecisionRecallAt(t float64) (precision, recall float64) 
 // targets {0, 0.1, ..., 1.0} of the maximum precision at recall >= the
 // target.
 func (r *ClassRecords) AP() float64 {
-	curve := r.PRCurve()
-	if curve == nil {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i <= 10; i++ {
-		target := float64(i) / 10
-		best := 0.0
-		for _, p := range curve {
-			if p.Recall >= target && p.Precision > best {
-				best = p.Precision
-			}
-		}
-		sum += best
-	}
-	return sum / 11
+	ci := r.index()
+	return ci.ap()
 }
 
 // MAP evaluates the dataset at a difficulty and returns the mean AP over
 // classes plus the per-class values.
 func MAP(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty) (float64, map[dataset.Class]float64) {
-	records := Collect(ds, dets, diff)
-	perClass := map[dataset.Class]float64{}
-	sum := 0.0
-	for _, c := range ds.Classes {
-		ap := records[c].AP()
-		perClass[c] = ap
-		sum += ap
-	}
-	if len(ds.Classes) == 0 {
-		return 0, perClass
-	}
-	return sum / float64(len(ds.Classes)), perClass
+	return evaluate(ds, dets, diff).MAP()
 }

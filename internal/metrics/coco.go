@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/geom"
-)
+import "repro/internal/dataset"
 
 // The official CityPersons benchmark follows the MS-COCO protocol,
 // "which measures mAP under 10 different IoUs ranging from 0.5 to
@@ -13,24 +10,26 @@ import (
 // CollectAtIoU pools evaluation records at an explicit IoU threshold
 // (instead of the per-class KITTI thresholds).
 func CollectAtIoU(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, iou float64) map[dataset.Class]*ClassRecords {
-	out := map[dataset.Class]*ClassRecords{}
+	var m Matcher
+	for range ds.Classes {
+		m.thresh = append(m.thresh, iou)
+	}
+	out := make(map[dataset.Class]*ClassRecords, len(ds.Classes))
 	for _, c := range ds.Classes {
 		out[c] = &ClassRecords{Class: c}
 	}
 	for si := range ds.Sequences {
 		seq := &ds.Sequences[si]
-		frames := dets[seq.ID]
-		for fi := range seq.Frames {
-			if !seq.Frames[fi].Labeled {
-				continue
+		sh := m.sequence(seq, dets[seq.ID], ds.Classes, diff)
+		for ci, c := range ds.Classes {
+			r := out[c]
+			for _, s := range sh.tp[ci] {
+				r.Records = append(r.Records, Record{Score: s, TP: true})
 			}
-			var fd []geom.Scored
-			if frames != nil && fi < len(frames) {
-				fd = frames[fi]
+			for _, s := range sh.fp[ci] {
+				r.Records = append(r.Records, Record{Score: s})
 			}
-			for _, c := range ds.Classes {
-				matchFrameIoU(seq.Frames[fi].Objects, fd, c, diff, iou, out[c], nil)
-			}
+			r.NumGT += sh.numGT[ci]
 		}
 	}
 	return out

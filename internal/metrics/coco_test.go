@@ -79,8 +79,7 @@ func TestCOCOBelowVOCForNoisyBoxes(t *testing.T) {
 
 func TestExitDelayBasic(t *testing.T) {
 	ds, dets := delayDataset() // track frames 2..9, detected 5..9
-	tracks := CollectTracks(ds, dets, dataset.Hard)
-	tr := tracks[0]
+	tr := &evaluate(ds, dets, dataset.Hard).tracks[0]
 	// Last detection in frame 9 = exit frame: exit delay 0.
 	if got := tr.ExitDelayAt(0.5); got != 0 {
 		t.Fatalf("exit delay = %v, want 0", got)
@@ -105,7 +104,7 @@ func TestExitDelayLostEarly(t *testing.T) {
 		frames[f] = []geom.Scored{d(100, 100, 80, 60, 0.9, 0)}
 	}
 	dets := Detections{"s": frames}
-	tracks := CollectTracks(ds, dets, dataset.Hard)
+	tracks := evaluate(ds, dets, dataset.Hard).tracks
 	if got := tracks[0].ExitDelayAt(0.5); got != 6 {
 		t.Fatalf("exit delay = %v, want 6", got)
 	}
@@ -116,7 +115,7 @@ func TestExitDelayLostEarly(t *testing.T) {
 }
 
 func TestMeanExitDelayNoTracks(t *testing.T) {
-	mean, perClass := MeanExitDelay(nil, []dataset.Class{dataset.Car}, 0.5)
+	mean, perClass := Fold([]dataset.Class{dataset.Car}, nil).meanExitDelay(0.5)
 	if !math.IsNaN(mean) || len(perClass) != 0 {
 		t.Fatalf("empty exit delay = %v / %v", mean, perClass)
 	}

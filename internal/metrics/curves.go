@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-
-	"repro/internal/dataset"
-)
+import "repro/internal/dataset"
 
 // CurvePoint is one operating point of the Figure 7 visualization: how
 // recall and delay trade against precision for a single class.
@@ -15,59 +11,52 @@ type CurvePoint struct {
 	Threshold float64
 }
 
-// DelayRecallCurve reproduces Figure 7 for one class: for each precision
-// target, the threshold achieving (at least) that class precision is
+// Curve reproduces Figure 7 for one class: for each precision target,
+// the smallest threshold achieving (at least) that class precision is
 // located, and recall and mean entry delay are evaluated there. Targets
 // a class precision, not the cross-class mean, matching the per-class
-// panels of the figure.
-func DelayRecallCurve(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty,
-	class dataset.Class, precisionTargets []float64) []CurvePoint {
-
-	records := Collect(ds, dets, diff)
-	r := records[class]
-	if r == nil || len(r.Records) == 0 {
+// panels of the figure. Targets no threshold reaches are skipped; a
+// class without records yields nil.
+func (ev *Evaluation) Curve(class dataset.Class, precisionTargets []float64) []CurvePoint {
+	ci := classPos(ev.classes, class)
+	if ci < 0 || ev.index[ci].empty() {
 		return nil
 	}
-	ci := newClassIndex(r)
-	tracks := CollectTracks(ds, dets, diff)
-	var classTracks []*TrackObservation
-	for _, tr := range tracks {
-		if tr.Class == class && tr.FirstEligible >= 0 {
-			classTracks = append(classTracks, tr)
-		}
-	}
-
-	// Candidate thresholds: the distinct scores, ascending.
-	cand := append([]float64(nil), ci.scores...)
-	sort.Float64s(cand)
-
+	idx := &ev.index[ci]
 	var out []CurvePoint
 	for _, target := range precisionTargets {
-		// Smallest threshold achieving the target precision.
-		t, found := 0.0, false
-		for _, c := range cand {
-			if ci.precisionAt(c) >= target {
-				t, found = c, true
-				break
-			}
+		c := cursor{ci: idx}
+		for !c.done() && precision(c.counts()) < target {
+			c.pass(c.score())
 		}
-		if !found {
+		if c.done() {
 			continue
 		}
-		delaySum := 0.0
-		for _, tr := range classTracks {
-			delaySum += tr.DelayAt(t)
+		t := c.score()
+		delaySum, tracks := 0.0, 0
+		for i := range ev.tracks {
+			if tr := &ev.tracks[i]; tr.Class == class && tr.FirstEligible >= 0 {
+				delaySum += tr.DelayAt(t)
+				tracks++
+			}
 		}
 		delay := 0.0
-		if len(classTracks) > 0 {
-			delay = delaySum / float64(len(classTracks))
+		if tracks > 0 {
+			delay = delaySum / float64(tracks)
 		}
-		out = append(out, CurvePoint{
-			Precision: ci.precisionAt(t),
-			Recall:    ci.recallAt(t),
-			Delay:     delay,
-			Threshold: t,
-		})
+		tp, fp := c.counts()
+		recall := 0.0
+		if idx.numGT > 0 {
+			recall = float64(tp) / float64(idx.numGT)
+		}
+		out = append(out, CurvePoint{Precision: precision(tp, fp), Recall: recall, Delay: delay, Threshold: t})
 	}
 	return out
+}
+
+// DelayRecallCurve is Curve over one evaluation of the dataset at the
+// difficulty.
+func DelayRecallCurve(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty,
+	class dataset.Class, precisionTargets []float64) []CurvePoint {
+	return evaluate(ds, dets, diff).Curve(class, precisionTargets)
 }

@@ -2,15 +2,13 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 )
 
 // TrackObservation summarizes one ground-truth track for the delay
 // metric: when its delay clock starts, when it ends, and the score of
-// the best matching detection in each frame of its life.
+// the best matching detection in each frame of its evaluated life.
 type TrackObservation struct {
 	SeqID   string
 	TrackID int
@@ -23,8 +21,10 @@ type TrackObservation struct {
 	// LastFrame is the last frame the track appears in.
 	LastFrame int
 
-	// FrameScores maps frame index -> best matching detection score.
-	FrameScores map[int]float64
+	// FrameScores[i] is the best matching detection score in frame
+	// FirstEligible+i, NaN when no detection matched the track there.
+	// Frames past the end of the slice had no match either.
+	FrameScores []float64
 }
 
 // DelayAt returns the track's entry delay at detection threshold t: the
@@ -34,128 +34,136 @@ type TrackObservation struct {
 // paper does not specify the never-detected case; this choice penalizes
 // permanent misses and is stated in EXPERIMENTS.md.
 func (tr *TrackObservation) DelayAt(t float64) float64 {
-	for f := tr.FirstEligible; f <= tr.LastFrame; f++ {
-		if s, ok := tr.FrameScores[f]; ok && s >= t {
-			return float64(f - tr.FirstEligible)
+	for i, s := range tr.FrameScores {
+		if s >= t {
+			return float64(i)
 		}
 	}
 	return float64(tr.LastFrame - tr.FirstEligible + 1)
 }
 
-// CollectTracks builds the per-track delay observations. Matching
-// follows the same per-frame greedy rule as the AP metric; the score of
-// the detection matched to each ground-truth object is recorded against
-// its track. Only labeled frames contribute (dense labels are required
-// for a meaningful delay; CityPersons-style sparse sets are evaluated
-// with mAP only, as in the paper).
-func CollectTracks(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty) []*TrackObservation {
-	var out []*TrackObservation
-	for si := range ds.Sequences {
-		seq := &ds.Sequences[si]
-		frames := dets[seq.ID]
-		byID := map[int]*TrackObservation{}
-		var order []int
-
-		for fi := range seq.Frames {
-			if !seq.Frames[fi].Labeled {
-				continue
-			}
-			// Track bookkeeping.
-			for _, o := range seq.Frames[fi].Objects {
-				tr, ok := byID[o.TrackID]
-				if !ok {
-					tr = &TrackObservation{
-						SeqID: seq.ID, TrackID: o.TrackID, Class: o.Class,
-						FirstEligible: -1, FrameScores: map[int]float64{},
-					}
-					byID[o.TrackID] = tr
-					order = append(order, o.TrackID)
-				}
-				tr.LastFrame = fi
-				if tr.FirstEligible < 0 && diff.Eligible(o) {
-					tr.FirstEligible = fi
-				}
-			}
-			// Per-class greedy matching, recording matched scores.
-			var fd []geom.Scored
-			if frames != nil && fi < len(frames) {
-				fd = frames[fi]
-			}
-			for _, c := range ds.Classes {
-				matchTracksInFrame(seq.Frames[fi].Objects, fd, c, diff, fi, byID)
-			}
-		}
-		for _, id := range order {
-			out = append(out, byID[id])
-		}
-	}
-	return out
+// Evaluation is a dataset's matched detections at one difficulty: each
+// class's records sorted once into an index, and every ground-truth
+// track in dataset order. AP, the Eq. 5 threshold, the mean delays and
+// the Figure 7 curves are all read from it.
+type Evaluation struct {
+	classes []dataset.Class
+	index   []classIndex // per class, in classes order
+	tracks  []TrackObservation
 }
 
-// matchTracksInFrame mirrors matchFrame's greedy matching but records
-// the matched detection score per ground-truth track. Eligibility for
-// delay matching is per-frame: an object currently failing the
-// difficulty filter cannot be "detected" yet, matching the metric's
-// definition over evaluated ground truth.
-func matchTracksInFrame(objects []dataset.Object, dets []geom.Scored, class dataset.Class,
-	diff dataset.Difficulty, frame int, byID map[int]*TrackObservation) {
+// Fold concatenates per-sequence shards, in the order given (dataset
+// order), into an Evaluation. Every shard must have been scored with
+// the same classes, in the same order. Per-class sums and the track
+// order depend only on the shard order, never on how the shards were
+// produced, so a parallel scoring folds to the serial result bit for
+// bit.
+func Fold(classes []dataset.Class, shards []Shard) *Evaluation {
+	ev := &Evaluation{classes: classes, index: make([]classIndex, len(classes))}
+	for ci := range classes {
+		var ntp, nfp, numGT int
+		for si := range shards {
+			ntp += len(shards[si].tp[ci])
+			nfp += len(shards[si].fp[ci])
+			numGT += shards[si].numGT[ci]
+		}
+		tp, fp := make([]float64, 0, ntp), make([]float64, 0, nfp)
+		for si := range shards {
+			tp = append(tp, shards[si].tp[ci]...)
+			fp = append(fp, shards[si].fp[ci]...)
+		}
+		ev.index[ci] = newClassIndex(tp, fp, numGT)
+	}
+	n := 0
+	for si := range shards {
+		n += len(shards[si].tracks)
+	}
+	ev.tracks = make([]TrackObservation, 0, n)
+	for si := range shards {
+		ev.tracks = append(ev.tracks, shards[si].tracks...)
+	}
+	return ev
+}
 
-	var eligible []dataset.Object
-	for _, o := range objects {
-		if o.Class == class && diff.Eligible(o) {
-			eligible = append(eligible, o)
-		}
+// MAP returns the mean AP over classes plus the per-class values.
+func (ev *Evaluation) MAP() (float64, map[dataset.Class]float64) {
+	perClass := make(map[dataset.Class]float64, len(ev.classes))
+	sum := 0.0
+	for ci, c := range ev.classes {
+		ap := ev.index[ci].ap()
+		perClass[c] = ap
+		sum += ap
 	}
-	if len(eligible) == 0 {
-		return
+	if len(ev.classes) == 0 {
+		return 0, perClass
 	}
-	var cls []geom.Scored
-	for _, d := range dets {
-		if d.Class == int(class) {
-			cls = append(cls, d)
-		}
+	return sum / float64(len(ev.classes)), perClass
+}
+
+// Threshold solves Eq. 5: the smallest threshold t at which the mean
+// precision over classes reaches beta (smallest t gives the highest
+// recall at that precision). When no threshold reaches beta, the
+// threshold with the highest mean precision is returned; without any
+// record, 1. The candidates are the distinct scores of every class,
+// visited upward with one cursor per class.
+func (ev *Evaluation) Threshold(beta float64) float64 {
+	cur := make([]cursor, len(ev.index))
+	for ci := range cur {
+		cur[ci].ci = &ev.index[ci]
 	}
-	sort.SliceStable(cls, func(i, j int) bool { return cls[i].Score > cls[j].Score })
-	matched := make([]bool, len(eligible))
-	thresh := class.MatchIoU()
-	for _, d := range cls {
-		best, bestIoU := -1, 0.0
-		for i, o := range eligible {
-			if matched[i] {
-				continue
-			}
-			if iou := geom.IoU(d.Box, o.Box); iou > bestIoU {
-				best, bestIoU = i, iou
+	bestT, bestPrec := 1.0, -1.0 // every precision is >= 0: the first candidate replaces them
+	for {
+		t, found := 0.0, false // the lowest score no cursor has passed
+		for ci := range cur {
+			if !cur[ci].done() {
+				if s := cur[ci].score(); !found || s < t {
+					t, found = s, true
+				}
 			}
 		}
-		if best >= 0 && bestIoU >= thresh {
-			matched[best] = true
-			tr := byID[eligible[best].TrackID]
-			if s, ok := tr.FrameScores[frame]; !ok || d.Score > s {
-				tr.FrameScores[frame] = d.Score
-			}
+		if !found {
+			return bestT
+		}
+		sum := 0.0
+		for ci := range cur {
+			sum += precision(cur[ci].counts())
+		}
+		p := sum / float64(len(cur))
+		if p >= beta {
+			return t
+		}
+		if p > bestPrec {
+			bestPrec, bestT = p, t
+		}
+		for ci := range cur {
+			cur[ci].pass(t)
 		}
 	}
 }
 
-// MeanDelay averages DelayAt(t) per class over the evaluable tracks.
-func MeanDelay(tracks []*TrackObservation, classes []dataset.Class, t float64) (float64, map[dataset.Class]float64) {
-	sums := map[dataset.Class]float64{}
-	counts := map[dataset.Class]int{}
-	for _, tr := range tracks {
+// meanOver averages delay(track, t) per class over the evaluable tracks
+// (those that ever pass the difficulty filter), then over the classes
+// that have any; NaN when none do.
+func (ev *Evaluation) meanOver(t float64, delay func(*TrackObservation, float64) float64) (float64, map[dataset.Class]float64) {
+	sums := make([]float64, len(ev.classes))
+	counts := make([]int, len(ev.classes))
+	for i := range ev.tracks {
+		tr := &ev.tracks[i]
 		if tr.FirstEligible < 0 {
 			continue
 		}
-		sums[tr.Class] += tr.DelayAt(t)
-		counts[tr.Class]++
+		if ci := classPos(ev.classes, tr.Class); ci >= 0 {
+			sums[ci] += delay(tr, t)
+			counts[ci]++
+		}
 	}
 	perClass := map[dataset.Class]float64{}
 	total, n := 0.0, 0
-	for _, c := range classes {
-		if counts[c] == 0 {
+	for ci, c := range ev.classes {
+		if counts[ci] == 0 {
 			continue
 		}
-		perClass[c] = sums[c] / float64(counts[c])
+		perClass[c] = sums[ci] / float64(counts[ci])
 		total += perClass[c]
 		n++
 	}
@@ -165,95 +173,10 @@ func MeanDelay(tracks []*TrackObservation, classes []dataset.Class, t float64) (
 	return total / float64(n), perClass
 }
 
-// classIndex supports O(log n) precision queries for one class.
-type classIndex struct {
-	scores []float64 // descending
-	cumTP  []int     // cumTP[i] = TPs among the first i records
-	numGT  int
-}
-
-func newClassIndex(r *ClassRecords) *classIndex {
-	recs := append([]Record(nil), r.Records...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
-	ci := &classIndex{numGT: r.NumGT}
-	ci.scores = make([]float64, len(recs))
-	ci.cumTP = make([]int, len(recs)+1)
-	for i, rec := range recs {
-		ci.scores[i] = rec.Score
-		ci.cumTP[i+1] = ci.cumTP[i]
-		if rec.TP {
-			ci.cumTP[i+1]++
-		}
-	}
-	return ci
-}
-
-// precisionAt returns precision over records with score >= t (1.0 when
-// none qualify, matching PrecisionRecallAt).
-func (ci *classIndex) precisionAt(t float64) float64 {
-	// scores are descending; find count with score >= t.
-	n := sort.Search(len(ci.scores), func(i int) bool { return ci.scores[i] < t })
-	if n == 0 {
-		return 1
-	}
-	return float64(ci.cumTP[n]) / float64(n)
-}
-
-// recallAt returns recall at threshold t.
-func (ci *classIndex) recallAt(t float64) float64 {
-	if ci.numGT == 0 {
-		return 0
-	}
-	n := sort.Search(len(ci.scores), func(i int) bool { return ci.scores[i] < t })
-	return float64(ci.cumTP[n]) / float64(ci.numGT)
-}
-
-// ThresholdForMeanPrecision solves Eq. 5: the smallest threshold t at
-// which the mean precision over classes reaches beta (smallest t gives
-// the highest recall at that precision). When no threshold reaches
-// beta, the threshold with the highest mean precision is returned.
-func ThresholdForMeanPrecision(records map[dataset.Class]*ClassRecords, classes []dataset.Class, beta float64) float64 {
-	indexes := make([]*classIndex, 0, len(classes))
-	var all []float64
-	for _, c := range classes {
-		r := records[c]
-		if r == nil {
-			continue
-		}
-		indexes = append(indexes, newClassIndex(r))
-		for _, rec := range r.Records {
-			all = append(all, rec.Score)
-		}
-	}
-	if len(all) == 0 {
-		return 1
-	}
-	sort.Float64s(all)
-	// Deduplicate candidate thresholds.
-	uniq := all[:0]
-	for i, s := range all {
-		if i == 0 || s != uniq[len(uniq)-1] {
-			uniq = append(uniq, s)
-		}
-	}
-	meanPrec := func(t float64) float64 {
-		sum := 0.0
-		for _, ci := range indexes {
-			sum += ci.precisionAt(t)
-		}
-		return sum / float64(len(indexes))
-	}
-	bestT, bestPrec := uniq[len(uniq)-1], -1.0
-	for _, t := range uniq {
-		p := meanPrec(t)
-		if p >= beta {
-			return t
-		}
-		if p > bestPrec {
-			bestPrec, bestT = p, t
-		}
-	}
-	return bestT
+// MeanDelay averages DelayAt(t) per class over the evaluable tracks,
+// then over classes.
+func (ev *Evaluation) MeanDelay(t float64) (float64, map[dataset.Class]float64) {
+	return ev.meanOver(t, (*TrackObservation).DelayAt)
 }
 
 // MeanDelayAtPrecision computes mD@beta (Eq. 4-5): the detection
@@ -261,9 +184,8 @@ func ThresholdForMeanPrecision(records map[dataset.Class]*ClassRecords, classes 
 // then per-class mean entry delays are averaged. It returns the mean
 // delay, the per-class delays and the chosen threshold.
 func MeanDelayAtPrecision(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, beta float64) (float64, map[dataset.Class]float64, float64) {
-	records := Collect(ds, dets, diff)
-	t := ThresholdForMeanPrecision(records, ds.Classes, beta)
-	tracks := CollectTracks(ds, dets, diff)
-	mean, perClass := MeanDelay(tracks, ds.Classes, t)
+	ev := evaluate(ds, dets, diff)
+	t := ev.Threshold(beta)
+	mean, perClass := ev.MeanDelay(t)
 	return mean, perClass, t
 }

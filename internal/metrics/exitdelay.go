@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"math"
-
-	"repro/internal/dataset"
-)
+import "repro/internal/dataset"
 
 // Exit delay (Section 5): "the actual exit frame minus the predicted
 // exit frame". For a detection system the natural reading is the gap
@@ -19,49 +15,26 @@ import (
 // detected at all is charged its full evaluated lifetime, symmetric
 // with the entry-delay convention.
 func (tr *TrackObservation) ExitDelayAt(t float64) float64 {
-	for f := tr.LastFrame; f >= tr.FirstEligible; f-- {
-		if s, ok := tr.FrameScores[f]; ok && s >= t {
-			return float64(tr.LastFrame - f)
+	for i := len(tr.FrameScores) - 1; i >= 0; i-- {
+		if tr.FrameScores[i] >= t {
+			return float64(tr.LastFrame - (tr.FirstEligible + i))
 		}
 	}
 	return float64(tr.LastFrame - tr.FirstEligible + 1)
 }
 
-// MeanExitDelay averages ExitDelayAt(t) per class over the evaluable
-// tracks, mirroring MeanDelay.
-func MeanExitDelay(tracks []*TrackObservation, classes []dataset.Class, t float64) (float64, map[dataset.Class]float64) {
-	sums := map[dataset.Class]float64{}
-	counts := map[dataset.Class]int{}
-	for _, tr := range tracks {
-		if tr.FirstEligible < 0 {
-			continue
-		}
-		sums[tr.Class] += tr.ExitDelayAt(t)
-		counts[tr.Class]++
-	}
-	perClass := map[dataset.Class]float64{}
-	total, n := 0.0, 0
-	for _, c := range classes {
-		if counts[c] == 0 {
-			continue
-		}
-		perClass[c] = sums[c] / float64(counts[c])
-		total += perClass[c]
-		n++
-	}
-	if n == 0 {
-		return math.NaN(), perClass
-	}
-	return total / float64(n), perClass
+// meanExitDelay averages ExitDelayAt(t) per class over the evaluable
+// tracks, then over classes, mirroring MeanDelay.
+func (ev *Evaluation) meanExitDelay(t float64) (float64, map[dataset.Class]float64) {
+	return ev.meanOver(t, (*TrackObservation).ExitDelayAt)
 }
 
 // MeanExitDelayAtPrecision computes the exit-delay analogue of mD@beta:
 // the threshold is chosen by the same Eq. 5 rule, then per-class mean
 // exit delays are averaged.
 func MeanExitDelayAtPrecision(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, beta float64) (float64, map[dataset.Class]float64, float64) {
-	records := Collect(ds, dets, diff)
-	t := ThresholdForMeanPrecision(records, ds.Classes, beta)
-	tracks := CollectTracks(ds, dets, diff)
-	mean, perClass := MeanExitDelay(tracks, ds.Classes, t)
+	ev := evaluate(ds, dets, diff)
+	t := ev.Threshold(beta)
+	mean, perClass := ev.meanExitDelay(t)
 	return mean, perClass, t
 }

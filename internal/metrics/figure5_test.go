@@ -41,9 +41,10 @@ func TestFigure5WorkedExample(t *testing.T) {
 	}
 	dets := Detections{"fig5": frames}
 
-	records := Collect(ds, dets, dataset.Hard)
-	r := records[dataset.Car]
-	prec, rec := r.PrecisionRecallAt(0)
+	ev := evaluate(ds, dets, dataset.Hard)
+	r := indexOf(ev, dataset.Car)
+	tp, fp := len(r.tp), len(r.fp) // every record scores >= 0
+	prec, rec := precision(tp, fp), float64(tp)/float64(r.numGT)
 	if math.Abs(rec-3.0/5.0) > 1e-9 {
 		t.Fatalf("recall = %v, want 3/5", rec)
 	}
@@ -51,7 +52,7 @@ func TestFigure5WorkedExample(t *testing.T) {
 		t.Fatalf("precision = %v, want 3/7", prec)
 	}
 
-	tracks := CollectTracks(ds, dets, dataset.Hard)
+	tracks := ev.tracks
 	if len(tracks) != 1 {
 		t.Fatalf("tracks = %d", len(tracks))
 	}

@@ -2,11 +2,23 @@
 // Average Precision (VOC 11-point protocol with KITTI difficulty
 // filtering and per-class IoU thresholds) and mean Delay mD@beta
 // (Section 5, Eq. 4-5), plus the precision/recall/delay curves of
-// Figure 7.
+// Figure 7 and the COCO-style IoU sweep.
+//
+// One greedy matcher feeds all of them. A Matcher scores one sequence
+// at a time into a Shard: each class's (score, TP) records, kept as the
+// scores of its true and of its false positives, its ground-truth
+// count, and the sequence's ground-truth tracks with the best matched
+// score in each frame. Fold concatenates shards in dataset order into
+// an Evaluation, which sorts each class's records once and derives AP,
+// the Eq. 5 threshold, the mean delays and the Figure 7 curves from the
+// same per-class index. Shards are independent, so
+// callers may score sequences in parallel; folding in dataset order
+// keeps every result bit-identical to a serial pass.
 package metrics
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -30,111 +42,260 @@ type ClassRecords struct {
 	NumGT   int
 }
 
-// matchFrame evaluates one labeled frame for one class following the
-// KITTI protocol:
+// Shard is one sequence's share of an evaluation: the scores of each
+// class's true and false positives, in the order of the classes it was
+// scored with, its ground-truth count, and the sequence's ground-truth
+// tracks in first-appearance order.
+type Shard struct {
+	tp, fp [][]float64
+	numGT  []int
+	tracks []TrackObservation
+}
+
+// Matcher is the per-frame greedy matcher. It keeps its scratch
+// buffers between frames and sequences, so a warm Matcher matches a
+// frame without allocating. The zero value is ready to use; a Matcher
+// must not be shared between goroutines.
+type Matcher struct {
+	thresh   []float64   // per-class IoU threshold
+	tp, fp   [][]float64 // per-class record scores of the sequence
+	slot     map[int]int32
+	tracks   []TrackObservation
+	objSlot  []int32 // per object of the sequence's labeled frames: its track
+	objElig  []bool  // per object: passes the difficulty filter
+	eligible []int32 // per frame and class: eligible object indices
+	ignored  []int32 // per frame and class: don't-care object indices
+	dets     []geom.Scored
+	matched  []bool
+}
+
+// Sequence scores one sequence at the difficulty with each class's
+// KITTI IoU threshold (Class.MatchIoU). frames holds the sequence's
+// detections, indexed like seq.Frames; it may be shorter, or nil when
+// the system produced nothing for the sequence. Only labeled frames
+// contribute.
+func (m *Matcher) Sequence(seq *dataset.Sequence, frames [][]geom.Scored, classes []dataset.Class, diff dataset.Difficulty) Shard {
+	m.thresh = m.thresh[:0]
+	for _, c := range classes {
+		m.thresh = append(m.thresh, c.MatchIoU())
+	}
+	return m.sequence(seq, frames, classes, diff)
+}
+
+// sequence scores one sequence with the per-class IoU thresholds in
+// m.thresh. A first walk over the labeled frames lays out the tracks
+// (first eligible and last frame, so each track's per-frame scores get
+// their exact span of one per-sequence arena); the second walk matches
+// the frames.
+func (m *Matcher) sequence(seq *dataset.Sequence, frames [][]geom.Scored, classes []dataset.Class, diff dataset.Difficulty) Shard {
+	if m.slot == nil {
+		m.slot = map[int]int32{}
+	}
+	clear(m.slot)
+	m.tracks, m.objSlot, m.objElig = m.tracks[:0], m.objSlot[:0], m.objElig[:0]
+	for fi := range seq.Frames {
+		fr := &seq.Frames[fi]
+		if !fr.Labeled {
+			continue
+		}
+		for oi := range fr.Objects {
+			o := &fr.Objects[oi]
+			s, ok := m.slot[o.TrackID]
+			if !ok {
+				s = int32(len(m.tracks))
+				m.slot[o.TrackID] = s
+				m.tracks = append(m.tracks, TrackObservation{
+					SeqID: seq.ID, TrackID: o.TrackID, Class: o.Class, FirstEligible: -1,
+				})
+			}
+			tr := &m.tracks[s]
+			tr.LastFrame = fi
+			elig := diff.Eligible(*o)
+			if tr.FirstEligible < 0 && elig {
+				tr.FirstEligible = fi
+			}
+			m.objSlot = append(m.objSlot, s)
+			m.objElig = append(m.objElig, elig)
+		}
+	}
+
+	sh := Shard{tracks: slices.Clone(m.tracks), numGT: make([]int, len(classes))}
+	span := 0
+	for i := range sh.tracks {
+		if tr := &sh.tracks[i]; tr.FirstEligible >= 0 {
+			span += tr.LastFrame - tr.FirstEligible + 1
+		}
+	}
+	arena := make([]float64, span)
+	for i := range arena {
+		arena[i] = math.NaN()
+	}
+	for i := range sh.tracks {
+		if tr := &sh.tracks[i]; tr.FirstEligible >= 0 {
+			n := tr.LastFrame - tr.FirstEligible + 1
+			tr.FrameScores, arena = arena[:n:n], arena[n:]
+		}
+	}
+
+	for len(m.tp) < len(classes) {
+		m.tp, m.fp = append(m.tp, nil), append(m.fp, nil)
+	}
+	for ci := range classes {
+		m.tp[ci], m.fp[ci] = m.tp[ci][:0], m.fp[ci][:0]
+	}
+	obj := 0
+	for fi := range seq.Frames {
+		fr := &seq.Frames[fi]
+		if !fr.Labeled {
+			continue
+		}
+		n := len(fr.Objects)
+		m.frame(fr.Objects, m.objSlot[obj:obj+n], m.objElig[obj:obj+n], frameDets(frames, fi), classes, diff, fi, &sh)
+		obj += n
+	}
+	sh.tp, sh.fp = make([][]float64, len(classes)), make([][]float64, len(classes))
+	for ci := range classes {
+		sh.tp[ci], sh.fp[ci] = slices.Clone(m.tp[ci]), slices.Clone(m.fp[ci])
+	}
+	return sh
+}
+
+// frameDets returns frame fi's detections, nil past the end of frames.
+func frameDets(frames [][]geom.Scored, fi int) []geom.Scored {
+	if fi < len(frames) {
+		return frames[fi]
+	}
+	return nil
+}
+
+// classPos returns c's index in classes, or -1.
+func classPos(classes []dataset.Class, c dataset.Class) int {
+	for i, k := range classes {
+		if k == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// byScoreDesc orders detections by descending score. The stable sort
+// keeps equal scores in output order, the tie rule of the greedy match.
+func byScoreDesc(a, b geom.Scored) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return 0
+}
+
+// frame matches one labeled frame for every class following the KITTI
+// protocol:
 //
 //   - ground truth of the class failing the difficulty filter is "don't
 //     care": it is never a false negative, and detections overlapping it
-//     are dropped rather than counted as false positives;
+//     (IoU at least half the threshold) are dropped rather than counted
+//     as false positives;
 //   - detections are matched greedily in descending score order to the
 //     best-IoU unmatched eligible ground truth, requiring the class IoU
-//     (0.7 Car / 0.5 Pedestrian);
+//     threshold (0.7 Car / 0.5 Pedestrian under KITTI);
 //   - unmatched detections shorter than the difficulty's minimum height
 //     are ignored, as in the official development kit.
 //
-// detectedTracks, when non-nil, receives the TrackIDs of ground-truth
-// objects matched in this frame (used by the delay metric).
-func matchFrame(objects []dataset.Object, dets []geom.Scored, class dataset.Class,
-	diff dataset.Difficulty, out *ClassRecords, detectedTracks map[int]bool) {
-	matchFrameIoU(objects, dets, class, diff, class.MatchIoU(), out, detectedTracks)
-}
-
-// matchFrameIoU is matchFrame with an explicit IoU threshold, the
-// primitive the COCO-protocol evaluation sweeps.
-func matchFrameIoU(objects []dataset.Object, dets []geom.Scored, class dataset.Class,
-	diff dataset.Difficulty, thresh float64, out *ClassRecords, detectedTracks map[int]bool) {
-
-	var eligible, ignored []dataset.Object
-	for _, o := range objects {
-		if o.Class != class {
-			continue
-		}
-		if diff.Eligible(o) {
-			eligible = append(eligible, o)
-		} else {
-			ignored = append(ignored, o)
-		}
-	}
-	out.NumGT += len(eligible)
-
-	var cls []geom.Scored
-	for _, d := range dets {
-		if d.Class == int(class) {
-			cls = append(cls, d)
-		}
-	}
-	sort.SliceStable(cls, func(i, j int) bool { return cls[i].Score > cls[j].Score })
-
-	matched := make([]bool, len(eligible))
-	for _, d := range cls {
-		best, bestIoU := -1, 0.0
-		for i, o := range eligible {
-			if matched[i] {
+// Each surviving detection records its score as a true or a false
+// positive of its class. A true positive also raises its track's best
+// score in this frame: eligibility is per frame, so an object failing
+// the filter now cannot be "detected" yet, matching the delay metric's
+// definition over evaluated ground truth. slots and elig give each
+// object's track and eligibility.
+//
+//detlint:allocfree
+func (m *Matcher) frame(objects []dataset.Object, slots []int32, elig []bool, dets []geom.Scored,
+	classes []dataset.Class, diff dataset.Difficulty, fi int, sh *Shard) {
+	minHeight := diff.MinHeight()
+	for ci, c := range classes {
+		eligible, ignored := m.eligible[:0], m.ignored[:0]
+		for oi := range objects {
+			if objects[oi].Class != c {
 				continue
 			}
-			if iou := geom.IoU(d.Box, o.Box); iou > bestIoU {
-				best, bestIoU = i, iou
+			if elig[oi] {
+				eligible = append(eligible, int32(oi))
+			} else {
+				ignored = append(ignored, int32(oi))
 			}
 		}
-		if best >= 0 && bestIoU >= thresh {
-			matched[best] = true
-			out.Records = append(out.Records, Record{Score: d.Score, TP: true})
-			if detectedTracks != nil {
-				detectedTracks[eligible[best].TrackID] = true
-			}
-			continue
-		}
-		// Don't-care handling: overlap with an ignored ground truth.
-		dontCare := false
-		for _, o := range ignored {
-			if geom.IoU(d.Box, o.Box) >= thresh/2 {
-				dontCare = true
-				break
+		m.eligible, m.ignored = eligible, ignored
+		sh.numGT[ci] += len(eligible)
+
+		cls := m.dets[:0]
+		for _, d := range dets {
+			if d.Class == int(c) {
+				cls = append(cls, d)
 			}
 		}
-		if dontCare {
+		m.dets = cls
+		if len(cls) == 0 {
 			continue
 		}
-		// Too-small detections are ignored, not penalized.
-		if d.Box.Height() < diff.MinHeight() {
-			continue
+		slices.SortStableFunc(cls, byScoreDesc)
+
+		matched := m.matched[:0]
+		for range eligible {
+			matched = append(matched, false)
 		}
-		out.Records = append(out.Records, Record{Score: d.Score, TP: false})
+		m.matched = matched
+
+		thresh := m.thresh[ci]
+		for _, d := range cls {
+			best, bestIoU := -1, 0.0
+			for i, oi := range eligible {
+				if matched[i] {
+					continue
+				}
+				if iou := geom.IoU(d.Box, objects[oi].Box); iou > bestIoU {
+					best, bestIoU = i, iou
+				}
+			}
+			if best >= 0 && bestIoU >= thresh {
+				matched[best] = true
+				//detlint:ok per-class scratch keeps its capacity across sequences; it grows only while the Matcher warms up
+				m.tp[ci] = append(m.tp[ci], d.Score)
+				tr := &sh.tracks[slots[eligible[best]]]
+				if k := fi - tr.FirstEligible; math.IsNaN(tr.FrameScores[k]) || d.Score > tr.FrameScores[k] {
+					tr.FrameScores[k] = d.Score
+				}
+				continue
+			}
+			if dontCare(d.Box, objects, ignored, thresh/2) || d.Box.Height() < minHeight {
+				continue
+			}
+			//detlint:ok per-class scratch keeps its capacity across sequences; it grows only while the Matcher warms up
+			m.fp[ci] = append(m.fp[ci], d.Score)
+		}
 	}
 }
 
-// Collect pools the per-frame evaluation records for every class of the
-// dataset at the given difficulty. Only labeled frames contribute.
-func Collect(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty) map[dataset.Class]*ClassRecords {
-	out := map[dataset.Class]*ClassRecords{}
-	for _, c := range ds.Classes {
-		out[c] = &ClassRecords{Class: c}
+// dontCare reports whether box overlaps one of the ignored objects by
+// at least thresh IoU.
+func dontCare(box geom.Box, objects []dataset.Object, ignored []int32, thresh float64) bool {
+	for _, oi := range ignored {
+		if geom.IoU(box, objects[oi].Box) >= thresh {
+			return true
+		}
 	}
+	return false
+}
+
+// evaluate scores every sequence of the dataset on one Matcher and
+// folds the shards: the serial path behind the package-level metrics.
+func evaluate(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty) *Evaluation {
+	var m Matcher
+	shards := make([]Shard, len(ds.Sequences))
 	for si := range ds.Sequences {
 		seq := &ds.Sequences[si]
-		frames := dets[seq.ID]
-		for fi := range seq.Frames {
-			if !seq.Frames[fi].Labeled {
-				continue
-			}
-			var fd []geom.Scored
-			if frames != nil && fi < len(frames) {
-				fd = frames[fi]
-			}
-			for _, c := range ds.Classes {
-				matchFrame(seq.Frames[fi].Objects, fd, c, diff, out[c], nil)
-			}
-		}
+		shards[si] = m.Sequence(seq, dets[seq.ID], ds.Classes, diff)
 	}
-	return out
+	return Fold(ds.Classes, shards)
 }

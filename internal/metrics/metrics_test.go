@@ -20,6 +20,11 @@ func oneFrameDataset(objs ...dataset.Object) *dataset.Dataset {
 	}
 }
 
+// indexOf returns class c's index in the evaluation.
+func indexOf(ev *Evaluation, c dataset.Class) *classIndex {
+	return &ev.index[classPos(ev.classes, c)]
+}
+
 func car(id int, x, y, w, h float64) dataset.Object {
 	return dataset.Object{TrackID: id, Class: dataset.Car, Box: geom.NewBox(x, y, x+w, y+h)}
 }
@@ -34,8 +39,7 @@ func TestPerfectDetectionAP(t *testing.T) {
 		d(100, 100, 80, 60, 0.9, 0),
 		d(400, 100, 80, 60, 0.8, 0),
 	}}}
-	records := Collect(ds, dets, dataset.Hard)
-	ap := records[dataset.Car].AP()
+	ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).ap()
 	if math.Abs(ap-1.0) > 1e-9 {
 		t.Fatalf("perfect AP = %v, want 1", ap)
 	}
@@ -44,8 +48,7 @@ func TestPerfectDetectionAP(t *testing.T) {
 func TestMissedDetectionLowersAP(t *testing.T) {
 	ds := oneFrameDataset(car(1, 100, 100, 80, 60), car(2, 400, 100, 80, 60))
 	dets := Detections{"s": {{d(100, 100, 80, 60, 0.9, 0)}}}
-	records := Collect(ds, dets, dataset.Hard)
-	ap := records[dataset.Car].AP()
+	ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).ap()
 	// Recall caps at 0.5: recall points 0..0.5 have precision 1, the
 	// rest 0 -> AP = 6/11.
 	want := 6.0 / 11
@@ -61,8 +64,7 @@ func TestFalsePositiveLowersAP(t *testing.T) {
 		d(700, 300, 80, 60, 0.95, 0),
 		d(100, 100, 80, 60, 0.9, 0),
 	}}}
-	records := Collect(ds, dets, dataset.Hard)
-	ap := records[dataset.Car].AP()
+	ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).ap()
 	want := 0.5 // max precision at every recall target is 1/2
 	if math.Abs(ap-want) > 1e-9 {
 		t.Fatalf("AP = %v, want %v", ap, want)
@@ -73,8 +75,7 @@ func TestLowIoUDetectionIsFPandFN(t *testing.T) {
 	ds := oneFrameDataset(car(1, 100, 100, 80, 60))
 	// Offset box with IoU ~ 0.32 < 0.7: both an FP and a miss.
 	dets := Detections{"s": {{d(140, 130, 80, 60, 0.9, 0)}}}
-	records := Collect(ds, dets, dataset.Hard)
-	if ap := records[dataset.Car].AP(); ap != 0 {
+	if ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).ap(); ap != 0 {
 		t.Fatalf("AP = %v, want 0", ap)
 	}
 }
@@ -89,8 +90,7 @@ func TestPedestrianUsesLooserIoU(t *testing.T) {
 		t.Fatalf("test setup: IoU = %v, want in (0.5, 0.7)", iou)
 	}
 	dets := Detections{"s": {{{Box: shifted, Score: 0.9, Class: int(dataset.Pedestrian)}}}}
-	records := Collect(ds, dets, dataset.Hard)
-	if ap := records[dataset.Pedestrian].AP(); math.Abs(ap-1) > 1e-9 {
+	if ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Pedestrian).ap(); math.Abs(ap-1) > 1e-9 {
 		t.Fatalf("pedestrian AP = %v, want 1", ap)
 	}
 }
@@ -98,13 +98,13 @@ func TestPedestrianUsesLooserIoU(t *testing.T) {
 func TestClassConfusionNotMatched(t *testing.T) {
 	ds := oneFrameDataset(car(1, 100, 100, 80, 60))
 	dets := Detections{"s": {{d(100, 100, 80, 60, 0.9, int(dataset.Pedestrian))}}}
-	records := Collect(ds, dets, dataset.Hard)
-	if ap := records[dataset.Car].AP(); ap != 0 {
+	ev := evaluate(ds, dets, dataset.Hard)
+	if ap := indexOf(ev, dataset.Car).ap(); ap != 0 {
 		t.Fatalf("car AP = %v, want 0 (wrong-class detection)", ap)
 	}
 	// The pedestrian detection is an FP for its own class... but there
 	// is no pedestrian GT, so AP is 0 with no ground truth.
-	if records[dataset.Pedestrian].NumGT != 0 {
+	if indexOf(ev, dataset.Pedestrian).numGT != 0 {
 		t.Fatal("phantom pedestrian GT")
 	}
 }
@@ -121,17 +121,15 @@ func TestDontCareIgnored(t *testing.T) {
 		d(100, 100, 80, 60, 0.95, 0), // hits the don't-care object
 		d(400, 100, 80, 60, 0.9, 0),  // hits the real object
 	}}}
-	records := Collect(ds, dets, dataset.Moderate)
-	r := records[dataset.Car]
-	if r.NumGT != 1 {
-		t.Fatalf("NumGT = %d, want 1 (occluded is don't-care)", r.NumGT)
+	r := indexOf(evaluate(ds, dets, dataset.Moderate), dataset.Car)
+	if r.numGT != 1 {
+		t.Fatalf("NumGT = %d, want 1 (occluded is don't-care)", r.numGT)
 	}
-	if ap := r.AP(); math.Abs(ap-1) > 1e-9 {
+	if ap := r.ap(); math.Abs(ap-1) > 1e-9 {
 		t.Fatalf("AP = %v, want 1 (don't-care hit must not be FP)", ap)
 	}
 	// At Hard the occluded car becomes real ground truth.
-	recordsHard := Collect(ds, dets, dataset.Hard)
-	if recordsHard[dataset.Car].NumGT != 2 {
+	if indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).numGT != 2 {
 		t.Fatal("Hard should count both cars")
 	}
 }
@@ -142,8 +140,7 @@ func TestTinyDetectionIgnoredNotFP(t *testing.T) {
 		d(100, 100, 80, 60, 0.9, 0),
 		d(700, 300, 30, 15, 0.95, 0), // 15px tall: below Hard's 25px minimum
 	}}}
-	records := Collect(ds, dets, dataset.Hard)
-	if ap := records[dataset.Car].AP(); math.Abs(ap-1) > 1e-9 {
+	if ap := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car).ap(); math.Abs(ap-1) > 1e-9 {
 		t.Fatalf("AP = %v, want 1 (tiny detection must be ignored)", ap)
 	}
 }
@@ -207,11 +204,11 @@ func delayDataset() (*dataset.Dataset, Detections) {
 
 func TestDelayBasic(t *testing.T) {
 	ds, dets := delayDataset()
-	tracks := CollectTracks(ds, dets, dataset.Hard)
+	tracks := evaluate(ds, dets, dataset.Hard).tracks
 	if len(tracks) != 1 {
 		t.Fatalf("tracks = %d", len(tracks))
 	}
-	tr := tracks[0]
+	tr := &tracks[0]
 	if tr.FirstEligible != 2 || tr.LastFrame != 9 {
 		t.Fatalf("span = [%d,%d], want [2,9]", tr.FirstEligible, tr.LastFrame)
 	}
@@ -231,32 +228,35 @@ func TestDelayNeverEligibleExcluded(t *testing.T) {
 			{TrackID: 1, Class: dataset.Car, Box: geom.NewBox(0, 0, 30, 10)},
 		}}}}
 	ds := &dataset.Dataset{Classes: []dataset.Class{dataset.Car}, Sequences: []dataset.Sequence{seq}}
-	tracks := CollectTracks(ds, Detections{}, dataset.Hard)
-	mean, perClass := MeanDelay(tracks, ds.Classes, 0.5)
+	mean, perClass := evaluate(ds, Detections{}, dataset.Hard).MeanDelay(0.5)
 	if !math.IsNaN(mean) || len(perClass) != 0 {
 		t.Fatalf("never-eligible track not excluded: %v %v", mean, perClass)
 	}
 }
 
 func TestThresholdForMeanPrecision(t *testing.T) {
-	records := map[dataset.Class]*ClassRecords{
-		dataset.Car: {Class: dataset.Car, NumGT: 10, Records: []Record{
-			{Score: 0.9, TP: true}, {Score: 0.8, TP: true}, {Score: 0.7, TP: true},
-			{Score: 0.6, TP: false}, {Score: 0.5, TP: true}, {Score: 0.4, TP: false},
-			{Score: 0.3, TP: false}, {Score: 0.2, TP: false},
-		}},
-	}
+	r := &ClassRecords{Class: dataset.Car, NumGT: 10, Records: []Record{
+		{Score: 0.9, TP: true}, {Score: 0.8, TP: true}, {Score: 0.7, TP: true},
+		{Score: 0.6, TP: false}, {Score: 0.5, TP: true}, {Score: 0.4, TP: false},
+		{Score: 0.3, TP: false}, {Score: 0.2, TP: false},
+	}}
 	classes := []dataset.Class{dataset.Car}
-	tr := ThresholdForMeanPrecision(records, classes, 0.8)
+	ev := &Evaluation{classes: classes, index: []classIndex{r.index()}}
+	tr := ev.Threshold(0.8)
 	// At t=0.5: 4 TP, 1 FP -> precision 0.8. Any lower includes more FPs.
 	if math.Abs(tr-0.5) > 1e-9 {
 		t.Fatalf("threshold = %v, want 0.5", tr)
 	}
 	// Unreachable precision falls back to the best available.
-	records[dataset.Car].Records = []Record{{Score: 0.9, TP: false}, {Score: 0.5, TP: true}}
-	tr = ThresholdForMeanPrecision(records, classes, 0.99)
+	r.Records = []Record{{Score: 0.9, TP: false}, {Score: 0.5, TP: true}}
+	ev.index[0] = r.index()
+	tr = ev.Threshold(0.99)
 	if math.Abs(tr-0.5) > 1e-9 {
 		t.Fatalf("fallback threshold = %v, want 0.5 (max precision 0.5)", tr)
+	}
+	// No records at all: the threshold is 1.
+	if tr := Fold(classes, nil).Threshold(0.8); tr != 1 {
+		t.Fatalf("empty threshold = %v, want 1", tr)
 	}
 }
 
@@ -305,10 +305,9 @@ func TestUnlabeledFramesSkipped(t *testing.T) {
 		{d(100, 100, 80, 60, 0.9, 0)},
 		nil,
 	}}
-	records := Collect(ds, dets, dataset.Hard)
-	r := records[dataset.Car]
-	if r.NumGT != 1 || len(r.Records) != 0 {
-		t.Fatalf("unlabeled frame leaked into eval: GT=%d records=%d", r.NumGT, len(r.Records))
+	r := indexOf(evaluate(ds, dets, dataset.Hard), dataset.Car)
+	if r.numGT != 1 || !r.empty() {
+		t.Fatalf("unlabeled frame leaked into eval: GT=%d records=%d", r.numGT, len(r.tp)+len(r.fp))
 	}
 }
 
@@ -334,5 +333,35 @@ func TestAPEmptyRecords(t *testing.T) {
 	r := &ClassRecords{NumGT: 0}
 	if ap := r.AP(); ap != 0 {
 		t.Fatalf("empty AP = %v", ap)
+	}
+}
+
+// A warm Matcher matches a frame without allocating: its scratch is
+// reused, and records land in capacity sized before the frame walk.
+func TestMatcherFrameAllocFree(t *testing.T) {
+	occluded := car(3, 600, 100, 80, 60)
+	occluded.Occlusion = dataset.LargelyOccluded
+	ped := dataset.Object{TrackID: 4, Class: dataset.Pedestrian, Box: geom.NewBox(800, 100, 840, 220)}
+	ds := oneFrameDataset(car(1, 100, 100, 80, 60), car(2, 400, 100, 80, 60), occluded, ped)
+	dets := []geom.Scored{
+		d(100, 100, 80, 60, 0.9, 0), d(402, 100, 80, 60, 0.9, 0), d(101, 100, 80, 60, 0.8, 0),
+		d(600, 100, 80, 60, 0.7, 0), d(700, 300, 30, 15, 0.6, 0), d(900, 300, 60, 60, 0.5, 0),
+		d(800, 100, 40, 120, 0.9, 1), d(805, 105, 40, 120, 0.4, 1),
+	}
+	seq := &ds.Sequences[0]
+	var m Matcher
+	sh := m.Sequence(seq, [][]geom.Scored{dets}, ds.Classes, dataset.Hard)
+	objects := seq.Frames[0].Objects
+	allocs := testing.AllocsPerRun(100, func() {
+		for ci := range m.tp {
+			m.tp[ci], m.fp[ci] = m.tp[ci][:0], m.fp[ci][:0]
+		}
+		m.frame(objects, m.objSlot, m.objElig, dets, ds.Classes, dataset.Hard, 0, &sh)
+	})
+	if allocs != 0 {
+		t.Fatalf("frame allocates %v times per call, want 0", allocs)
+	}
+	if n := len(m.tp[0]) + len(m.fp[0]) + len(m.tp[1]) + len(m.fp[1]); n == 0 {
+		t.Fatal("no records: the frame matched nothing")
 	}
 }

@@ -120,9 +120,10 @@ func TestDelayMonotoneInThreshold(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &TrackObservation{
 			Class: dataset.Car, FirstEligible: 0, LastFrame: 20,
-			FrameScores: map[int]float64{},
+			FrameScores: make([]float64, 21),
 		}
-		for fi := 0; fi <= 20; fi++ {
+		for fi := range tr.FrameScores {
+			tr.FrameScores[fi] = math.NaN()
 			if rng.Float64() < 0.5 {
 				tr.FrameScores[fi] = rng.Float64()
 			}
@@ -150,10 +151,11 @@ func TestEntryExitDelayConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &TrackObservation{
 			Class: dataset.Car, FirstEligible: 0, LastFrame: 15,
-			FrameScores: map[int]float64{},
+			FrameScores: make([]float64, 16),
 		}
 		detected := false
-		for fi := 0; fi <= 15; fi++ {
+		for fi := range tr.FrameScores {
+			tr.FrameScores[fi] = math.NaN()
 			if rng.Float64() < 0.4 {
 				tr.FrameScores[fi] = 0.9
 				detected = true

@@ -252,11 +252,7 @@ func (r *Router) newShard(tierName string, bornAt float64) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := gpumodel.Default()
-	if r.cfg.Base.GPU != nil {
-		model = *r.cfg.Base.GPU
-	}
-	model = tier.Apply(model)
+	model := r.cfg.tierModel(tier)
 	sh := &shard{tier: tier, alive: true, bornAt: bornAt, lastMig: math.Inf(-1)}
 	cfg := r.cfg.Base
 	cfg.Sink = shardSink{r: r, sh: sh, idx: len(r.shards)}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gpumodel"
 	"repro/internal/serve"
 	"repro/internal/serve/control"
 	"repro/internal/sim"
@@ -351,6 +352,36 @@ func TestClusterValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("Migration %+v: error %v, want one naming %s", tc.m, err, tc.field)
 		}
+	}
+	// Every tier's timing model is validated: the base model's own
+	// check runs under Base, and a slow tier can overflow a huge but
+	// finite launch overhead.
+	huge := gpumodel.Default()
+	huge.LaunchOverhead = 1e308
+	nan := gpumodel.Default()
+	nan.Alpha = math.NaN()
+	withGPU := func(m gpumodel.Model) serve.Config {
+		b := baseConfig()
+		b.GPU = &m
+		return b
+	}
+	tiered := []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Base: withGPU(nan)}, "serve/cluster: Base: serve: GPU.Alpha"},
+		{Config{Base: withGPU(huge), Shards: 1, GPUTiers: []string{"k80"}}, "serve/cluster: GPUTiers[0]: k80 model: LaunchOverhead"},
+		{Config{Base: withGPU(huge), Faults: FaultPlan{Faults: []Fault{{Time: 1, Kind: FaultAddShard, Tier: "k80"}}}},
+			"serve/cluster: Faults.Faults[0].Tier: k80 model: LaunchOverhead"},
+	}
+	for _, tc := range tiered {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("error %v, want one naming %s", err, tc.field)
+		}
+	}
+	if err := (Config{Base: withGPU(huge)}).Validate(); err != nil {
+		t.Errorf("a huge overhead on the reference tier is still finite, but was rejected: %v", err)
 	}
 	if err := (Config{Base: baseConfig()}).Validate(); err != nil {
 		t.Errorf("default cluster config rejected: %v", err)

@@ -297,7 +297,7 @@ func (c Config) validate() error {
 		return fail("GPUTiers", "len %d != Shards %d (or 1 for a homogeneous cluster)", len(c.GPUTiers), c.Shards)
 	}
 	for i, name := range c.GPUTiers {
-		if _, err := gpumodel.TierByName(name); err != nil {
+		if err := c.checkTier(name); err != nil {
 			return fail(fmt.Sprintf("GPUTiers[%d]", i), "%v", err)
 		}
 	}
@@ -359,7 +359,7 @@ func (c Config) validate() error {
 				}
 			case FaultAddShard:
 				if ft.Tier != "" {
-					if _, err := gpumodel.TierByName(ft.Tier); err != nil {
+					if err := c.checkTier(ft.Tier); err != nil {
 						return fail(field+".Tier", "%v", err)
 					}
 				}
@@ -374,6 +374,30 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// checkTier resolves a catalog tier and validates the timing model a
+// shard on it would run: a valid base model can still overflow when a
+// slow tier rescales it.
+func (c Config) checkTier(name string) error {
+	tier, err := gpumodel.TierByName(name)
+	if err != nil {
+		return err
+	}
+	if err := c.tierModel(tier).Validate(); err != nil {
+		return fmt.Errorf("%s model: %w", name, err)
+	}
+	return nil
+}
+
+// tierModel is the timing model of a shard on the tier: the base model
+// (gpumodel.Default when Base.GPU is nil) rescaled by the tier.
+func (c Config) tierModel(tier gpumodel.Tier) gpumodel.Model {
+	m := gpumodel.Default()
+	if c.Base.GPU != nil {
+		m = *c.Base.GPU
+	}
+	return tier.Apply(m)
 }
 
 // controlled reports whether any control policy needs the tick grid.

@@ -421,6 +421,11 @@ func (c Config) validate() error {
 	if c.Chaos.PoisonRate > 0 && c.Poison != PoisonDrop {
 		return fail("Chaos.PoisonRate", "injected pills need Poison %q, not %q", PoisonDrop, c.Poison)
 	}
+	if c.GPU != nil {
+		if err := c.GPU.Validate(); err != nil {
+			return fmt.Errorf("serve: GPU.%w", err)
+		}
+	}
 	if err := c.Control.Validate(); err != nil {
 		// control.Config.Validate already roots its message at
 		// "Control.<Field>"; prefix the package path like every other

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gpumodel"
 	"repro/internal/serve/control"
 )
 
@@ -390,6 +391,10 @@ func TestValidateFieldPaths(t *testing.T) {
 		{func(c *Config) { c.Chaos.ClockSkew = math.Inf(1) }, "serve: Chaos.ClockSkew: must be non-negative and finite"},
 		{func(c *Config) { c.Chaos.PoisonRate = math.NaN() }, "serve: Chaos.PoisonRate: outside [0,1]"},
 		{func(c *Config) { c.Control = control.Config{Kind: control.KindBaseline, Interval: math.NaN()} }, "serve: Control.Interval: control tick must be positive"},
+		// A NaN Alpha served no frame and broke conservation; a negative
+		// launch overhead priced frames below zero.
+		{func(c *Config) { m := gpumodel.Default(); m.Alpha = math.NaN(); c.GPU = &m }, "serve: GPU.Alpha: must be finite and non-negative"},
+		{func(c *Config) { m := gpumodel.Default(); m.LaunchOverhead = -0.2; c.GPU = &m }, "serve: GPU.LaunchOverhead: must be finite and non-negative"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()

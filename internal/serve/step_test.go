@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,51 +99,70 @@ func TestLookaheadBound(t *testing.T) {
 
 // TestLookaheadFallback pins the models outside the lemma's premises —
 // a negative or NaN Alpha, launch overhead or CPU overhead, or an
-// infinite one — to minService 0, where every launch is priced at
-// dispatch: the books and the sink events are then byte-identical at
-// every StepWorkers. A NaN price poisons the clock, so the books are
-// compared in their %+v form, which prints NaN, rather than as JSON.
+// infinite one — to minService 0, and to a Validate error carrying the
+// model's field path, so they never reach a run. The one valid model
+// without a lookahead, all parameters zero, prices every launch at
+// dispatch: its books and sink events are byte-identical at every
+// StepWorkers.
 func TestLookaheadFallback(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	def := gpumodel.Default()
-	bad := map[string]func(*gpumodel.Model){
-		"alpha<0":   func(m *gpumodel.Model) { m.Alpha = -1e-13 },
-		"alpha=NaN": func(m *gpumodel.Model) { m.Alpha = nan },
-		"b<0":       func(m *gpumodel.Model) { m.LaunchOverhead = -0.01 },
-		"b=NaN":     func(m *gpumodel.Model) { m.LaunchOverhead = nan },
-		"b=+Inf":    func(m *gpumodel.Model) { m.LaunchOverhead = inf },
-		"cpu<0":     func(m *gpumodel.Model) { m.CPUOverheadCaTDet = -0.02 },
-		"cpu=NaN":   func(m *gpumodel.Model) { m.CPUOverheadCaTDet = nan },
+	bad := map[string]struct {
+		spoil func(*gpumodel.Model)
+		field string
+	}{
+		"alpha<0":   {func(m *gpumodel.Model) { m.Alpha = -1e-13 }, "GPU.Alpha"},
+		"alpha=NaN": {func(m *gpumodel.Model) { m.Alpha = nan }, "GPU.Alpha"},
+		"b<0":       {func(m *gpumodel.Model) { m.LaunchOverhead = -0.01 }, "GPU.LaunchOverhead"},
+		"b=NaN":     {func(m *gpumodel.Model) { m.LaunchOverhead = nan }, "GPU.LaunchOverhead"},
+		"b=+Inf":    {func(m *gpumodel.Model) { m.LaunchOverhead = inf }, "GPU.LaunchOverhead"},
+		"cpu<0":     {func(m *gpumodel.Model) { m.CPUOverheadCaTDet = -0.02 }, "GPU.CPUOverheadCaTDet"},
+		"cpu=NaN":   {func(m *gpumodel.Model) { m.CPUOverheadCaTDet = nan }, "GPU.CPUOverheadCaTDet"},
 	}
-	for name, spoil := range bad {
+	for name, tc := range bad {
 		t.Run(name, func(t *testing.T) {
 			m := def
-			spoil(&m)
+			tc.spoil(&m)
 			if ms := minService(m, true); ms != 0 {
 				t.Fatalf("minService %v, want 0", ms)
 			}
-			run := func(workers int) (string, []Event) {
-				cfg := goldenConfig()
-				cfg.Executors = 2
-				cfg.BatchSize = 2
-				cfg.GPU = &m
-				cfg.StepWorkers = workers
-				log := &eventLog{}
-				cfg.Sink = log
-				return fmt.Sprintf("%+v", *mustRun(t, cfg)), log.events
+			cfg := goldenConfig()
+			cfg.GPU = &m
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), "serve: "+tc.field+":") {
+				t.Fatalf("Validate error %v, want one naming %s", err, tc.field)
 			}
-			serial, serialEvents := run(1)
-			for _, workers := range []int{2, 4} {
-				par, parEvents := run(workers)
-				if par != serial {
-					t.Errorf("StepWorkers=%d books differ from serial\nserial:   %s\nparallel: %s", workers, serial, par)
-				}
-				if fmt.Sprint(parEvents) != fmt.Sprint(serialEvents) {
-					t.Errorf("StepWorkers=%d sink events differ from serial", workers)
-				}
+			if _, err := New(cfg); err == nil {
+				t.Fatal("New accepted a model Validate rejects")
 			}
 		})
 	}
+	t.Run("zero", func(t *testing.T) {
+		var m gpumodel.Model
+		if ms := minService(m, true); ms != 0 {
+			t.Fatalf("minService %v, want 0", ms)
+		}
+		run := func(workers int) (string, []Event) {
+			cfg := goldenConfig()
+			cfg.Executors = 2
+			cfg.BatchSize = 2
+			cfg.GPU = &m
+			cfg.StepWorkers = workers
+			log := &eventLog{}
+			cfg.Sink = log
+			return string(marshal(t, mustRun(t, cfg))), log.events
+		}
+		serial, serialEvents := run(1)
+		for _, workers := range []int{2, 4} {
+			par, parEvents := run(workers)
+			if par != serial {
+				t.Errorf("StepWorkers=%d books differ from serial\nserial:   %s\nparallel: %s", workers, serial, par)
+			}
+			if fmt.Sprint(parEvents) != fmt.Sprint(serialEvents) {
+				t.Errorf("StepWorkers=%d sink events differ from serial", workers)
+			}
+		}
+	})
 }
 
 // runPriced runs cfg through the schedule replay of Run, with or

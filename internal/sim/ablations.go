@@ -35,7 +35,7 @@ func (e Engine) Ablations(ds *dataset.Dataset) []AblationRow {
 		cfg := core.DefaultConfig()
 		cfg.Tracker = &tcfg
 		r := e.MustRun(SystemSpec{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: cfg}, ds)
-		ev := Evaluate(ds, r, dataset.Hard, Beta)
+		ev := e.evaluate(ds, r, dataset.Hard, Beta)
 		return AblationRow{Variant: name, MAPHard: ev.MAP, MD08: ev.MeanDelay, Gops: r.AvgGops()}
 	}
 	return []AblationRow{

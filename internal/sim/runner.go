@@ -66,14 +66,35 @@ type Evaluation struct {
 }
 
 // Evaluate computes mAP and (for densely labeled datasets) mD@beta for a
-// run at the given difficulty.
+// run at the given difficulty. Sequences are matched on the zero
+// Engine's pool, GOMAXPROCS workers, and folded in dataset order, so
+// the result is the same for every worker count.
 func Evaluate(ds *dataset.Dataset, r *RunResult, diff dataset.Difficulty, beta float64) Evaluation {
+	return Engine{}.evaluate(ds, r, diff, beta)
+}
+
+// evaluate is Evaluate on this engine's worker pool.
+func (e Engine) evaluate(ds *dataset.Dataset, r *RunResult, diff dataset.Difficulty, beta float64) Evaluation {
+	scores := e.score(ds, r.Detections, diff)
 	ev := Evaluation{Beta: beta}
-	ev.MAP, ev.PerClassAP = metrics.MAP(ds, r.Detections, diff)
+	ev.MAP, ev.PerClassAP = scores.MAP()
 	if ds.NumLabeledFrames() == ds.NumFrames() && ds.NumFrames() > 0 {
-		ev.MeanDelay, ev.PerClassDelay, ev.Threshold = metrics.MeanDelayAtPrecision(ds, r.Detections, diff, beta)
+		ev.Threshold = scores.Threshold(beta)
+		ev.MeanDelay, ev.PerClassDelay = scores.MeanDelay(ev.Threshold)
 	} else {
 		ev.MeanDelay = math.NaN()
 	}
 	return ev
+}
+
+// score matches every sequence's detections on this engine's worker
+// pool, one metrics.Matcher per worker, and folds the per-sequence
+// shards in dataset order.
+func (e Engine) score(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty) *metrics.Evaluation {
+	shards, _ := mapSequences(e, ds, // the worker constructor cannot fail
+		func() (*metrics.Matcher, error) { return new(metrics.Matcher), nil },
+		func(m *metrics.Matcher, seq *dataset.Sequence) metrics.Shard {
+			return m.Sequence(seq, dets[seq.ID], ds.Classes, diff)
+		})
+	return metrics.Fold(ds.Classes, shards)
 }

@@ -60,8 +60,8 @@ func (e Engine) Table2(ds *dataset.Dataset) []MainRow {
 	var rows []MainRow
 	for _, spec := range table2Specs() {
 		r := e.MustRun(spec, ds)
-		evM := Evaluate(ds, r, dataset.Moderate, Beta)
-		evH := Evaluate(ds, r, dataset.Hard, Beta)
+		evM := e.evaluate(ds, r, dataset.Moderate, Beta)
+		evH := e.evaluate(ds, r, dataset.Hard, Beta)
 		rows = append(rows, MainRow{
 			System:       r.SystemName,
 			Gops:         r.AvgGops(),
@@ -117,7 +117,7 @@ type StudyRow struct {
 // difficulty.
 func (e Engine) studyRow(ds *dataset.Dataset, spec SystemSpec, model, setting string, diff dataset.Difficulty) StudyRow {
 	r := e.MustRun(spec, ds)
-	ev := Evaluate(ds, r, diff, Beta)
+	ev := e.evaluate(ds, r, diff, Beta)
 	return StudyRow{Model: model, Setting: setting, MAP: ev.MAP, MD08: ev.MeanDelay, Gops: r.AvgGops()}
 }
 
@@ -163,7 +163,7 @@ func (e Engine) Table6(ds *dataset.Dataset) []CityRow {
 		r := e.MustRun(spec, ds)
 		// CityPersons is evaluated with the VOC protocol on Person;
 		// the Hard filter admits every reasonably-sized box.
-		ev := Evaluate(ds, r, dataset.Hard, Beta)
+		ev := e.evaluate(ds, r, dataset.Hard, Beta)
 		rows = append(rows, CityRow{System: r.SystemName, MAP: ev.MAP, Gops: r.AvgGops()})
 	}
 	return rows
@@ -280,7 +280,7 @@ func (e Engine) Figure6(ds *dataset.Dataset, cthreshs []float64) []SweepPoint {
 					kind = Cascaded
 				}
 				r := e.MustRun(SystemSpec{Kind: kind, Proposal: model, Refinement: "resnet50", Cfg: cfg}, ds)
-				ev := Evaluate(ds, r, dataset.Hard, Beta)
+				ev := e.evaluate(ds, r, dataset.Hard, Beta)
 				pts = append(pts, SweepPoint{
 					Model: model, Tracker: withTracker, CThresh: ct,
 					MAP: ev.MAP, MD08: ev.MeanDelay, Gops: r.AvgGops(),
@@ -299,9 +299,10 @@ func (e Engine) Figure7(ds *dataset.Dataset) map[dataset.Class][]metrics.CurvePo
 	for p := 0.5; p <= 1.0001; p += 0.02 {
 		targets = append(targets, p)
 	}
+	scores := e.score(ds, r.Detections, dataset.Hard)
 	out := map[dataset.Class][]metrics.CurvePoint{}
 	for _, c := range ds.Classes {
-		out[c] = metrics.DelayRecallCurve(ds, r.Detections, dataset.Hard, c, targets)
+		out[c] = scores.Curve(c, targets)
 	}
 	return out
 }
