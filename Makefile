@@ -139,9 +139,10 @@ cluster-determinism:
 # Byte-identical merged books with shard kills, revivals and every
 # failover policy live, across shard counts and step-worker fan-outs
 # under the race detector — plus the empty-FaultPlan golden byte
-# identity (the fault machinery must be free when unused).
+# identity (the fault machinery must be free when unused) and the live
+# Stats fleet row reconciling with the merged books under each policy.
 cluster-failover:
-	$(GO) test -race -run '^(TestFailoverDeterminism|TestNoFaultPlanMatchesCluster)$$' -v ./internal/serve/cluster/
+	$(GO) test -race -run '^(TestFailoverDeterminism|TestNoFaultPlanMatchesCluster|TestStatsMatchResult)$$' -v ./internal/serve/cluster/
 
 # CPU and heap profiles of the serving hot path (see PROFILE_BENCH).
 # Inspect with: go tool pprof -top cpu.prof

@@ -108,8 +108,8 @@ func TestFacadeServerPath(t *testing.T) {
 			}
 		}
 	}
-	if st := srv.Stats(); st.Arrived != 60 {
-		t.Fatalf("live stats saw %d arrivals, submitted 60", st.Arrived)
+	if st := srv.Stats(); st.Fleet.Arrived != 60 {
+		t.Fatalf("live stats saw %d arrivals, submitted 60", st.Fleet.Arrived)
 	}
 	res, err := srv.Drain(context.Background())
 	if err != nil {

@@ -92,9 +92,10 @@ func main() {
 		case <-ticker.C:
 		}
 		st := srv.Stats()
+		fl := st.Fleet
 		fmt.Printf("%8.2fs  %7d  %6d  %7d  %5d  %8.1f  %5.1f  %7.1fms %8.1fms\n",
-			st.Now, st.Arrived, st.Served, st.DroppedQueue+st.DroppedStale, st.QueueDepth,
-			st.Throughput, 100*st.DropRate, 1000*st.Window.P50, 1000*st.Window.P99)
+			st.Now, fl.Arrived, fl.Served, fl.DroppedQueue+fl.DroppedStale, st.QueueDepth,
+			fl.Throughput, 100*fl.DropRate, 1000*fl.Latency.P50, 1000*fl.Latency.P99)
 	}
 
 	res, err := srv.Drain(context.Background())

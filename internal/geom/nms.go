@@ -1,7 +1,5 @@
 package geom
 
-import "sort"
-
 // Scored pairs a box with a confidence score and a class label, the unit
 // of data flowing between detector stages. Class is an opaque small-int
 // label owned by the dataset layer.
@@ -84,37 +82,6 @@ func NMS(dets []Scored, iouThresh float64) []Scored {
 	return kept
 }
 
-// NMSClassAgnostic suppresses across classes: a high-scoring box of any
-// class suppresses overlapping boxes of every class. Used by the
-// class-agnostic ablation.
-func NMSClassAgnostic(dets []Scored, iouThresh float64) []Scored {
-	if len(dets) == 0 {
-		return nil
-	}
-	idx := make([]int, len(dets))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return dets[idx[a]].Score > dets[idx[b]].Score
-	})
-	kept := make([]Scored, 0, len(dets))
-	for _, i := range idx {
-		d := dets[i]
-		suppressed := false
-		for _, k := range kept {
-			if IoU(k.Box, d.Box) > iouThresh {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
 // FilterScore returns the detections whose score is >= thresh, preserving
 // order. The input is not modified.
 func FilterScore(dets []Scored, thresh float64) []Scored {
@@ -135,11 +102,4 @@ func FilterScoreAppend(dst []Scored, dets []Scored, thresh float64) []Scored {
 		}
 	}
 	return dst
-}
-
-// SortByScore returns a copy of dets sorted by descending score.
-func SortByScore(dets []Scored) []Scored {
-	out := append([]Scored(nil), dets...)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
-	return out
 }

@@ -53,10 +53,3 @@ func (ev *Evaluation) Curve(class dataset.Class, precisionTargets []float64) []C
 	}
 	return out
 }
-
-// DelayRecallCurve is Curve over one evaluation of the dataset at the
-// difficulty.
-func DelayRecallCurve(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty,
-	class dataset.Class, precisionTargets []float64) []CurvePoint {
-	return evaluate(ds, dets, diff).Curve(class, precisionTargets)
-}

@@ -44,7 +44,7 @@ func (tr *TrackObservation) DelayAt(t float64) float64 {
 
 // Evaluation is a dataset's matched detections at one difficulty: each
 // class's records sorted once into an index, and every ground-truth
-// track in dataset order. AP, the Eq. 5 threshold, the mean delays and
+// track in dataset order. AP, the Eq. 5 threshold, the mean delay and
 // the Figure 7 curves are all read from it.
 type Evaluation struct {
 	classes []dataset.Class
@@ -141,10 +141,10 @@ func (ev *Evaluation) Threshold(beta float64) float64 {
 	}
 }
 
-// meanOver averages delay(track, t) per class over the evaluable tracks
+// MeanDelay averages DelayAt(t) per class over the evaluable tracks
 // (those that ever pass the difficulty filter), then over the classes
 // that have any; NaN when none do.
-func (ev *Evaluation) meanOver(t float64, delay func(*TrackObservation, float64) float64) (float64, map[dataset.Class]float64) {
+func (ev *Evaluation) MeanDelay(t float64) (float64, map[dataset.Class]float64) {
 	sums := make([]float64, len(ev.classes))
 	counts := make([]int, len(ev.classes))
 	for i := range ev.tracks {
@@ -153,7 +153,7 @@ func (ev *Evaluation) meanOver(t float64, delay func(*TrackObservation, float64)
 			continue
 		}
 		if ci := classPos(ev.classes, tr.Class); ci >= 0 {
-			sums[ci] += delay(tr, t)
+			sums[ci] += tr.DelayAt(t)
 			counts[ci]++
 		}
 	}
@@ -171,12 +171,6 @@ func (ev *Evaluation) meanOver(t float64, delay func(*TrackObservation, float64)
 		return math.NaN(), perClass
 	}
 	return total / float64(n), perClass
-}
-
-// MeanDelay averages DelayAt(t) per class over the evaluable tracks,
-// then over classes.
-func (ev *Evaluation) MeanDelay(t float64) (float64, map[dataset.Class]float64) {
-	return ev.meanOver(t, (*TrackObservation).DelayAt)
 }
 
 // MeanDelayAtPrecision computes mD@beta (Eq. 4-5): the detection

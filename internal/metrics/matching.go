@@ -2,7 +2,7 @@
 // Average Precision (VOC 11-point protocol with KITTI difficulty
 // filtering and per-class IoU thresholds) and mean Delay mD@beta
 // (Section 5, Eq. 4-5), plus the precision/recall/delay curves of
-// Figure 7 and the COCO-style IoU sweep.
+// Figure 7.
 //
 // One greedy matcher feeds all of them. A Matcher scores one sequence
 // at a time into a Shard: each class's (score, TP) records, kept as the
@@ -10,7 +10,7 @@
 // count, and the sequence's ground-truth tracks with the best matched
 // score in each frame. Fold concatenates shards in dataset order into
 // an Evaluation, which sorts each class's records once and derives AP,
-// the Eq. 5 threshold, the mean delays and the Figure 7 curves from the
+// the Eq. 5 threshold, the mean delay and the Figure 7 curves from the
 // same per-class index. Shards are independent, so
 // callers may score sequences in parallel; folding in dataset order
 // keeps every result bit-identical to a serial pass.
@@ -73,21 +73,15 @@ type Matcher struct {
 // KITTI IoU threshold (Class.MatchIoU). frames holds the sequence's
 // detections, indexed like seq.Frames; it may be shorter, or nil when
 // the system produced nothing for the sequence. Only labeled frames
-// contribute.
+// contribute. A first walk over the labeled frames lays out the tracks
+// (first eligible and last frame, so each track's per-frame scores get
+// their exact span of one per-sequence arena); the second walk matches
+// the frames.
 func (m *Matcher) Sequence(seq *dataset.Sequence, frames [][]geom.Scored, classes []dataset.Class, diff dataset.Difficulty) Shard {
 	m.thresh = m.thresh[:0]
 	for _, c := range classes {
 		m.thresh = append(m.thresh, c.MatchIoU())
 	}
-	return m.sequence(seq, frames, classes, diff)
-}
-
-// sequence scores one sequence with the per-class IoU thresholds in
-// m.thresh. A first walk over the labeled frames lays out the tracks
-// (first eligible and last frame, so each track's per-frame scores get
-// their exact span of one per-sequence arena); the second walk matches
-// the frames.
-func (m *Matcher) sequence(seq *dataset.Sequence, frames [][]geom.Scored, classes []dataset.Class, diff dataset.Difficulty) Shard {
 	if m.slot == nil {
 		m.slot = map[int]int32{}
 	}

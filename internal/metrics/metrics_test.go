@@ -276,7 +276,7 @@ func TestMeanDelayAtPrecision(t *testing.T) {
 
 func TestDelayRecallCurve(t *testing.T) {
 	ds, dets := delayDataset()
-	pts := DelayRecallCurve(ds, dets, dataset.Hard, dataset.Car, []float64{0.5, 0.8, 1.0})
+	pts := evaluate(ds, dets, dataset.Hard).Curve(dataset.Car, []float64{0.5, 0.8, 1.0})
 	if len(pts) == 0 {
 		t.Fatal("empty curve")
 	}

@@ -142,33 +142,3 @@ func TestDelayMonotoneInThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: entry delay plus exit delay never exceed the evaluated
-// lifetime when the track is detected at least once; both equal the
-// lifetime when never detected.
-func TestEntryExitDelayConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &TrackObservation{
-			Class: dataset.Car, FirstEligible: 0, LastFrame: 15,
-			FrameScores: make([]float64, 16),
-		}
-		detected := false
-		for fi := range tr.FrameScores {
-			tr.FrameScores[fi] = math.NaN()
-			if rng.Float64() < 0.4 {
-				tr.FrameScores[fi] = 0.9
-				detected = true
-			}
-		}
-		life := float64(tr.LastFrame - tr.FirstEligible + 1)
-		entry, exit := tr.DelayAt(0.5), tr.ExitDelayAt(0.5)
-		if !detected {
-			return entry == life && exit == life
-		}
-		return entry+exit <= life-1+1e-9 // at least one detected frame between them
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

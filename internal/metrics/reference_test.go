@@ -4,7 +4,7 @@ package metrics_test
 // the three-pass evaluation the matcher replaced, kept verbatim in
 // substance: Collect pools per-class records with one greedy match per
 // (frame, class), CollectTracks repeats the match to record per-track
-// scores in a map, and the AP, the Eq. 5 threshold, the mean delays and
+// scores in a map, and the AP, the Eq. 5 threshold, the mean delay and
 // the Figure 7 curves are computed from those with copy-and-sort
 // indexes. Every quantity the package and the sim harness report must
 // equal the reference bit for bit, on generated worlds run through the
@@ -85,9 +85,9 @@ func refMatchFrame(objects []dataset.Object, dets []geom.Scored, class dataset.C
 	}
 }
 
-// refCollect pools the per-frame records of every class; iou 0 selects
-// each class's KITTI threshold.
-func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty, iou float64) map[dataset.Class]*metrics.ClassRecords {
+// refCollect pools the per-frame records of every class at each class's
+// KITTI threshold.
+func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty) map[dataset.Class]*metrics.ClassRecords {
 	out := map[dataset.Class]*metrics.ClassRecords{}
 	for _, c := range ds.Classes {
 		out[c] = &metrics.ClassRecords{Class: c}
@@ -104,11 +104,7 @@ func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Diffi
 				fd = frames[fi]
 			}
 			for _, c := range ds.Classes {
-				thresh := iou
-				if thresh == 0 {
-					thresh = c.MatchIoU()
-				}
-				refMatchFrame(seq.Frames[fi].Objects, fd, c, diff, thresh, out[c])
+				refMatchFrame(seq.Frames[fi].Objects, fd, c, diff, c.MatchIoU(), out[c])
 			}
 		}
 	}
@@ -173,15 +169,6 @@ func (tr *refTrack) delayAt(t float64) float64 {
 	for f := tr.firstEligible; f <= tr.lastFrame; f++ {
 		if s, ok := tr.frameScores[f]; ok && s >= t {
 			return float64(f - tr.firstEligible)
-		}
-	}
-	return float64(tr.lastFrame - tr.firstEligible + 1)
-}
-
-func (tr *refTrack) exitDelayAt(t float64) float64 {
-	for f := tr.lastFrame; f >= tr.firstEligible; f-- {
-		if s, ok := tr.frameScores[f]; ok && s >= t {
-			return float64(tr.lastFrame - f)
 		}
 	}
 	return float64(tr.lastFrame - tr.firstEligible + 1)
@@ -267,16 +254,16 @@ func refMatchTracksInFrame(objects []dataset.Object, dets []geom.Scored, class d
 	}
 }
 
-// refMeanDelay averages delay(track, t) per class over the evaluable
-// tracks, then over classes.
-func refMeanDelay(tracks []*refTrack, classes []dataset.Class, t float64, delay func(*refTrack, float64) float64) (float64, map[dataset.Class]float64) {
+// refMeanDelay averages the entry delay at t per class over the
+// evaluable tracks, then over classes.
+func refMeanDelay(tracks []*refTrack, classes []dataset.Class, t float64) (float64, map[dataset.Class]float64) {
 	sums := map[dataset.Class]float64{}
 	counts := map[dataset.Class]int{}
 	for _, tr := range tracks {
 		if tr.firstEligible < 0 {
 			continue
 		}
-		sums[tr.class] += delay(tr, t)
+		sums[tr.class] += tr.delayAt(t)
 		counts[tr.class]++
 	}
 	perClass := map[dataset.Class]float64{}
@@ -413,20 +400,15 @@ func refCurve(records map[dataset.Class]*metrics.ClassRecords, tracks []*refTrac
 }
 
 // outcome is every quantity compared between the reference and the
-// package: mAP, the Eq. 5 threshold, entry and exit mD with their
-// per-class values, and the Figure 7 curves.
+// package: mAP, the Eq. 5 threshold, mD with its per-class values, and
+// the Figure 7 curves.
 type outcome struct {
 	mAP        float64
 	perClassAP map[dataset.Class]float64
 	threshold  float64
-	// exitThreshold is the threshold MeanExitDelayAtPrecision chose:
-	// the same Eq. 5 solution.
-	exitThreshold float64
-	mD            float64
-	perClassMD    map[dataset.Class]float64
-	exitMD        float64
-	perClassEx    map[dataset.Class]float64
-	curves        map[dataset.Class][]metrics.CurvePoint
+	mD         float64
+	perClassMD map[dataset.Class]float64
+	curves     map[dataset.Class][]metrics.CurvePoint
 }
 
 // figure7Targets is the precision grid of sim's Figure 7.
@@ -442,7 +424,7 @@ func figure7Targets() []float64 {
 // one CollectTracks feed every metric, exactly as the separate
 // reference calls would.
 func refOutcome(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty, beta float64) outcome {
-	records := refCollect(ds, dets, diff, 0)
+	records := refCollect(ds, dets, diff)
 	tracks := refCollectTracks(ds, dets, diff)
 	o := outcome{perClassAP: map[dataset.Class]float64{}, curves: map[dataset.Class][]metrics.CurvePoint{}}
 	for _, c := range ds.Classes {
@@ -453,23 +435,28 @@ func refOutcome(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Diffi
 		o.mAP /= float64(len(ds.Classes))
 	}
 	o.threshold = refThreshold(records, ds.Classes, beta)
-	o.exitThreshold = o.threshold
-	o.mD, o.perClassMD = refMeanDelay(tracks, ds.Classes, o.threshold, (*refTrack).delayAt)
-	o.exitMD, o.perClassEx = refMeanDelay(tracks, ds.Classes, o.threshold, (*refTrack).exitDelayAt)
+	o.mD, o.perClassMD = refMeanDelay(tracks, ds.Classes, o.threshold)
 	for _, c := range ds.Classes {
 		o.curves[c] = refCurve(records, tracks, c, figure7Targets())
 	}
 	return o
 }
 
-// pkgOutcome computes the outcome through the package's entry points.
+// pkgOutcome computes the outcome through the package's entry points;
+// the curves come from a serial Matcher pass folded like sim's.
 func pkgOutcome(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty, beta float64) outcome {
 	o := outcome{curves: map[dataset.Class][]metrics.CurvePoint{}}
 	o.mAP, o.perClassAP = metrics.MAP(ds, dets, diff)
 	o.mD, o.perClassMD, o.threshold = metrics.MeanDelayAtPrecision(ds, dets, diff, beta)
-	o.exitMD, o.perClassEx, o.exitThreshold = metrics.MeanExitDelayAtPrecision(ds, dets, diff, beta)
+	var m metrics.Matcher
+	shards := make([]metrics.Shard, len(ds.Sequences))
+	for si := range ds.Sequences {
+		seq := &ds.Sequences[si]
+		shards[si] = m.Sequence(seq, dets[seq.ID], ds.Classes, diff)
+	}
+	ev := metrics.Fold(ds.Classes, shards)
 	for _, c := range ds.Classes {
-		o.curves[c] = metrics.DelayRecallCurve(ds, dets, diff, c, figure7Targets())
+		o.curves[c] = ev.Curve(c, figure7Targets())
 	}
 	return o
 }
@@ -509,11 +496,8 @@ func checkOutcome(t *testing.T, want, got outcome) {
 	checkBits(t, "mAP", want.mAP, got.mAP)
 	checkPerClass(t, "AP", want.perClassAP, got.perClassAP)
 	checkBits(t, "threshold", want.threshold, got.threshold)
-	checkBits(t, "exit threshold", want.exitThreshold, got.exitThreshold)
 	checkBits(t, "mD", want.mD, got.mD)
 	checkPerClass(t, "delay", want.perClassMD, got.perClassMD)
-	checkBits(t, "exit mD", want.exitMD, got.exitMD)
-	checkPerClass(t, "exit delay", want.perClassEx, got.perClassEx)
 	for c, wc := range want.curves {
 		checkCurve(t, "curve "+c.String(), wc, got.curves[c])
 	}
@@ -532,30 +516,6 @@ func checkCurve(t *testing.T, what string, want, got []metrics.CurvePoint) {
 			t.Errorf("%s point %d: got %+v, want %+v", what, i, g, w)
 		}
 	}
-}
-
-// checkCOCO compares the explicit-IoU pool and the COCO mAP.
-func checkCOCO(t *testing.T, ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty) {
-	t.Helper()
-	wantCOCO := 0.0
-	for _, iou := range metrics.COCOIoUs {
-		want := refCollect(ds, dets, diff, iou)
-		got := metrics.CollectAtIoU(ds, dets, diff, iou)
-		for _, c := range ds.Classes {
-			if want[c].NumGT != got[c].NumGT || len(want[c].Records) != len(got[c].Records) {
-				t.Errorf("IoU %v %v: GT/records %d/%d, want %d/%d", iou, c,
-					got[c].NumGT, len(got[c].Records), want[c].NumGT, len(want[c].Records))
-			}
-			checkBits(t, "COCO AP", refAP(want[c]), got[c].AP())
-		}
-		m := 0.0
-		for _, c := range ds.Classes {
-			m += refAP(want[c])
-		}
-		wantCOCO += m / float64(len(ds.Classes))
-	}
-	got, _ := metrics.COCOMAP(ds, dets, diff)
-	checkBits(t, "COCO mAP", wantCOCO/float64(len(metrics.COCOIoUs)), got)
 }
 
 // table2Specs are the five systems of the paper's Table 2, in row order.
@@ -685,17 +645,8 @@ func TestMatcherMatchesReferenceOnTies(t *testing.T) {
 				got := pkgOutcome(ds, dets, diff, beta)
 				t.Run(vname+"/"+diff.String(), func(t *testing.T) { checkOutcome(t, want, got) })
 			}
-			checkCOCO(t, ds, dets, diff)
 		}
 	}
-}
-
-// TestCOCOMatchesReference compares the explicit-IoU path on a
-// generated world.
-func TestCOCOMatchesReference(t *testing.T) {
-	ds := video.Generate(video.MiniKITTIPreset(), 1)
-	r := sim.Engine{}.MustRun(table2Specs()[2], ds)
-	checkCOCO(t, ds, r.Detections, dataset.Hard)
 }
 
 // TestSimPathsMatchReference pins sim.Evaluate (on the zero Engine, so

@@ -366,7 +366,7 @@ func (r *Router) autoscaleShard(s int, e float64, st serve.Stats) {
 	}
 	execs := st.Executors
 	grow := st.QueueDepth >= a.UpQueue
-	if a.P99 > 0 && st.Window.P99 > a.P99 && st.QueueDepth > 0 {
+	if a.P99 > 0 && st.Fleet.Latency.P99 > a.P99 && st.QueueDepth > 0 {
 		grow = true
 	}
 	switch {
@@ -495,28 +495,28 @@ func (r *Router) ownedBy(s int) []int {
 	return owned
 }
 
-// Stats returns a live merged snapshot of the cluster.
+// Stats returns a live merged snapshot of the cluster. Its fleet row
+// is built the way Result.Fleet is — the shards' rows added, the
+// failover ledger applied, then derived over the makespan so far — so
+// after Drain its counters, throughput and drop rate equal the merged
+// Result's; its Latency covers the latest Base.StatsWindow served
+// frames across every shard.
 func (r *Router) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Stats{
+		Fleet:         serve.StreamStats{ID: "cluster"},
 		PerShardQueue: make([]int, len(r.shards)),
 		Migrations:    r.migrations,
 		Resizes:       r.resizes,
+		Orphaned:      len(r.orphans),
 	}
 	for s, sh := range r.shards {
 		ss := sh.srv.Stats()
 		if ss.Now > st.Now {
 			st.Now = ss.Now
 		}
-		st.Arrived += ss.Arrived
-		st.Served += ss.Served
-		st.DroppedQueue += ss.DroppedQueue
-		st.DroppedStale += ss.DroppedStale
-		st.DroppedPoison += ss.DroppedPoison
-		st.Reconnects += ss.Reconnects
-		st.FailedOver += ss.FailedOver
-		st.Degraded += ss.Degraded
+		st.Fleet.Add(ss.Fleet)
 		st.QueueDepth += ss.QueueDepth
 		st.BusyExecutors += ss.BusyExecutors
 		st.Executors += ss.Executors
@@ -525,49 +525,47 @@ func (r *Router) Stats() Stats {
 			st.DeadShards++
 		}
 	}
+	replayed, dropped := 0, 0
 	for i := range r.replayed {
-		st.Replayed += r.replayed[i]
-		st.DroppedFailover += r.dropFail[i]
+		replayed += r.replayed[i]
+		dropped += r.dropFail[i]
 	}
-	st.Orphaned = len(r.orphans)
-	row := serve.StreamStats{Arrived: st.Arrived, Served: st.Served,
-		DroppedQueue: st.DroppedQueue, DroppedStale: st.DroppedStale}
-	row.Derive(st.Now, r.window)
-	st.Throughput, st.DropRate, st.Window = row.Throughput, row.DropRate, row.Latency
+	applyFailover(&st.Fleet, replayed, dropped)
+	st.Fleet.Derive(st.Now, r.window)
 	return st
+}
+
+// applyFailover books a cluster row's failover ledger: replayed seized
+// frames re-submitted to survivors and dropped ones abandoned. A
+// replayed frame arrived twice — once on the shard that died holding
+// it, once on the survivor that served it — so subtracting the replays
+// keeps the row's Arrived equal to the offered schedule, and arrived ==
+// served + drops + dropped_failover holds under any FailoverPolicy.
+// Both the merged Result and Router.Stats book through it.
+func applyFailover(row *serve.StreamStats, replayed, dropped int) {
+	row.Replayed = replayed
+	row.DroppedFailover = dropped
+	row.Arrived -= replayed
 }
 
 // Stats is a live merged snapshot of a Router, the cluster counterpart
 // of serve.Stats.
 type Stats struct {
-	Now           float64 `json:"now_s"`
-	Arrived       int     `json:"arrived"`
-	Served        int     `json:"served"`
-	DroppedQueue  int     `json:"dropped_queue"`
-	DroppedStale  int     `json:"dropped_stale"`
-	DroppedPoison int     `json:"dropped_poison,omitempty"`
-	Reconnects    int     `json:"reconnects,omitempty"`
-	Degraded      int     `json:"degraded"`
-	QueueDepth    int     `json:"queue_depth"`
-	BusyExecutors int     `json:"busy_executors"`
-	Executors     int     `json:"executors"`
-	PerShardQueue []int   `json:"per_shard_queue"`
-	Migrations    int     `json:"migrations"`
-	Resizes       int     `json:"resizes"`
-	// Failure-injection counters, all zero (and absent from the JSON)
-	// without an active FaultPlan: shards currently dead, frames seized
-	// by kills, seized frames replayed elsewhere or dropped, and frames
-	// buffered with no live shard to serve them.
-	DeadShards      int     `json:"dead_shards,omitempty"`
-	FailedOver      int     `json:"failed_over,omitempty"`
-	Replayed        int     `json:"replayed,omitempty"`
-	DroppedFailover int     `json:"dropped_failover,omitempty"`
-	Orphaned        int     `json:"orphaned,omitempty"`
-	Throughput      float64 `json:"throughput_fps"`
-	DropRate        float64 `json:"drop_rate"`
-	// Window summarizes the latest Base.StatsWindow served latencies
-	// across every shard.
-	Window serve.LatencySummary `json:"window_latency"`
+	Now float64 `json:"now_s"`
+	// Fleet sums every shard's fleet row with the failover ledger
+	// applied (see Router.Stats).
+	Fleet         serve.StreamStats `json:"fleet"`
+	QueueDepth    int               `json:"queue_depth"`
+	BusyExecutors int               `json:"busy_executors"`
+	Executors     int               `json:"executors"`
+	PerShardQueue []int             `json:"per_shard_queue"`
+	Migrations    int               `json:"migrations"`
+	Resizes       int               `json:"resizes"`
+	// Failure-injection state, zero (and absent from the JSON) without
+	// an active FaultPlan: shards currently dead and frames buffered
+	// with no live shard to serve them.
+	DeadShards int `json:"dead_shards,omitempty"`
+	Orphaned   int `json:"orphaned,omitempty"`
 }
 
 // Drain runs every shard's backlog dry and merges the books. A shard

@@ -218,16 +218,55 @@ func TestMigrationSemantics(t *testing.T) {
 		}
 	}
 
-	// Live Stats after the drain reconcile with the merged Result.
+	// Live Stats after the drain agree with the merged Result (its
+	// fleet row is pinned by TestStatsMatchResult).
 	st := r.Stats()
-	if st.Served != res.Fleet.Served || st.Arrived != res.Fleet.Arrived {
-		t.Errorf("Stats (%d/%d) != Result fleet (%d/%d)", st.Served, st.Arrived, res.Fleet.Served, res.Fleet.Arrived)
-	}
 	if st.QueueDepth != 0 || st.BusyExecutors != 0 {
 		t.Errorf("drained cluster still busy: %+v", st)
 	}
 	if st.Migrations != res.Migrations {
 		t.Errorf("Stats.Migrations = %d, Result says %d", st.Migrations, res.Migrations)
+	}
+}
+
+// TestStatsMatchResult pins the live snapshot to the merged books:
+// after Drain, Router.Stats' fleet row equals Result.Fleet in every
+// counter, throughput and drop rate (the latency differs by design: the
+// snapshot's covers the sliding window), and its clock equals the
+// makespan — on a fault-free cluster with migration and autoscaling
+// live, and under each failover policy, where a replayed frame arrives
+// on two shards but must count once.
+func TestStatsMatchResult(t *testing.T) {
+	faultFree := everythingOn()
+	faultFree.Shards = 3
+	scenarios := map[string]Config{"fault-free": faultFree}
+	for _, policy := range []FailoverPolicy{FailoverReplay, FailoverDrop, FailoverDegrade} {
+		scenarios[string(policy)] = faultCluster(2, policy)
+	}
+	for name, cfg := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Drain(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := r.Stats()
+			got, want := st.Fleet, res.Fleet
+			got.Latency, want.Latency = serve.LatencySummary{}, serve.LatencySummary{}
+			if got != want {
+				t.Errorf("Stats fleet %+v\n!= Result fleet %+v", got, want)
+			}
+			if st.Now != res.LastEventAt {
+				t.Errorf("Stats clock %v != Result makespan %v", st.Now, res.LastEventAt)
+			}
+		})
 	}
 }
 

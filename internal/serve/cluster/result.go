@@ -186,14 +186,7 @@ func (r *Router) merge(books []*serve.Result) *Result {
 			row.ID = b.PerStream[i].ID
 			row.Add(b.PerStream[i])
 		}
-		// A replayed frame arrived twice — once on the shard that died
-		// holding it, once on the survivor that served it. Subtracting
-		// the replays keeps the merged Arrived equal to the offered
-		// schedule, so arrived == served + drops + dropped_failover
-		// holds cluster-wide under any FailoverPolicy.
-		row.Replayed = r.replayed[i]
-		row.DroppedFailover = r.dropFail[i]
-		row.Arrived -= r.replayed[i]
+		applyFailover(row, r.replayed[i], r.dropFail[i])
 		row.Derive(res.LastEventAt, r.lat[i])
 		all = append(all, r.lat[i]...)
 		res.Fleet.Add(*row)

@@ -144,8 +144,8 @@ func TestResizeToZeroParks(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Served != 0 || st.QueueDepth != 8 {
-		t.Fatalf("parked fleet served %d with depth %d, want 0 and 8", st.Served, st.QueueDepth)
+	if st.Fleet.Served != 0 || st.QueueDepth != 8 {
+		t.Fatalf("parked fleet served %d with depth %d, want 0 and 8", st.Fleet.Served, st.QueueDepth)
 	}
 	if st.PerStreamQueue[0] != 8 {
 		t.Errorf("per-stream backlog = %v, want stream 0 at 8", st.PerStreamQueue)
@@ -183,7 +183,7 @@ func TestAdvanceTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.BusyExecutors != 0 || st.Served != 1 {
+	if st.BusyExecutors != 0 || st.Fleet.Served != 1 {
 		t.Errorf("advance did not complete the in-flight frame: %+v", st)
 	}
 	if st.Now != 100 {

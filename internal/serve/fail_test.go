@@ -41,15 +41,16 @@ func TestFailAtSeizesBacklog(t *testing.T) {
 		last[f.Stream] = f.Frame
 	}
 	st := srv.Stats()
-	if st.FailedOver != len(seized) {
-		t.Errorf("stats book %d failed-over frames, seizure returned %d", st.FailedOver, len(seized))
+	fl := st.Fleet
+	if fl.FailedOver != len(seized) {
+		t.Errorf("stats book %d failed-over frames, seizure returned %d", fl.FailedOver, len(seized))
 	}
 	if st.QueueDepth != 0 || st.BusyExecutors != 0 {
 		t.Errorf("dead server still holds work: queue %d, busy %d", st.QueueDepth, st.BusyExecutors)
 	}
-	if got := st.Served + st.DroppedQueue + st.DroppedStale + st.FailedOver; got != st.Arrived {
+	if got := fl.Served + fl.DroppedQueue + fl.DroppedStale + fl.FailedOver; got != fl.Arrived {
 		t.Errorf("books do not reconcile: served %d + drops %d+%d + failed over %d = %d != arrived %d",
-			st.Served, st.DroppedQueue, st.DroppedStale, st.FailedOver, got, st.Arrived)
+			fl.Served, fl.DroppedQueue, fl.DroppedStale, fl.FailedOver, got, fl.Arrived)
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {

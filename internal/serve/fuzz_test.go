@@ -105,7 +105,7 @@ func FuzzSubmit(f *testing.F) {
 		if r.Fleet.Arrived > okSubmits+extra {
 			t.Errorf("arrived %d exceeds the %d accepted submissions", r.Fleet.Arrived, okSubmits+extra)
 		}
-		st := srv.Stats()
+		st := srv.Stats().Fleet
 		if st.Arrived != r.Fleet.Arrived || st.DroppedPoison != r.Fleet.DroppedPoison {
 			t.Errorf("Stats (%d arrived, %d poison) disagree with Result (%d, %d)",
 				st.Arrived, st.DroppedPoison, r.Fleet.Arrived, r.Fleet.DroppedPoison)

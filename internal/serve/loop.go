@@ -277,7 +277,8 @@ type fleet struct {
 
 	// workers is Config.StepWorkers and pool the pipelined step (see
 	// stepPool); minService is its lookahead, the virtual time between
-	// a launch's dispatch and its price marker (0: priced at dispatch).
+	// a launch's dispatch and its price marker (0: the marker fires at
+	// the dispatch instant, before anything else there).
 	// adm holds every in-flight frame in dispatch order, each launch's
 	// frames one contiguous run, and pend the in-flight launches in the
 	// same order (at most the executor count, matched linearly); a
@@ -615,10 +616,13 @@ func (f *fleet) admit(j sched.Job) {
 // never a step result, so launches are gathered and numbered exactly
 // as the serial engine would. Each launch's frames are queued on the
 // step pool, and the launch is priced when its evPriced marker fires
-// minService later (with no lookahead, right away): only then is its
-// completion event scheduled. A launch reaches the books when that
-// completion fires (settle); until then its frames wait in adm and the
-// launch in pend.
+// minService later: only then is its completion event scheduled. With
+// no lookahead the marker lands on the dispatch instant itself, and
+// since dispatch runs only from handle — inside advanceTo or Drain,
+// which play the agenda through that instant — and markers sort first
+// at equal times, the launch is priced before anything else happens
+// there. A launch reaches the books when its completion fires
+// (settle); until then its frames wait in adm and the launch in pend.
 func (f *fleet) dispatch() {
 	for f.busy < f.cfg.Executors && f.sched.Len() > 0 {
 		start := len(f.adm)
@@ -634,13 +638,8 @@ func (f *fleet) dispatch() {
 			batch: f.batches, n: len(f.adm) - start, effBatch: f.effBatch,
 		})
 		f.launch(f.adm[start:])
-		if f.minService > 0 {
-			f.agenda.add(event{t: f.now + f.minService, kind: evPriced,
-				stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
-		}
-	}
-	if f.minService <= 0 {
-		f.priceRest()
+		f.agenda.add(event{t: f.now + f.minService, kind: evPriced,
+			stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
 	}
 }
 
@@ -659,7 +658,8 @@ func (f *fleet) priceMarked(e event) {
 	}
 }
 
-// priceRest prices every launch still unpriced, in dispatch order.
+// priceRest prices every launch still unpriced, in dispatch order:
+// failAt's join of the steps in flight.
 func (f *fleet) priceRest() {
 	off := 0
 	for i := range f.pend {
@@ -938,17 +938,17 @@ func (f *fleet) noteReconnect(stream, eff int, arrive float64, epoch int) {
 	})
 }
 
-// stats folds the live counters into a snapshot. Totals count since
-// New; the latency summary covers the sliding window of the most
-// recent StatsWindow served frames.
+// stats folds the live counters into a snapshot. Its fleet row is
+// derived like Result.Fleet over the makespan so far, with the latency
+// of the sliding window of the most recent StatsWindow served frames.
 func (f *fleet) stats() Stats {
 	st := Stats{
 		Now:            f.lastT,
+		Fleet:          StreamStats{ID: "fleet"},
 		QueueDepth:     f.sched.Len(),
 		BusyExecutors:  f.busy,
 		Executors:      f.cfg.Executors,
 		PerStreamQueue: append([]int(nil), f.queued...),
-		Window:         f.win.summary(),
 	}
 	st.PerStreamWindow = make([]StreamWindow, len(f.acc))
 	for s := range st.PerStreamWindow {
@@ -958,17 +958,9 @@ func (f *fleet) stats() Stats {
 		w.Window = f.latWinS[s].summary()
 		_, mode := f.modeOf(s)
 		w.Mode = string(mode)
+		st.Fleet.Add(f.acc[s].StreamStats)
 	}
-	var tot StreamStats
-	for s := range f.acc {
-		tot.Add(f.acc[s].StreamStats)
-	}
-	tot.Derive(st.Now, nil)
-	st.Arrived, st.Served = tot.Arrived, tot.Served
-	st.DroppedQueue, st.DroppedStale = tot.DroppedQueue, tot.DroppedStale
-	st.DroppedPoison, st.Reconnects = tot.DroppedPoison, tot.Reconnects
-	st.FailedOver, st.Degraded = tot.FailedOver, tot.Degraded
-	st.Throughput, st.DropRate = tot.Throughput, tot.DropRate
+	st.Fleet.Derive(st.Now, f.win.buf)
 	return st
 }
 

@@ -462,11 +462,12 @@ type StreamStats struct {
 	// FailedOver counts frames seized from this server by a shard kill
 	// (Server.FailAt): queued or in-flight when the hardware died,
 	// handed back to the cluster to replay or drop. Replayed and
-	// DroppedFailover are filled only in merged cluster rows: frames
-	// re-submitted to a surviving shard (each replay is subtracted from
-	// the merged Arrived so offered load stays the schedule's), and
-	// seized frames discarded under the drop failover policy. All three
-	// stay 0 — and omitted — on fault-free runs.
+	// DroppedFailover are filled only in cluster rows, merged or live:
+	// frames re-submitted to a surviving shard (each replay is
+	// subtracted from the cluster row's Arrived so offered load stays
+	// the schedule's), and seized frames discarded under the drop
+	// failover policy. All three stay 0 — and omitted — on fault-free
+	// runs.
 	FailedOver      int `json:"failed_over,omitempty"`
 	Replayed        int `json:"replayed,omitempty"`
 	DroppedFailover int `json:"dropped_failover,omitempty"`
@@ -492,7 +493,8 @@ type StreamStats struct {
 
 // Add folds another row's frame counters, Arrived through ModeFull,
 // into s: the one fold behind every combined row (fleet, priority
-// class, cluster stream and cluster fleet). ID and the derived fields
+// class, cluster stream and cluster fleet, in a Result or a live
+// Stats snapshot). ID and the derived fields
 // — Throughput, DropRate, Latency — are left alone; a combined row
 // derives them from its own counters and latency samples.
 func (s *StreamStats) Add(o StreamStats) {
@@ -512,7 +514,8 @@ func (s *StreamStats) Add(o StreamStats) {
 // Derive fills the row's derived fields from its counters: throughput
 // over the makespan horizon, drop rate, and the summary of the row's
 // latency samples. Every combined row (fleet, priority class, cluster
-// stream and cluster fleet) derives through it after its Add fold.
+// stream and cluster fleet, in a Result or a live Stats snapshot)
+// derives through it after its Add fold.
 func (s *StreamStats) Derive(horizon float64, latencies []float64) {
 	if horizon > 0 {
 		s.Throughput = float64(s.Served) / horizon
@@ -520,7 +523,7 @@ func (s *StreamStats) Derive(horizon float64, latencies []float64) {
 	if s.Arrived > 0 {
 		s.DropRate = float64(s.DroppedQueue+s.DroppedStale) / float64(s.Arrived)
 	}
-	s.Latency = Summarize(latencies)
+	s.Latency = summarize(latencies)
 }
 
 // Result is the full outcome of one serving scenario. It is plain data

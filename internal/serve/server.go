@@ -492,12 +492,13 @@ func (s *Server) PinMode(stream int, mode control.Mode) error {
 	return nil
 }
 
-// Stats returns a live snapshot: cumulative totals, current queue
-// depth and busy executors, throughput and drop rate over the elapsed
-// makespan, and latency percentiles over the sliding window of the
-// most recent Config.StatsWindow served frames. Mid-run, Served counts
-// only frames whose launch has completed; frames in flight are in
-// BusyExecutors, not yet in the books.
+// Stats returns a live snapshot: the fleet row (cumulative counters,
+// throughput and drop rate over the elapsed makespan, latency
+// percentiles over the sliding window of the most recent
+// Config.StatsWindow served frames), current queue depth and busy
+// executors. Mid-run, Fleet.Served counts only frames whose launch has
+// completed; frames in flight are in BusyExecutors, not yet in the
+// books.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

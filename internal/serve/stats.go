@@ -47,31 +47,19 @@ func ceilRank(q float64, n int) int {
 }
 
 // Stats is a live snapshot of a Server, as returned by Server.Stats.
-// Totals are cumulative since New; Throughput and DropRate cover the
+// Fleet is derived the way Result.Fleet is: its counters are
+// cumulative since New and its throughput and drop rate cover the
 // elapsed makespan (Now), so after a full Drain they equal the final
-// Result's fleet row; Window summarizes only the most recent
-// Config.StatsWindow served frames.
+// Result's fleet row; its Latency, though, summarizes only the most
+// recent Config.StatsWindow served frames.
 type Stats struct {
 	// Now is the engine's virtual clock: the time of the last event
 	// played so far (the makespan so far).
 	Now float64 `json:"now_s"`
-	// Cumulative frame counters, summed over every stream.
-	// DroppedPoison and Reconnects count fault-tolerance incidents
-	// (PoisonDrop swallows, accepted camera reconnects); both stay 0
-	// under the strict default policies.
-	// Mid-run, Served counts only frames whose launch has completed;
-	// frames in flight are not in the books until their completion.
-	Arrived       int `json:"arrived"`
-	Served        int `json:"served"`
-	DroppedQueue  int `json:"dropped_queue"`
-	DroppedStale  int `json:"dropped_stale"`
-	DroppedPoison int `json:"dropped_poison,omitempty"`
-	Reconnects    int `json:"reconnects,omitempty"`
-	// FailedOver counts frames seized by Server.FailAt — queued or
-	// in-flight when the shard's hardware died; 0 unless the server
-	// belongs to a cluster with an active FaultPlan.
-	FailedOver int `json:"failed_over,omitempty"`
-	Degraded   int `json:"degraded"`
+	// Fleet sums every stream's counters. Mid-run, Served counts only
+	// frames whose launch has completed; frames in flight are not in
+	// the books until their completion.
+	Fleet StreamStats `json:"fleet"`
 	// Instantaneous fleet state: frames waiting in the scheduler,
 	// executors currently serving a launch, and the current executor
 	// count (equal to Config.Executors until Server.ResizeAt changes
@@ -81,13 +69,6 @@ type Stats struct {
 	BusyExecutors  int   `json:"busy_executors"`
 	Executors      int   `json:"executors"`
 	PerStreamQueue []int `json:"per_stream_queue,omitempty"`
-	// Throughput is Served/Now (frames per second over the makespan so
-	// far); DropRate is (DroppedQueue+DroppedStale)/Arrived.
-	Throughput float64 `json:"throughput_fps"`
-	DropRate   float64 `json:"drop_rate"`
-	// Window summarizes end-to-end latency over the sliding window of
-	// the most recent Config.StatsWindow served frames.
-	Window LatencySummary `json:"window_latency"`
 	// PerStreamWindow breaks the sliding-window view down by stream —
 	// the per-stream signal set the adaptive control plane
 	// (serve/control) observes at its ticks. Every window is a bounded
@@ -138,7 +119,7 @@ func (w *window) add(v float64) {
 	w.n++
 }
 
-func (w *window) summary() LatencySummary { return Summarize(w.buf) }
+func (w *window) summary() LatencySummary { return summarize(w.buf) }
 
 // rate reads the ring as arrival stamps: (count-1) arrivals over the
 // span from the oldest to the newest stamp, in frames/s. 0 until two
@@ -160,9 +141,9 @@ func (w *window) rate() float64 {
 	return float64(k-1) / span
 }
 
-// Summarize computes the latency summary of a sample set. The input is
+// summarize computes the latency summary of a sample set. The input is
 // not modified.
-func Summarize(samples []float64) LatencySummary {
+func summarize(samples []float64) LatencySummary {
 	s := LatencySummary{Count: len(samples)}
 	if len(samples) == 0 {
 		return s

@@ -8,7 +8,7 @@ import (
 // TestPercentileClosedForm pins the nearest-rank percentiles against
 // hand-computed cases.
 func TestPercentileClosedForm(t *testing.T) {
-	// 1..100 (reversed so Summarize has to sort): pq is exactly the
+	// 1..100 (reversed so summarize has to sort): pq is exactly the
 	// q-th value.
 	var big []float64
 	for v := 100; v >= 1; v-- {
@@ -27,7 +27,7 @@ func TestPercentileClosedForm(t *testing.T) {
 		{"single", []float64{7}, 7, 7, 7, 7, 7},
 	}
 	for _, c := range cases {
-		s := Summarize(c.samples)
+		s := summarize(c.samples)
 		if s.Count != len(c.samples) {
 			t.Errorf("%s: count %d, want %d", c.name, s.Count, len(c.samples))
 		}
@@ -51,9 +51,9 @@ func TestPercentileClosedForm(t *testing.T) {
 // TestSummarizeEmpty keeps the zero-sample path at zero values rather
 // than NaN.
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := summarize(nil)
 	if s != (LatencySummary{}) {
-		t.Fatalf("Summarize(nil) = %+v, want zero", s)
+		t.Fatalf("summarize(nil) = %+v, want zero", s)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestSummarizeEmpty(t *testing.T) {
 // contract (callers keep their sample slices).
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
-	Summarize(in)
+	summarize(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatalf("Summarize mutated its input: %v", in)
+		t.Fatalf("summarize mutated its input: %v", in)
 	}
 }

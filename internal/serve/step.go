@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -62,21 +61,15 @@ func (f *fleet) initPool(streams, workers int) {
 // overhead b at least once (LaunchTime(w) = Alpha·w + b with w ≥ 0) and
 // the per-frame CPU overhead at least once, and floating-point addition
 // and multiplication by a count ≥ 1 are monotone, so with Alpha,
-// LaunchOverhead and the CPU overhead finite and non-negative every
-// FrameTime.Total and BatchFrames total is ≥ LaunchOverhead +
-// CPUOverhead. Any other model returns 0: no lookahead, so each launch
-// is priced as soon as it is dispatched.
+// LaunchOverhead and the CPU overhead finite and non-negative — which
+// Config.Validate requires of every model — every FrameTime.Total and
+// BatchFrames total is ≥ LaunchOverhead + CPUOverhead. It is 0 only
+// when both overheads are.
 func minService(m gpumodel.Model, cascade bool) float64 {
-	cpu := m.CPUOverheadCaTDet
-	if !cascade {
-		cpu = m.CPUOverheadSingle
+	if cascade {
+		return m.LaunchOverhead + m.CPUOverheadCaTDet
 	}
-	for _, v := range [...]float64{m.Alpha, m.LaunchOverhead, cpu} {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return 0
-		}
-	}
-	return m.LaunchOverhead + cpu
+	return m.LaunchOverhead + m.CPUOverheadSingle
 }
 
 // launch queues the steps of a new launch's frames and wakes idle

@@ -99,10 +99,10 @@ func TestLookaheadBound(t *testing.T) {
 
 // TestLookaheadFallback pins the models outside the lemma's premises —
 // a negative or NaN Alpha, launch overhead or CPU overhead, or an
-// infinite one — to minService 0, and to a Validate error carrying the
-// model's field path, so they never reach a run. The one valid model
-// without a lookahead, all parameters zero, prices every launch at
-// dispatch: its books and sink events are byte-identical at every
+// infinite one — to a Validate error carrying the model's field path,
+// so they never reach a run. The one valid model without a lookahead,
+// all parameters zero, prices every launch by a marker at its dispatch
+// instant: its books and sink events are byte-identical at every
 // StepWorkers.
 func TestLookaheadFallback(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -123,9 +123,6 @@ func TestLookaheadFallback(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m := def
 			tc.spoil(&m)
-			if ms := minService(m, true); ms != 0 {
-				t.Fatalf("minService %v, want 0", ms)
-			}
 			cfg := goldenConfig()
 			cfg.GPU = &m
 			err := cfg.Validate()
@@ -167,6 +164,9 @@ func TestLookaheadFallback(t *testing.T) {
 
 // runPriced runs cfg through the schedule replay of Run, with or
 // without the lookahead, and returns the books and the sink events.
+// Without it (minService 0) each launch's price marker fires at its
+// dispatch instant, before anything else there: the pricing of the
+// serial engine, which priced every launch at dispatch.
 func runPriced(t *testing.T, cfg Config, lookahead bool) ([]byte, []Event) {
 	t.Helper()
 	log := &eventLog{}
@@ -230,8 +230,10 @@ func TestLookaheadMatchesDispatchPricing(t *testing.T) {
 // the schedule — so the sessions that stepped the seized frames serve
 // on — then drains, returning the seized frames, the drained books,
 // the sink events and how many launches were still waiting for their
-// price marker when FailAt was called. Without lookahead every launch
-// is priced at dispatch, as the serial engine always did.
+// price marker when FailAt was called. Without lookahead (minService
+// 0) each launch's marker fires at its dispatch instant, before
+// anything else there, so every launch is priced at dispatch, as the
+// serial engine always did.
 func failRun(t *testing.T, workers int, at float64, lookahead bool) ([]FailedFrame, []byte, []Event, int) {
 	t.Helper()
 	cfg := goldenConfig()

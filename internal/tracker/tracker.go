@@ -137,12 +137,6 @@ type Tracker struct {
 		matchedTrack, matchedDet []bool
 		classes                  []int
 	}
-
-	// Optional tracklet recording (see tracklets.go).
-	recordTracklets bool
-	tracklets       map[int]*Tracklet
-	trackletOrder   []int
-	frameCounter    int
 }
 
 // New creates a tracker for a frameW-by-frameH video.
@@ -150,14 +144,10 @@ func New(cfg Config, frameW, frameH float64) *Tracker {
 	return &Tracker{cfg: cfg, frameW: frameW, frameH: frameH, nextID: 1}
 }
 
-// Reset discards all tracks and recorded tracklets (call between
-// sequences).
+// Reset discards all tracks (call between sequences).
 func (t *Tracker) Reset() {
 	t.tracks = nil
 	t.nextID = 1
-	t.tracklets = nil
-	t.trackletOrder = nil
-	t.frameCounter = 0
 }
 
 // Tracks exposes the live tracks (read-only use expected).
@@ -170,7 +160,6 @@ func (t *Tracker) Tracks() []*Track { return t.tracks }
 //
 //detlint:allocfree
 func (t *Tracker) Observe(dets []geom.Scored) {
-	defer func() { t.frameCounter++ }()
 	matchedTrack := resetBools(&t.scratch.matchedTrack, len(t.tracks))
 	matchedDet := resetBools(&t.scratch.matchedDet, len(dets))
 
@@ -243,7 +232,6 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 		//detlint:ok track-list growth happens only when a track spawns, which is itself cold
 		t.tracks = append(t.tracks, tr)
 		t.nextID++
-		t.recordMatch(tr, d.Box)
 	}
 }
 
@@ -335,7 +323,6 @@ func (t *Tracker) update(tr *Track, d geom.Scored) {
 	if tr.Confidence > t.cfg.MaxConfidence {
 		tr.Confidence = t.cfg.MaxConfidence
 	}
-	t.recordMatch(tr, d.Box)
 }
 
 // kalmanUpdate runs one predict+correct cycle of a constant-velocity

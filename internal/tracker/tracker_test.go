@@ -305,3 +305,35 @@ func TestTrackPopulationBounded(t *testing.T) {
 		}
 	}
 }
+
+// Feeding ground truth from the synthetic world, track identities
+// should be stable: the number of tracks ever matched after their
+// spawn should be comparable to the number of ground-truth tracks, not
+// explode with fragmentation.
+func TestTrackletFragmentationBounded(t *testing.T) {
+	p := video.MiniKITTIPreset()
+	d := video.Generate(p, 5)
+	seq := &d.Sequences[0]
+	tr := New(DefaultConfig(), float64(seq.Width), float64(seq.Height))
+	matched := map[int]bool{}
+	for fi := range seq.Frames {
+		var dets []geom.Scored
+		for _, o := range seq.Frames[fi].Objects {
+			dets = append(dets, geom.Scored{Box: o.Box, Score: 1, Class: int(o.Class)})
+		}
+		tr.Observe(dets)
+		for _, track := range tr.Tracks() {
+			if track.Matches > 0 {
+				matched[track.ID] = true
+			}
+		}
+	}
+	gtTracks := len(seq.Tracks())
+	got := len(matched)
+	if got > 2*gtTracks {
+		t.Fatalf("%d matched tracks for %d ground-truth tracks: heavy fragmentation", got, gtTracks)
+	}
+	if got == 0 {
+		t.Fatal("no track was ever matched")
+	}
+}
