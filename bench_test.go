@@ -417,6 +417,29 @@ func BenchmarkServeFair(b *testing.B) {
 	b.ReportMetric(res.Fleet.Throughput, "served_fps")
 }
 
+// BenchmarkServerStats measures the live snapshot path: one Stats per
+// op on a warm 32-stream Server after ingest, the read a dashboard poll
+// or a cluster router tick makes of each shard.
+func BenchmarkServerStats(b *testing.B) {
+	cfg := serveBenchConfig()
+	cfg.Streams = 32
+	cfg.Executors = 8
+	srv, err := NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Ingest(serve.ScheduleSource(srv.Config())); err != nil {
+		b.Fatal(err)
+	}
+	var st serve.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st = srv.Stats()
+	}
+	b.ReportMetric(float64(st.Fleet.Served), "served_frames")
+}
+
 // --- Ablation benches (design choices from DESIGN.md §4) ---
 
 func ablationRun(b *testing.B, cfg core.Config) (mapHard float64, gops float64) {

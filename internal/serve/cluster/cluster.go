@@ -94,10 +94,12 @@ type Router struct {
 	epoch       []int
 	migCount    []int
 
-	// Control-plane state.
+	// Control-plane state. tickStats is the per-shard Stats scratch
+	// each control tick refills.
 	nextTick   float64 // next control tick on the virtual clock
 	migrations int
 	resizes    int
+	tickStats  []serve.Stats
 
 	// Failure-injection state. The schedule is pre-generated at New
 	// (explicit faults merged with the seeded stochastic process) and
@@ -334,11 +336,12 @@ func (r *Router) controlTo(t float64) {
 		// migration policy below observe the post-fault cluster — the
 		// survivors' backlog spike is exactly what they exist to shed.
 		r.runFaults(e)
-		stats := make([]serve.Stats, len(r.shards))
-		for s, sh := range r.shards {
+		stats := r.tickStats[:0]
+		for _, sh := range r.shards {
 			sh.srv.AdvanceTo(e)
-			stats[s] = sh.srv.Stats()
+			stats = append(stats, sh.srv.Stats())
 		}
+		r.tickStats = stats
 		if r.cfg.Autoscale.Enabled {
 			for s, sh := range r.shards {
 				if sh.alive {

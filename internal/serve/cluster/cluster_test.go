@@ -270,6 +270,26 @@ func TestStatsMatchResult(t *testing.T) {
 	}
 }
 
+// TestRouterStatsAllocs pins the allocations of a live Router.Stats
+// on a warm two-shard cluster: 4, the per-shard queue slice, each
+// shard's Stats (its per-stream queue copy) and the sorted copy of the
+// router's own latency ring. The parent of the change that moved the
+// per-stream windows out of serve.Stats measured 16 here, 10 of them
+// building window summaries the cluster never reads.
+func TestRouterStatsAllocs(t *testing.T) {
+	r, err := New(faultCluster(2, FailoverReplay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.Stats() }); a > 4 {
+		t.Errorf("Router.Stats allocates %v times, want at most 4", a)
+	}
+}
+
 // TestHopLatencyCharged pins the cross-node tax: a stream served off
 // its hash home arrives later by exactly HopLatency, so a forced
 // off-home cluster serves every frame no earlier than the on-home one.

@@ -85,8 +85,9 @@ func TestAdaptiveResultEcho(t *testing.T) {
 
 // TestPerStreamWindowsBounded pins the memory contract of the
 // per-stream sliding windows: after serving far more frames than
-// StatsWindow, every latency ring and arrival-stamp ring still holds
-// at most StatsWindow samples, and the snapshot percentiles cover at
+// StatsWindow, every latency ring, its sorted copy and every
+// arrival-stamp ring still hold at most StatsWindow samples (stamp
+// rings keep no sorted copy), and the snapshot percentiles cover at
 // most StatsWindow frames per stream.
 func TestPerStreamWindowsBounded(t *testing.T) {
 	cfg := adaptiveConfig()
@@ -112,18 +113,53 @@ func TestPerStreamWindowsBounded(t *testing.T) {
 			t.Errorf("stream %d latency ring holds %d/%d samples, want cap %d",
 				i, len(w.buf), w.max, cfg.StatsWindow)
 		}
+		if len(w.sorted) != len(w.buf) || cap(w.sorted) > cfg.StatsWindow {
+			t.Errorf("stream %d sorted copy holds %d/%d samples for %d in the ring, want cap %d",
+				i, len(w.sorted), cap(w.sorted), len(w.buf), cfg.StatsWindow)
+		}
 	}
 	for i, w := range s.f.arrWin {
 		if len(w.buf) > cfg.StatsWindow || w.max != cfg.StatsWindow {
 			t.Errorf("stream %d stamp ring holds %d/%d samples, want cap %d",
 				i, len(w.buf), w.max, cfg.StatsWindow)
 		}
+		if w.sorted != nil {
+			t.Errorf("stream %d stamp ring keeps a sorted copy", i)
+		}
 	}
-	st := s.Stats()
-	for i, w := range st.PerStreamWindow {
+	for i, w := range s.StreamWindows() {
 		if w.Window.Count > cfg.StatsWindow {
 			t.Errorf("stream %d window count %d > StatsWindow %d", i, w.Window.Count, cfg.StatsWindow)
 		}
+	}
+}
+
+// TestBuildViewAllocFree pins the control tick's observation: once the
+// fleet is warm, assembling the View allocates nothing, whether each
+// stream's latency summary is recomputed after an add or read from its
+// memo.
+func TestBuildViewAllocFree(t *testing.T) {
+	s, err := New(adaptiveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Ingest(ScheduleSource(s.Config())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.f.buildView() }); a != 0 {
+		t.Errorf("memoized buildView allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, w := range s.f.latWinS {
+			w.add(0.5)
+		}
+		s.f.buildView()
+	}); a != 0 {
+		t.Errorf("buildView after adds allocates %v times, want 0", a)
 	}
 }
 

@@ -149,7 +149,7 @@ func TestPinModeOverridesControl(t *testing.T) {
 	if err := srv.PinMode(0, "warp"); err == nil {
 		t.Error("PinMode accepted an unknown mode")
 	}
-	if got := srv.Stats().PerStreamWindow[0].Mode; got != string(control.ModeProposal) {
+	if got := srv.StreamWindows()[0].Mode; got != string(control.ModeProposal) {
 		t.Errorf("Stats reports pinned stream mode %q, want %q", got, control.ModeProposal)
 	}
 	if err := srv.Ingest(ScheduleSource(cfg)); err != nil {
@@ -174,7 +174,7 @@ func TestPinModeOverridesControl(t *testing.T) {
 	if err := srv.PinMode(0, control.ModeAuto); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Stats().PerStreamWindow[0].Mode; got != "" {
+	if got := srv.StreamWindows()[0].Mode; got != "" {
 		t.Errorf("Stats reports unpinned stream mode %q, want the automatic policy", got)
 	}
 }

@@ -299,7 +299,7 @@ type fleet struct {
 	// Per-stream sliding windows, always maintained: latWinS[s] rings
 	// the stream's most recent served-frame latencies and arrWin[s] its
 	// most recent arrival instants, both capped at Config.StatsWindow —
-	// the signals Stats.PerStreamWindow exposes and the control plane's
+	// the signals Server.StreamWindows exposes and the control plane's
 	// View is built from.
 	latWinS []*window
 	arrWin  []*window
@@ -337,7 +337,7 @@ func newFleet(cfg Config) (*fleet, error) {
 		gpu:     gpumodel.Default(),
 		cascade: cfg.Spec.Kind != sim.Single,
 		sink:    cfg.Sink,
-		win:     newWindow(cfg.StatsWindow),
+		win:     newLatencyWindow(cfg.StatsWindow),
 		workers: cfg.StepWorkers,
 		execs0:  cfg.Executors,
 	}
@@ -408,7 +408,7 @@ func newFleet(cfg Config) (*fleet, error) {
 	f.arrWin = make([]*window, cfg.Streams)
 	for s := range f.effStale {
 		f.effStale[s] = cfg.MaxStaleness
-		f.latWinS[s] = newWindow(cfg.StatsWindow)
+		f.latWinS[s] = newLatencyWindow(cfg.StatsWindow)
 		// A rate needs two stamps, so the arrival ring holds at least two.
 		f.arrWin[s] = newWindow(max(cfg.StatsWindow, 2))
 	}
@@ -950,18 +950,25 @@ func (f *fleet) stats() Stats {
 		Executors:      f.cfg.Executors,
 		PerStreamQueue: append([]int(nil), f.queued...),
 	}
-	st.PerStreamWindow = make([]StreamWindow, len(f.acc))
-	for s := range st.PerStreamWindow {
-		w := &st.PerStreamWindow[s]
+	for s := range f.acc {
+		st.Fleet.Add(f.acc[s].StreamStats)
+	}
+	st.Fleet.derive(st.Now, f.win.summary())
+	return st
+}
+
+// streamWindows snapshots every stream's sliding windows.
+func (f *fleet) streamWindows() []StreamWindow {
+	ws := make([]StreamWindow, len(f.acc))
+	for s := range ws {
+		w := &ws[s]
 		w.Queue = f.queued[s]
 		w.ArrivalRate = f.arrWin[s].rate()
 		w.Window = f.latWinS[s].summary()
 		_, mode := f.modeOf(s)
 		w.Mode = string(mode)
-		st.Fleet.Add(f.acc[s].StreamStats)
 	}
-	st.Fleet.Derive(st.Now, f.win.buf)
-	return st
+	return ws
 }
 
 // result folds the accumulated counters into the Result, in stream

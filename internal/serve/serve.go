@@ -515,15 +515,21 @@ func (s *StreamStats) Add(o StreamStats) {
 // over the makespan horizon, drop rate, and the summary of the row's
 // latency samples. Every combined row (fleet, priority class, cluster
 // stream and cluster fleet, in a Result or a live Stats snapshot)
-// derives through it after its Add fold.
+// derives through it after its Add fold; a Server's live snapshot
+// derives through derive, from its memoized window.
 func (s *StreamStats) Derive(horizon float64, latencies []float64) {
+	s.derive(horizon, summarize(latencies))
+}
+
+// derive is Derive with the latency summary already computed.
+func (s *StreamStats) derive(horizon float64, lat LatencySummary) {
 	if horizon > 0 {
 		s.Throughput = float64(s.Served) / horizon
 	}
 	if s.Arrived > 0 {
 		s.DropRate = float64(s.DroppedQueue+s.DroppedStale) / float64(s.Arrived)
 	}
-	s.Latency = summarize(latencies)
+	s.Latency = lat
 }
 
 // Result is the full outcome of one serving scenario. It is plain data

@@ -1,6 +1,6 @@
 package serve
 
-import "sort"
+import "slices"
 
 // LatencySummary condenses a latency sample set. All values are
 // seconds; percentiles use the nearest-rank method (P50 of n samples is
@@ -51,7 +51,9 @@ func ceilRank(q float64, n int) int {
 // cumulative since New and its throughput and drop rate cover the
 // elapsed makespan (Now), so after a full Drain they equal the final
 // Result's fleet row; its Latency, though, summarizes only the most
-// recent Config.StatsWindow served frames.
+// recent Config.StatsWindow served frames. It carries only what the
+// cluster router reads at each control tick; the per-stream windows
+// are Server.StreamWindows.
 type Stats struct {
 	// Now is the engine's virtual clock: the time of the last event
 	// played so far (the makespan so far).
@@ -69,15 +71,13 @@ type Stats struct {
 	BusyExecutors  int   `json:"busy_executors"`
 	Executors      int   `json:"executors"`
 	PerStreamQueue []int `json:"per_stream_queue,omitempty"`
-	// PerStreamWindow breaks the sliding-window view down by stream —
-	// the per-stream signal set the adaptive control plane
-	// (serve/control) observes at its ticks. Every window is a bounded
-	// ring capped at Config.StatsWindow samples, so the memory cost is
-	// O(Streams * StatsWindow) regardless of run length.
-	PerStreamWindow []StreamWindow `json:"per_stream_window,omitempty"`
 }
 
-// StreamWindow is one stream's sliding-window snapshot within Stats.
+// StreamWindow is one stream's sliding-window snapshot, as returned by
+// Server.StreamWindows — the per-stream signal set the adaptive
+// control plane (serve/control) observes at its ticks. Every window is
+// a bounded ring capped at Config.StatsWindow samples, so the memory
+// cost is O(Streams * StatsWindow) regardless of run length.
 type StreamWindow struct {
 	// Queue is the stream's current backlog in the shared scheduler.
 	Queue int `json:"queue"`
@@ -97,10 +97,19 @@ type StreamWindow struct {
 // sliding-window views of Stats and the control plane. The window size
 // is stored explicitly because make() may round a slice's capacity up
 // to an allocation size class.
+//
+// A latency window (newLatencyWindow) also keeps the same samples in
+// ascending order and memoizes its summary until the next add, so the
+// live reads — every control tick, every router tick, every poll —
+// neither copy nor sort. An arrival-stamp window keeps no sorted copy:
+// it only feeds rate().
 type window struct {
-	buf []float64
-	max int // window size
-	n   int // total samples ever added
+	buf    []float64 // ring in arrival order
+	sorted []float64 // buf's samples ascending; nil for stamp rings
+	max    int       // window size
+	n      int       // total samples ever added
+	memo   LatencySummary
+	fresh  bool // memo summarizes sorted
 }
 
 func newWindow(capacity int) *window {
@@ -110,16 +119,57 @@ func newWindow(capacity int) *window {
 	return &window{buf: make([]float64, 0, capacity), max: capacity}
 }
 
+func newLatencyWindow(capacity int) *window {
+	w := newWindow(capacity)
+	w.sorted = make([]float64, 0, w.max)
+	return w
+}
+
 func (w *window) add(v float64) {
 	if len(w.buf) < w.max {
 		w.buf = append(w.buf, v)
+		if w.sorted != nil {
+			i, _ := slices.BinarySearch(w.sorted, v)
+			w.sorted = slices.Insert(w.sorted, i, v)
+		}
 	} else {
-		w.buf[w.n%w.max] = v
+		slot := w.n % w.max
+		if w.sorted != nil {
+			w.replace(w.buf[slot], v)
+		}
+		w.buf[slot] = v
 	}
 	w.n++
+	w.fresh = false
 }
 
-func (w *window) summary() LatencySummary { return summarize(w.buf) }
+// replace swaps the evicted sample old for v in the sorted copy: both
+// positions by binary search, then one shift of the samples between
+// them.
+func (w *window) replace(old, v float64) {
+	s := w.sorted
+	i, _ := slices.BinarySearch(s, old)
+	j, _ := slices.BinarySearch(s, v)
+	if j <= i {
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
+	} else {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
+	}
+}
+
+// summary is the latency window's LatencySummary, computed from the
+// sorted copy once per add.
+//
+//detlint:allocfree
+func (w *window) summary() LatencySummary {
+	if !w.fresh {
+		w.memo = summarizeSorted(w.sorted)
+		w.fresh = true
+	}
+	return w.memo
+}
 
 // rate reads the ring as arrival stamps: (count-1) arrivals over the
 // span from the oldest to the newest stamp, in frames/s. 0 until two
@@ -141,16 +191,22 @@ func (w *window) rate() float64 {
 	return float64(k-1) / span
 }
 
-// summarize computes the latency summary of a sample set. The input is
-// not modified.
+// summarize computes the latency summary of a sample set — a Result
+// row's full run — from a sorted copy. The input is not modified.
 func summarize(samples []float64) LatencySummary {
-	s := LatencySummary{Count: len(samples)}
-	if len(samples) == 0 {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	return summarizeSorted(sorted)
+}
+
+// summarizeSorted computes the latency summary of an ascending sample
+// set, summing in that order so every field is bit-identical however
+// the set came to be sorted.
+func summarizeSorted(sorted []float64) LatencySummary {
+	s := LatencySummary{Count: len(sorted)}
+	if len(sorted) == 0 {
 		return s
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v

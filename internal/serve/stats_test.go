@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -64,5 +67,59 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	summarize(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("summarize mutated its input: %v", in)
+	}
+}
+
+// TestWindowSummaryMatchesSort pins the sorted, memoized latency
+// window against the copy-and-sort reference: after every add, and on
+// a repeated read, summary() equals summarize over the ring's samples
+// bit for bit, and the sorted copy is exactly the ring's samples in
+// ascending order. Samples mix quarter-quantized ties (so evictions
+// and insertions land among equal values) with uniform ones.
+func TestWindowSummaryMatchesSort(t *testing.T) {
+	bits := func(s LatencySummary) [6]uint64 {
+		return [6]uint64{uint64(s.Count), math.Float64bits(s.Mean), math.Float64bits(s.P50),
+			math.Float64bits(s.P95), math.Float64bits(s.P99), math.Float64bits(s.Max)}
+	}
+	for _, size := range []int{1, 2, 3, 7, 256} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(size)))
+			w := newLatencyWindow(size)
+			for i := 0; i < 5000; i++ {
+				v := rng.Float64() * 3
+				if rng.Intn(2) == 0 {
+					v = float64(rng.Intn(12)) / 4
+				}
+				w.add(v)
+				want := summarize(slices.Clone(w.buf))
+				for read := 0; read < 2; read++ {
+					if got := w.summary(); bits(got) != bits(want) {
+						t.Fatalf("add %d read %d: summary %+v, want %+v", i, read, got, want)
+					}
+				}
+				ref := slices.Clone(w.buf)
+				slices.Sort(ref)
+				if !slices.Equal(w.sorted, ref) {
+					t.Fatalf("add %d: sorted copy %v, want %v", i, w.sorted, ref)
+				}
+			}
+		})
+	}
+}
+
+// TestWindowSummaryAllocFree pins the live read path: a full window's
+// add and summary allocate nothing.
+func TestWindowSummaryAllocFree(t *testing.T) {
+	w := newLatencyWindow(256)
+	for i := 0; i < 300; i++ {
+		w.add(float64(i%17) / 4)
+	}
+	v := 0.0
+	if a := testing.AllocsPerRun(100, func() {
+		v += 0.25
+		w.add(v)
+		_ = w.summary()
+	}); a != 0 {
+		t.Errorf("warm add+summary allocates %v times, want 0", a)
 	}
 }

@@ -168,7 +168,11 @@ func (w *Grower) Sequence() *dataset.Sequence { return w.seq }
 func (w *Grower) Grow(n int) {
 	for f := len(w.seq.Frames); f < n; f++ {
 		w.g.step()
-		frame := dataset.Frame{Index: f, Labeled: isLabeled(w.g.p, f)}
+		frame := dataset.Frame{
+			Index:   f,
+			Labeled: isLabeled(w.g.p, f),
+			Objects: make([]dataset.Object, 0, len(w.g.live)),
+		}
 		for _, o := range w.g.live {
 			frame.Objects = append(frame.Objects, w.g.observe(o))
 		}
