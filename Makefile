@@ -13,7 +13,7 @@ BENCH_COUNT     ?= 3
 BENCH_GATE_TIME ?= 3x
 SWEEP_OUT       ?= sweep.txt
 TRACE_OUT       ?= trace.jsonl
-PROFILE_BENCH   ?= BenchmarkServeOverload|BenchmarkServeParallelStep
+PROFILE_BENCH   ?= BenchmarkServeOverload|BenchmarkServeParallelStep|BenchmarkClusterOverload
 STATICCHECK     ?= staticcheck
 # The one place the staticcheck version is pinned: lint-install (used
 # by CI) and the local install hint both read it, so the version CI
@@ -67,11 +67,12 @@ test:
 	$(GO) test ./...
 
 # The full suite under the race detector, then the serving determinism
-# matrices five more times: their background step workers interleave
-# differently on every run, so repeats are what give a race a chance.
+# matrices and the shared-world test five more times: their background
+# step workers interleave differently on every run, so repeats are what
+# give a race a chance.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism)$$' ./internal/serve
+	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestSharedWorldsMatchPrivate)$$' ./internal/serve
 
 # Per-package statement coverage of the full suite (the golden preset
 # and chaos harnesses push internal/serve; CI runs this as its own job
@@ -144,7 +145,8 @@ cluster-determinism:
 cluster-failover:
 	$(GO) test -race -run '^(TestFailoverDeterminism|TestNoFaultPlanMatchesCluster|TestStatsMatchResult)$$' -v ./internal/serve/cluster/
 
-# CPU and heap profiles of the serving hot path (see PROFILE_BENCH).
+# CPU and heap profiles of the serving and cluster hot paths (see
+# PROFILE_BENCH).
 # Inspect with: go tool pprof -top cpu.prof
 profile:
 	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 5x \

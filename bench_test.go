@@ -9,6 +9,7 @@ package catdet
 // cmd/experiments.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -23,6 +24,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/serve"
+	"repro/internal/serve/cluster"
+	"repro/internal/serve/control"
 	"repro/internal/serve/sched"
 	"repro/internal/sim"
 	"repro/internal/tracker"
@@ -438,6 +441,49 @@ func BenchmarkServerStats(b *testing.B) {
 		st = srv.Stats()
 	}
 	b.ReportMetric(float64(st.Fleet.Served), "served_frames")
+}
+
+// BenchmarkClusterOverload measures the cluster path end to end: 16
+// bursty mini-world streams over 4 shards at several times their
+// capacity, with a queue cap, the baseline controller, migration,
+// autoscaling and seeded shard kills with replay failover. Each op
+// builds the Router (its shards share one set of stream worlds),
+// ingests the preset schedule and drains it.
+func BenchmarkClusterOverload(b *testing.B) {
+	base := serveBenchConfig()
+	base.Streams = 16
+	base.Executors = 1
+	base.Arrivals = serve.Burst
+	base.BurstPeriod = 2
+	base.BurstDuty = 0.25
+	base.Duration = 8
+	base.QueueCap = 8
+	base.MaxStaleness = 0.5
+	base.Control = control.Config{Kind: control.KindBaseline}
+	cfg := cluster.Config{
+		Base:      base,
+		Shards:    4,
+		Migration: cluster.Migration{QueueDepth: 2, Cooldown: 1, MaxPerStream: 2},
+		Autoscale: cluster.Autoscale{Enabled: true, Min: 1, Max: 2},
+		Faults:    cluster.FaultPlan{MTBF: 2, MTTR: 1, Failover: cluster.FailoverReplay},
+	}
+	var res *cluster.Result
+	for i := 0; i < b.N; i++ {
+		r, err := cluster.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
+			b.Fatal(err)
+		}
+		if res, err = r.Drain(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+	b.ReportMetric(float64(res.Fleet.Served)/float64(res.Fleet.Arrived), "served_frac")
+	b.ReportMetric(float64(res.Migrations), "migrations")
+	b.ReportMetric(float64(res.Faults.Kills), "kills")
 }
 
 // --- Ablation benches (design choices from DESIGN.md §4) ---

@@ -87,6 +87,9 @@ type Router struct {
 	mu     sync.Mutex
 	cfg    Config // normalized
 	shards []*shard
+	// worlds is every stream's synthetic video, built once from Base
+	// and shared by every shard, those added online included.
+	worlds *serve.Worlds
 
 	// Stream routing state: hash home, current owner, cluster epoch
 	// (bumped per migration) and migration count per stream.
@@ -196,19 +199,25 @@ func (s shardSink) ServeEvent(e serve.Event) {
 	}
 }
 
-// New builds a Router: the ring, the initial placement and one shard
-// Server per shard, each over the full normalized Base (identical
-// worlds everywhere — only the routing decides which shard serves a
-// stream). Elastic shards are parked at Autoscale.Min from t=0.
+// New builds a Router: the ring, the initial placement, one set of
+// stream worlds and one shard Server per shard, each over the full
+// normalized Base and sharing those worlds (only the routing decides
+// which shard serves a stream). Elastic shards are parked at
+// Autoscale.Min from t=0.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	worlds, err := serve.NewWorlds(cfg.Base)
+	if err != nil {
 		return nil, err
 	}
 	rg := newRing(cfg.Shards, virtualNodes)
 	home, owner := place(rg, cfg.Base.Streams, placementLoadFactor)
 	r := &Router{
 		cfg:      cfg,
+		worlds:   worlds,
 		home:     home,
 		owner:    owner,
 		epoch:    make([]int, cfg.Base.Streams),
@@ -245,10 +254,10 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// newShard builds the next shard — a Server over the full Base on the
-// named GPU tier, its events feeding the merged books — and appends it
-// to the cluster. Called with r.mu held (or before the Router escapes
-// New).
+// newShard builds the next shard — a Server over the full Base and the
+// cluster's shared worlds on the named GPU tier, its events feeding the
+// merged books — and appends it to the cluster. Called with r.mu held
+// (or before the Router escapes New).
 func (r *Router) newShard(tierName string, bornAt float64) (*shard, error) {
 	tier, err := gpumodel.TierByName(tierName)
 	if err != nil {
@@ -259,7 +268,7 @@ func (r *Router) newShard(tierName string, bornAt float64) (*shard, error) {
 	cfg := r.cfg.Base
 	cfg.Sink = shardSink{r: r, sh: sh, idx: len(r.shards)}
 	cfg.GPU = &model
-	if sh.srv, err = serve.New(cfg); err != nil {
+	if sh.srv, err = serve.NewShared(cfg, r.worlds); err != nil {
 		return nil, err
 	}
 	r.shards = append(r.shards, sh)

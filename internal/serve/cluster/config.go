@@ -176,8 +176,11 @@ type Autoscale struct {
 type Config struct {
 	// Base is the serving scenario to shard. Every shard Server is
 	// built over the full normalized Base (same preset, seed and stream
-	// space, so every shard regenerates identical worlds); the Router
-	// routes each stream's frames to exactly one shard at a time.
+	// space) and over one set of stream worlds built from it: a world
+	// depends only on (preset, seed, stream), so the shards share it,
+	// and whichever shard steps a frame first grows it, once, under
+	// the stream's lock (see serve.Worlds). The Router routes each
+	// stream's frames to exactly one shard at a time.
 	// Base.Executors is each shard's static executor count (and the
 	// identity echoed in the books); Base.Sink is ignored — use
 	// Config.Sink, which sees every shard's events with attribution.

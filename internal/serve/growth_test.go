@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-
-	"repro/internal/video"
 )
 
 // TestIncrementalWorldMatchesFromScratch pins the serving layer's lazy
@@ -37,30 +35,7 @@ func TestIncrementalWorldMatchesFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	norm := srv.Config()
-	base := norm.Preset
-	base.FPS = norm.FPS
 	for s := 0; s < cfg.Streams; s++ {
-		p := base
-		p.FramesPerSeq = last + 1
-		want := video.GenerateSequence(p, norm.Seed, s)
-		got := srv.f.seqs[s]
-		if len(got.Frames) != last+1 {
-			t.Fatalf("stream %d grew to %d frames, want %d", s, len(got.Frames), last+1)
-		}
-		if got.ID != want.ID {
-			t.Fatalf("stream %d sequence ID %q, want %q", s, got.ID, want.ID)
-		}
-		for fi := range want.Frames {
-			fw, fg := want.Frames[fi], got.Frames[fi]
-			if fw.Index != fg.Index || len(fw.Objects) != len(fg.Objects) {
-				t.Fatalf("stream %d frame %d differs from from-scratch generation", s, fi)
-			}
-			for oi := range fw.Objects {
-				if fw.Objects[oi] != fg.Objects[oi] {
-					t.Fatalf("stream %d frame %d object %d differs from from-scratch generation", s, fi, oi)
-				}
-			}
-		}
+		checkWorld(t, srv.Config(), s, srv.f.worlds.seq(s), last+1)
 	}
 }

@@ -8,14 +8,12 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/detector"
 	"repro/internal/gpumodel"
 	"repro/internal/ops"
 	"repro/internal/serve/control"
 	"repro/internal/serve/sched"
 	"repro/internal/sim"
-	"repro/internal/video"
 )
 
 // Event kinds. At equal virtual times price markers sort first, then
@@ -229,24 +227,20 @@ func arrivalTimes(cfg Config) [][]float64 {
 // its own.
 type fleet struct {
 	cfg     Config
-	seed    int64
 	gpu     gpumodel.Model
 	refCost ops.CostModel
 	cascade bool
 
-	// Per-stream state. presets[s] is the (possibly rate-rescaled)
-	// world preset of stream s; growers[s] incrementally extends its
-	// synthetic sequence seqs[s] (frames exist up to the largest index
-	// submitted so far). sessEpoch[s] is the capture-session
+	// Per-stream state. worlds holds every stream's synthetic
+	// sequence, grown on demand and possibly shared with other Servers
+	// (see Worlds). sessEpoch[s] is the capture-session
 	// generation sessions[s] currently holds: when a frame from a
 	// later epoch (a reset-session reconnect) reaches its step, the
 	// session is Reset first — lazily, at step time, so frames queued
 	// before the reconnect still step against the session that
 	// watched them.
-	presets   []video.Preset
+	worlds    *Worlds
 	sessions  []core.System
-	growers   []*video.Grower
-	seqs      []*dataset.Sequence
 	sessEpoch []int
 
 	agenda  agenda
@@ -329,11 +323,12 @@ type fleet struct {
 	acc               []streamAcc
 }
 
-// newFleet builds the engine for a normalized, validated config.
-func newFleet(cfg Config) (*fleet, error) {
+// newFleet builds the engine for a normalized, validated config over
+// worlds that match it.
+func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 	f := &fleet{
 		cfg:     cfg,
-		seed:    cfg.Seed,
+		worlds:  worlds,
 		gpu:     gpumodel.Default(),
 		cascade: cfg.Spec.Kind != sim.Single,
 		sink:    cfg.Sink,
@@ -363,23 +358,6 @@ func newFleet(cfg Config) (*fleet, error) {
 		f.refCost = ref.Cost
 	}
 
-	// The base world preset runs at the offered rate: frame k of a
-	// stream is the world 1/FPS seconds after frame k-1. A stream whose
-	// StreamFPS overrides the rate gets its own preset rescaled to that
-	// rate, so its frame content and arrival cadence agree — the same
-	// per-second motion, lifetime and density statistics as its
-	// same-rate neighbors, sampled at its own cadence.
-	base := cfg.Preset
-	base.FPS = cfg.FPS
-	f.presets = make([]video.Preset, cfg.Streams)
-	for s := range f.presets {
-		p := base
-		if len(cfg.StreamFPS) > 0 && cfg.StreamFPS[s] != cfg.FPS {
-			p = base.Rescale(cfg.StreamFPS[s])
-		}
-		f.presets[s] = p
-	}
-
 	// A preset that models degraded imaging (night/low-light packs)
 	// scales every detector's noise channels; the knob composes with
 	// any scale the caller already put on the spec.
@@ -390,10 +368,8 @@ func newFleet(cfg Config) (*fleet, error) {
 		}
 		spec.NoiseScale *= n
 	}
-	factory := spec.Factory(base.ClassList())
+	factory := spec.Factory(cfg.Preset.ClassList())
 	f.sessions = make([]core.System, cfg.Streams)
-	f.growers = make([]*video.Grower, cfg.Streams)
-	f.seqs = make([]*dataset.Sequence, cfg.Streams)
 	f.sessEpoch = make([]int, cfg.Streams)
 	f.acc = make([]streamAcc, cfg.Streams)
 	// Sized for one single-frame launch per executor, so a fleet that
@@ -425,9 +401,7 @@ func newFleet(cfg Config) (*fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.growers[s] = video.NewGrower(f.presets[s], f.seed, s)
-		f.seqs[s] = f.growers[s].Sequence()
-		sys.Reset(f.seqs[s])
+		sys.Reset(worlds.seq(s))
 		f.sessions[s] = sys
 	}
 	return f, nil
@@ -1040,7 +1014,7 @@ func (f *fleet) result() *Result {
 	for s := range f.acc {
 		a := &f.acc[s]
 		row := a.StreamStats
-		row.ID = f.seqs[s].ID
+		row.ID = f.worlds.seq(s).ID
 		row.Derive(horizon, a.latencies)
 		r.PerStream = append(r.PerStream, row)
 		fleetRow.Add(a.StreamStats)

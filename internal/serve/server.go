@@ -221,7 +221,33 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f, err := newFleet(cfg)
+	return newServer(cfg, newWorlds(cfg))
+}
+
+// NewShared builds a Server like New, but over worlds shared with other
+// Servers instead of worlds of its own: between them, the Servers grow
+// each frame of a stream's world once, under the stream's lock.
+// The worlds must have been built for the same Streams, Seed, Preset,
+// FPS and StreamFPS as the normalized config. Sessions, queues and
+// books stay the Server's own.
+func NewShared(cfg Config, worlds *Worlds) (*Server, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if worlds == nil {
+		return nil, errors.New("serve: Worlds: nil")
+	}
+	if err := worlds.match(cfg); err != nil {
+		return nil, err
+	}
+	return newServer(cfg, worlds)
+}
+
+// newServer builds a Server for a normalized, validated config over
+// worlds that match it.
+func newServer(cfg Config, worlds *Worlds) (*Server, error) {
+	f, err := newFleet(cfg, worlds)
 	if err != nil {
 		return nil, err
 	}

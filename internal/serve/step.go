@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/detector"
 	"repro/internal/gpumodel"
 	"repro/internal/serve/control"
 )
@@ -202,10 +201,12 @@ func (f *fleet) closePool() {
 // state, computing it on a worker is deterministic.
 //
 // The stream's world grows here too, on the goroutine that steps the
-// frame: the grower extends the sequence in place (prefix-stable, so
-// the frames are those a from-scratch generation would emit), and a
-// stream's steps never overlap, so no other goroutine reads the
-// sequence while it grows.
+// frame, under the world's own lock: the worlds may be shared by every
+// shard of a cluster, whose steps of one stream can overlap after a
+// migration or failover. A world depends only on (preset, seed,
+// stream) and the grower is prefix-stable, so whichever Server grows a
+// frame first, every Server reads the frame a from-scratch generation
+// would emit.
 //
 // Degraded frames are a timing-model shed only: the session still
 // steps in full (the tracker keeps its refinement-fed state) and just
@@ -218,12 +219,11 @@ func (f *fleet) stepAdmitted(adm *admitted) {
 		// frame's epoch and the session's: start the new capture
 		// session here, in per-stream step order, so every frame steps
 		// against the session generation that watched it.
-		f.sessions[s].Reset(f.seqs[s])
+		f.sessions[s].Reset(f.worlds.seq(s))
 		f.sessEpoch[s] = adm.job.Epoch
 	}
-	f.growers[s].Grow(adm.job.Frame + 1)
-	seq := f.seqs[s]
-	out := f.sessions[s].Step(detector.FrameOf(seq, adm.job.Frame))
+	fr := f.worlds.frame(s, adm.job.Frame)
+	out := f.sessions[s].Step(fr)
 	// base is the proposal pass a refining cascade frame runs besides
 	// the refinement workload its FrameTime reports; a single-model or
 	// degraded frame's MergedWorkload already is its whole launch.
@@ -236,11 +236,11 @@ func (f *fleet) stepAdmitted(adm *admitted) {
 		ft = f.gpu.ProposalOnlyFrame(out.Ops.Proposal)
 	case adm.mode == control.ModeFull:
 		ft = f.gpu.FullCascadeFrame(out.Ops.Proposal,
-			f.refCost.RegionOps(seq.Width, seq.Height, 1, out.NumProposals))
+			f.refCost.RegionOps(fr.Width, fr.Height, 1, out.NumProposals))
 		base = out.Ops.Proposal
 	default:
 		ft = f.gpu.CaTDetFrame(out.Ops.Proposal, out.Regions,
-			float64(seq.Width), float64(seq.Height), f.refCost, out.NumProposals)
+			float64(fr.Width), float64(fr.Height), f.refCost, out.NumProposals)
 		base = out.Ops.Proposal
 	}
 	adm.service = ft.Total
