@@ -13,7 +13,7 @@ BENCH_COUNT     ?= 3
 BENCH_GATE_TIME ?= 3x
 SWEEP_OUT       ?= sweep.txt
 TRACE_OUT       ?= trace.jsonl
-PROFILE_BENCH   ?= BenchmarkServeOverload|BenchmarkServeParallelStep|BenchmarkClusterOverload
+PROFILE_BENCH   ?= BenchmarkServeOverload|BenchmarkServeParallelStep|BenchmarkClusterOverload|BenchmarkClusterNew
 STATICCHECK     ?= staticcheck
 # The one place the staticcheck version is pinned: lint-install (used
 # by CI) and the local install hint both read it, so the version CI
@@ -67,12 +67,12 @@ test:
 	$(GO) test ./...
 
 # The full suite under the race detector, then the serving determinism
-# matrices and the shared-world test five more times: their background
-# step workers interleave differently on every run, so repeats are what
-# give a race a chance.
+# matrices, the shared-world test and the parallel world warm-up test
+# five more times: their background workers interleave differently on
+# every run, so repeats are what give a race a chance.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestSharedWorldsMatchPrivate)$$' ./internal/serve
+	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestSharedWorldsMatchPrivate|TestWorldsWarmUpMatchesGenerate)$$' ./internal/serve
 
 # Per-package statement coverage of the full suite (the golden preset
 # and chaos harnesses push internal/serve; CI runs this as its own job

@@ -486,6 +486,35 @@ func BenchmarkClusterOverload(b *testing.B) {
 	b.ReportMetric(float64(res.Faults.Kills), "kills")
 }
 
+// BenchmarkClusterNew measures cluster set-up alone on the repository
+// benchmark's cluster-overload config: 64 KITTI-sim streams over 4
+// shards, two step workers, a queue cap, the baseline controller,
+// migration, autoscaling and a replay FaultPlan. Each op builds the
+// Router — the shared stream worlds, warm-up included, and every
+// shard's sessions — and closes it without serving a frame.
+func BenchmarkClusterNew(b *testing.B) {
+	cfg := cluster.Config{
+		Base: serve.Config{
+			Spec: sim.SystemSpec{Kind: sim.CaTDet, Proposal: "resnet10a", Refinement: "resnet50",
+				Cfg: core.DefaultConfig()},
+			Seed: 1, Streams: 64, Duration: 120, Executors: 1, StepWorkers: 2,
+			Scheduler: sched.FIFO, QueueCap: 8, MaxStaleness: 0.5,
+			Control: control.Config{Kind: control.KindBaseline},
+		},
+		Shards:    4,
+		Migration: cluster.Migration{QueueDepth: 2, Cooldown: 1, MaxPerStream: 2},
+		Autoscale: cluster.Autoscale{Enabled: true, Min: 1, Max: 2},
+		Faults:    cluster.FaultPlan{MTBF: 8, MTTR: 2, Failover: cluster.FailoverReplay, Seed: 1},
+	}
+	for i := 0; i < b.N; i++ {
+		r, err := cluster.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
 // --- Ablation benches (design choices from DESIGN.md §4) ---
 
 func ablationRun(b *testing.B, cfg core.Config) (mapHard float64, gops float64) {

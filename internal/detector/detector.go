@@ -58,7 +58,10 @@ type Result struct {
 //
 // A Detector carries per-invocation scratch buffers, so one instance
 // must not be invoked from multiple goroutines concurrently; build one
-// instance per worker (sim.SystemFactory does exactly that).
+// instance per worker (sim.SystemFactory does exactly that). The
+// scratch and the Profile are per instance; Cost is not: New hands
+// every detector of a zoo name the same read-only ops model, which is
+// safe to price from any number of goroutines and must not be mutated.
 type Detector struct {
 	Profile Profile
 	Cost    ops.CostModel

@@ -230,7 +230,8 @@ func ProfileNames() []string {
 }
 
 // New builds a Detector from a zoo name, pairing the accuracy profile
-// with its calibrated cost model.
+// with its calibrated cost model, shared with every other Detector of
+// that name (see ops.NewCostModel).
 func New(name string) (*Detector, error) {
 	p, err := ProfileFor(name)
 	if err != nil {

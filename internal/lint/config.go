@@ -55,12 +55,17 @@ func DefaultConfig() *Config {
 		VirtualClock:  det,
 		GoHygiene:     det,
 		GoAllowed: []string{
-			// The serve step pool (PR 5) and the sim engine's sequence
-			// pool (PR 1) are the two blessed fan-out points; the
+			// The serve step pool and the sim engine's sequence pool
+			// are the blessed fan-out points for per-frame work; the
 			// cluster router deliberately runs shards serially on the
 			// virtual clock and spawns nothing.
 			"internal/serve.(*fleet).startPool",
 			"internal/sim.mapSequences",
+			// World warm-up fans out over the step workers' bound. It is
+			// deterministic because stream s's grower depends only on
+			// (preset, seed, s) and its own RNG, and each goroutine
+			// writes only the slots of the streams it builds.
+			"internal/serve.newWorlds",
 		},
 		Golden:         []string{"internal/serve", "internal/serve/cluster", "internal/serve/control"},
 		GoldenBaseline: goldenBaseline,

@@ -47,10 +47,12 @@ type FasterRCNN struct {
 	featUsed  atomic.Int32
 }
 
-// featureMemos is how many frame sizes a FasterRCNN remembers. A model
-// prices one or two frame sizes in practice; further sizes walk the
-// trunk on every call, as before the memo.
-const featureMemos = 4
+// featureMemos is how many frame sizes a FasterRCNN remembers. The zoo
+// shares one model per name across the whole process, so the slots
+// must hold its calibration anchors (two for resnet50) plus every frame
+// size the registered world presets use (five distinct today); further
+// sizes walk the trunk on every call, as before the memo.
+const featureMemos = 8
 
 // featureMemo is one remembered FeatureOps input and its raw result.
 type featureMemo struct {

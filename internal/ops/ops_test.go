@@ -209,7 +209,7 @@ func TestFeatureOpsMemoMatchesWalk(t *testing.T) {
 	m.featScale = 1.25
 	sizes := [][2]int{
 		{KITTIWidth, KITTIHeight}, {CityPersonsWidth, CityPersonsHeight}, {KITTIWidth, CityPersonsHeight},
-		{640, 480}, {1920, 1080}, {320, 240},
+		{640, 480}, {1920, 1080}, {320, 240}, {800, 600}, {1600, 900}, {2560, 1440},
 	}
 	want := make([]uint64, len(sizes))
 	for i, s := range sizes {

@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // CostModel is the interface both detector families implement: full-frame
@@ -42,7 +43,36 @@ var paperAnchors = map[string][]OpsAnchor{
 // NewCostModel returns the calibrated cost model for a named detector.
 // Known names: resnet18, resnet10a, resnet10b, resnet10c, resnet50,
 // vgg16 (Faster R-CNN family) and retinanet-res50.
+//
+// The model is shared: every call with the same name returns the same
+// instance, built and calibrated once per process on first use. A
+// calibrated model is read-only (its FeatureOps memo is write-once and
+// atomic), so detectors, sessions and step workers hold one pointer.
+// Never mutate a returned model — its Backbone, NumProposals or
+// calibration — since every other holder would see the change.
 func NewCostModel(name string) (CostModel, error) {
+	build, ok := zoo[name]
+	if !ok {
+		return nil, fmt.Errorf("ops: unknown model %q", name)
+	}
+	return build(), nil
+}
+
+// zoo maps every ModelNames entry to its lazily built shared model.
+var zoo = newZoo()
+
+// newZoo returns a table of once-built models, one entry per name.
+func newZoo() map[string]func() CostModel {
+	z := make(map[string]func() CostModel)
+	for _, name := range ModelNames() {
+		name := name // one variable per name: go.mod predates per-iteration loop variables
+		z[name] = sync.OnceValue(func() CostModel { return buildCostModel(name) })
+	}
+	return z
+}
+
+// buildCostModel builds and calibrates a fresh model for a known name.
+func buildCostModel(name string) CostModel {
 	var m interface {
 		CostModel
 		Calibrate([]OpsAnchor)
@@ -56,13 +86,10 @@ func NewCostModel(name string) (CostModel, error) {
 		m = NewRetinaNet(BuildResNet50())
 	default:
 		i := slices.IndexFunc(Table1Specs, func(s SmallResNetSpec) bool { return s.Name == name })
-		if i < 0 {
-			return nil, fmt.Errorf("ops: unknown model %q", name)
-		}
 		m = NewFasterRCNN(BuildSmallResNet(Table1Specs[i]))
 	}
 	m.Calibrate(paperAnchors[name])
-	return m, nil
+	return m
 }
 
 // MustCostModel is NewCostModel for static names; it panics on error.

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/gpumodel"
 	"repro/internal/ops"
 	"repro/internal/serve/control"
@@ -351,11 +350,9 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		return nil, err
 	}
 	if f.cascade {
-		ref, err := detector.New(cfg.Spec.Refinement)
-		if err != nil {
+		if f.refCost, err = ops.NewCostModel(cfg.Spec.Refinement); err != nil {
 			return nil, err
 		}
-		f.refCost = ref.Cost
 	}
 
 	// A preset that models degraded imaging (night/low-light packs)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/detector"
@@ -54,6 +55,11 @@ func NewWorlds(cfg Config) (*Worlds, error) {
 // frame content and arrival cadence agree — the same per-second
 // motion, lifetime and density statistics as its same-rate neighbors,
 // sampled at its own cadence.
+//
+// The growers' warm-ups run on min(StepWorkers, Streams) goroutines,
+// the server's existing bound on CPU fan-out. Stream s always gets
+// NewGrower(p, Seed, s), which draws only from its own seeded RNG, so
+// which goroutine builds it, and when, never shows in its frames.
 func newWorlds(cfg Config) *Worlds {
 	w := &Worlds{
 		streams:   make([]world, cfg.Streams),
@@ -64,13 +70,36 @@ func newWorlds(cfg Config) *Worlds {
 	}
 	base := cfg.Preset
 	base.FPS = cfg.FPS
-	for s := range w.streams {
+	build := func(s int) {
 		p := base
 		if len(cfg.StreamFPS) > 0 && cfg.StreamFPS[s] != cfg.FPS {
 			p = base.Rescale(cfg.StreamFPS[s])
 		}
 		w.streams[s].g = video.NewGrower(p, cfg.Seed, s)
 	}
+	workers := min(cfg.StepWorkers, cfg.Streams)
+	if workers <= 1 {
+		for s := range w.streams {
+			build(s)
+		}
+		return w
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= cfg.Streams {
+					return
+				}
+				build(s)
+			}
+		}()
+	}
+	wg.Wait()
 	return w
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -100,6 +101,43 @@ func TestSharedWorldsMatchPrivate(t *testing.T) {
 		}
 		for s := 0; s < cfg.Streams; s++ {
 			checkWorld(t, shared[0].Config(), s, worlds.seq(s), frames)
+		}
+	}
+}
+
+// TestWorldsWarmUpMatchesGenerate pins the parallel world warm-up:
+// worlds built at StepWorkers 1, 2 and 8 — more streams than workers,
+// one stream at its own rescaled rate — each grow to exactly the bytes
+// of a from-scratch GenerateSequence of their stream, whichever
+// goroutine built the grower.
+func TestWorldsWarmUpMatchesGenerate(t *testing.T) {
+	const frames = 40
+	for _, workers := range []int{1, 2, 8} {
+		cfg := testConfig()
+		cfg.Streams = 11
+		cfg.StreamFPS = []float64{15, 15, 15, 30, 15, 15, 15, 15, 15, 15, 15}
+		cfg.StepWorkers = workers
+		worlds, err := NewWorlds(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < cfg.Streams; s++ {
+			worlds.frame(s, frames-1)
+			p := cfg.Preset
+			p.FPS = cfg.FPS
+			p = p.Rescale(cfg.StreamFPS[s])
+			p.FramesPerSeq = frames
+			want, err := json.Marshal(video.GenerateSequence(p, cfg.Seed, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(worlds.seq(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d stream %d: world differs from GenerateSequence", workers, s)
+			}
 		}
 	}
 }

@@ -146,7 +146,10 @@ func NewGrower(p Preset, seed int64, s int) *Grower {
 		Height: p.Height,
 		FPS:    p.FPS,
 	}
-	g := &generator{p: p, rng: rng, nextID: 1}
+	g := &generator{p: p, rng: rng, nextID: 1, spawnL: make([]float64, len(p.Classes))}
+	for ci, c := range p.Classes {
+		g.spawnL[ci] = math.Exp(-c.SpawnRate)
+	}
 
 	// Warm-up: populate the scene before frame 0 so sequences do not
 	// start empty; objects alive at frame 0 have FirstFrame 0, matching
@@ -186,6 +189,9 @@ type generator struct {
 	live   []*object
 	nextID int
 	egoVX  float64
+	// spawnL is exp(-SpawnRate) of each of p's classes, the Poisson
+	// threshold of its spawn draw, computed once at construction.
+	spawnL []float64
 }
 
 // step advances the world by one frame: ego drift, motion, lifecycle.
@@ -226,7 +232,7 @@ func (g *generator) step() {
 	// Spawns: Poisson via Bernoulli thinning (rates are well below 1).
 	for ci := range p.Classes {
 		spec := &p.Classes[ci]
-		n := poisson(g.rng, spec.SpawnRate)
+		n := poisson(g.rng, spec.SpawnRate, g.spawnL[ci])
 		for i := 0; i < n; i++ {
 			g.live = append(g.live, g.spawn(spec))
 		}
@@ -384,13 +390,13 @@ func meanLifetime(p Preset) float64 {
 	return total / float64(len(p.Classes))
 }
 
-// poisson draws a Poisson variate via Knuth's method; rates here are
-// small (< 1) so this is efficient.
-func poisson(rng *rand.Rand, lambda float64) int {
+// poisson draws a Poisson variate of mean lambda via Knuth's method,
+// given l = exp(-lambda); rates here are small (< 1) so this is
+// efficient.
+func poisson(rng *rand.Rand, lambda, l float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {
