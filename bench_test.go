@@ -1,8 +1,9 @@
 package catdet
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark regenerates its experiment on a
+// evaluation section, plus ablation benches for the tracker's design
+// choices (the set sim.Engine.Ablations evaluates) and the GPU model's
+// region merging. Each benchmark regenerates its experiment on a
 // reduced (but statistically stable) world and reports the headline
 // quantities via b.ReportMetric, so `go test -bench=.` doubles as a
 // compact reproduction run. The full-scale tables are produced by
@@ -515,7 +516,7 @@ func BenchmarkClusterNew(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices from DESIGN.md §4) ---
+// --- Ablation benches (tracker design choices and GPU region merging) ---
 
 func ablationRun(b *testing.B, cfg core.Config) (mapHard float64, gops float64) {
 	ds, _ := benchData()

@@ -1,9 +1,11 @@
 // Package core implements the paper's detection systems (Figure 1):
-// the single-model detector, the two-stage cascaded detector, and
-// CaTDet — the cascade with a tracker feeding temporal regions of
-// interest back into the refinement network. It also implements the
-// operation accounting of Tables 2-3, including the overlapping
-// from-tracker / from-proposal-net breakdown of the refinement work.
+// the single-model detector and one cascade type, CaTDet — the
+// proposal and refinement networks with a tracker feeding temporal
+// regions of interest back into the refinement network. The two-model
+// cascaded detector is the same type built without a tracker
+// (NewCascaded). Each step reports its proposal / refinement operation
+// split (Tables 2-3); Table 3's per-source attribution is priced from
+// FrameOutput.Regions by the sim package.
 package core
 
 import (
@@ -21,14 +23,11 @@ import (
 const Margin = 30
 
 // OpsBreakdown is the per-frame arithmetic-operation accounting of
-// Table 3. RefinementFromTracker and RefinementFromProposal measure the
-// refinement cost attributable to each proposal source alone; because
-// the sources overlap spatially, they sum to more than Refinement.
+// Tables 2-3: the proposal network's full-frame pass and the refinement
+// network's work inside the regions.
 type OpsBreakdown struct {
-	Proposal               float64
-	Refinement             float64
-	RefinementFromTracker  float64
-	RefinementFromProposal float64
+	Proposal   float64
+	Refinement float64
 }
 
 // Total returns the system's actual operation count for the frame.
@@ -38,8 +37,6 @@ func (b OpsBreakdown) Total() float64 { return b.Proposal + b.Refinement }
 func (b *OpsBreakdown) Add(o OpsBreakdown) {
 	b.Proposal += o.Proposal
 	b.Refinement += o.Refinement
-	b.RefinementFromTracker += o.RefinementFromTracker
-	b.RefinementFromProposal += o.RefinementFromProposal
 }
 
 // Scale divides the accumulated breakdown by n (e.g. to report per-frame
@@ -48,12 +45,7 @@ func (b OpsBreakdown) Scale(n float64) OpsBreakdown {
 	if n == 0 {
 		return b
 	}
-	return OpsBreakdown{
-		Proposal:               b.Proposal / n,
-		Refinement:             b.Refinement / n,
-		RefinementFromTracker:  b.RefinementFromTracker / n,
-		RefinementFromProposal: b.RefinementFromProposal / n,
-	}
+	return OpsBreakdown{Proposal: b.Proposal / n, Refinement: b.Refinement / n}
 }
 
 // FrameOutput is one frame's detections plus cost accounting.
@@ -70,11 +62,16 @@ type FrameOutput struct {
 	// network (nil for the single-model system). The GPU timing model
 	// merges these into rectangular launches.
 	//
+	// The proposal network's regions come first; the tracker's follow.
+	//
 	// Ownership: Regions aliases the System's per-frame scratch and is
 	// valid only until the System's next Step. Consumers that need it
 	// longer (none in this repo do) must copy; Detections is always a
 	// fresh slice and safe to retain.
 	Regions []geom.Box
+	// ProposalRegions is how many of Regions came from the proposal
+	// network; the rest came from the tracker (none without one).
+	ProposalRegions int
 }
 
 // System is a causal video detector: Reset begins a sequence, Step
@@ -139,8 +136,7 @@ func (s *SingleModel) Step(f detector.Frame) FrameOutput {
 	}
 }
 
-// Config holds the cascade hyper-parameters shared by Cascaded and
-// CaTDet.
+// Config holds the cascade hyper-parameters.
 type Config struct {
 	// CThresh is the proposal network's output confidence threshold;
 	// proposals below it are not forwarded (Section 4.3, Figure 6).
@@ -154,8 +150,8 @@ type Config struct {
 	// MaskCell overrides the region-mask granularity in pixels (0 =
 	// geom.DefaultCell).
 	MaskCell float64
-	// Tracker configures the CaTDet tracker; zero value means
-	// tracker.DefaultConfig().
+	// Tracker configures the CaTDet tracker; nil means
+	// tracker.DefaultConfig(). Unused by a system built with NewCascaded.
 	Tracker *tracker.Config
 }
 
@@ -171,97 +167,31 @@ func (c Config) margin() float64 {
 	return c.Margin
 }
 
-// Cascaded is the two-model cascade without a tracker (Figure 1b). A
-// system instance carries per-frame scratch, so it must not be stepped
-// from multiple goroutines concurrently (sim.SystemFactory builds one
-// instance per worker).
-type Cascaded struct {
-	Proposal   *detector.Detector
-	Refinement *detector.Detector
-	Cfg        Config
-	name       string
-
-	w, h int
-
-	// Per-frame scratch reused across Steps: the region occupancy mask
-	// (word-zeroed between frames), the margin-expanded region list
-	// returned via FrameOutput.Regions, and the thresholded proposals.
-	mask    *geom.Mask
-	regions []geom.Box
-	props   []geom.Scored
-}
-
-// NewCascaded builds the cascade system.
-func NewCascaded(proposal, refinement *detector.Detector, cfg Config) *Cascaded {
-	return &Cascaded{
-		Proposal:   proposal,
-		Refinement: refinement,
-		Cfg:        cfg,
-		name:       proposal.Profile.Name + ", " + refinement.Profile.Name + ", Cascaded",
-	}
-}
-
-// Name implements System.
-func (s *Cascaded) Name() string { return s.name }
-
-// Reset implements System.
-func (s *Cascaded) Reset(seq *dataset.Sequence) { s.w, s.h = seq.Width, seq.Height }
-
-// Step implements System.
-func (s *Cascaded) Step(f detector.Frame) FrameOutput {
-	prop := s.Proposal.DetectFull(f)
-	proposals := filterScored(s.props[:0], prop.Detections, s.Cfg.CThresh)
-	s.props = proposals
-
-	s.mask = geom.ReuseMask(s.mask, float64(f.Width), float64(f.Height), s.Cfg.MaskCell)
-	mask := s.mask
-	frame := geom.NewBox(0, 0, float64(f.Width), float64(f.Height))
-	regions := s.regions[:0]
-	for _, p := range proposals {
-		r := p.Box.Expand(s.Cfg.margin()).Intersect(frame)
-		mask.AddBox(r)
-		regions = append(regions, r)
-	}
-	s.regions = regions
-	ref := s.Refinement.DetectRegions(f, mask, len(proposals))
-	return FrameOutput{
-		Detections: scoredOf(ref.Detections),
-		Ops: OpsBreakdown{
-			Proposal:               prop.Ops,
-			Refinement:             ref.Ops,
-			RefinementFromProposal: ref.Ops,
-		},
-		NumProposals: len(proposals),
-		Coverage:     ref.Coverage,
-		Regions:      regions,
-	}
-}
-
 // CaTDet is the full system of Figure 1c: the cascade plus a tracker
-// that predicts regions of interest from historic detections. A system
-// instance carries per-frame scratch, so it must not be stepped from
-// multiple goroutines concurrently (sim.SystemFactory builds one
-// instance per worker).
+// that predicts regions of interest from historic detections. Built by
+// NewCascaded it has no tracker and is the two-model cascade of
+// Figure 1b. A system instance carries per-frame scratch, so it must
+// not be stepped from multiple goroutines concurrently
+// (sim.SystemFactory builds one instance per worker).
 type CaTDet struct {
 	Proposal   *detector.Detector
 	Refinement *detector.Detector
 	Cfg        Config
 	name       string
 
-	trk *tracker.Tracker
-	w   int
-	h   int
+	// tracked is false for the tracker-less cascade: Reset builds no
+	// tracker and Step neither predicts nor observes.
+	tracked bool
+	trk     *tracker.Tracker
 
 	// Per-frame scratch reused across Steps: the region occupancy mask
-	// and the single-source mask of the Table 3 attribution pass (both
-	// word-zeroed between uses), the region list returned via
+	// (word-zeroed between frames), the region list returned via
 	// FrameOutput.Regions, the thresholded proposals, the tracker's
 	// predictions and the confident detections fed back to it.
 	mask    *geom.Mask
-	srcMask *geom.Mask
 	regions []geom.Box
 	props   []geom.Scored
-	tracked []geom.Scored
+	preds   []geom.Scored
 	trackIn []geom.Scored
 }
 
@@ -272,6 +202,18 @@ func NewCaTDet(proposal, refinement *detector.Detector, cfg Config) *CaTDet {
 		Refinement: refinement,
 		Cfg:        cfg,
 		name:       proposal.Profile.Name + ", " + refinement.Profile.Name + ", CaTDet",
+		tracked:    true,
+	}
+}
+
+// NewCascaded builds the two-model cascade (Figure 1b): CaTDet without
+// the tracker, refining the proposal network's regions only.
+func NewCascaded(proposal, refinement *detector.Detector, cfg Config) *CaTDet {
+	return &CaTDet{
+		Proposal:   proposal,
+		Refinement: refinement,
+		Cfg:        cfg,
+		name:       proposal.Profile.Name + ", " + refinement.Profile.Name + ", Cascaded",
 	}
 }
 
@@ -280,7 +222,9 @@ func (s *CaTDet) Name() string { return s.name }
 
 // Reset implements System: tracker state never crosses sequences.
 func (s *CaTDet) Reset(seq *dataset.Sequence) {
-	s.w, s.h = seq.Width, seq.Height
+	if !s.tracked {
+		return
+	}
 	cfg := tracker.DefaultConfig()
 	if s.Cfg.Tracker != nil {
 		cfg = *s.Cfg.Tracker
@@ -288,8 +232,8 @@ func (s *CaTDet) Reset(seq *dataset.Sequence) {
 	s.trk = tracker.New(cfg, float64(seq.Width), float64(seq.Height))
 }
 
-// Tracker exposes the live tracker (nil before Reset); tests and the
-// GPU-timing model read it.
+// Tracker exposes the live tracker (nil before Reset, and always nil
+// for the tracker-less cascade).
 func (s *CaTDet) Tracker() *tracker.Tracker { return s.trk }
 
 // Step implements System. The execution loop of Figure 2:
@@ -299,13 +243,16 @@ func (s *CaTDet) Tracker() *tracker.Tracker { return s.trk }
 //  3. the union of both, with margins, forms the refinement regions;
 //  4. the refinement network detects inside the regions only;
 //  5. its (confident) detections update the tracker for the next frame.
+//
+// Without a tracker, steps 1 and 5 are skipped.
 func (s *CaTDet) Step(f detector.Frame) FrameOutput {
-	if s.trk == nil {
+	if s.tracked && s.trk == nil {
 		// Step before Reset: synthesize a tracker from frame dims.
 		s.Reset(&dataset.Sequence{Width: f.Width, Height: f.Height})
 	}
-	tracked := s.trk.PredictAppend(s.tracked[:0])
-	s.tracked = tracked
+	if s.trk != nil {
+		s.preds = s.trk.PredictAppend(s.preds[:0])
+	}
 
 	prop := s.Proposal.DetectFull(f)
 	proposals := filterScored(s.props[:0], prop.Detections, s.Cfg.CThresh)
@@ -316,55 +263,29 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 	mask := s.mask
 	frame := geom.NewBox(0, 0, float64(f.Width), float64(f.Height))
 	regions := s.regions[:0]
-	for _, p := range proposals {
-		r := p.Box.Expand(margin).Intersect(frame)
-		mask.AddBox(r)
-		regions = append(regions, r)
-	}
-	for _, p := range tracked {
-		r := p.Box.Expand(margin).Intersect(frame)
-		mask.AddBox(r)
-		regions = append(regions, r)
+	for _, src := range [...][]geom.Scored{proposals, s.preds} {
+		for _, p := range src {
+			r := p.Box.Expand(margin).Intersect(frame)
+			mask.AddBox(r)
+			regions = append(regions, r)
+		}
 	}
 	s.regions = regions
-	nProps := len(proposals) + len(tracked)
-	ref := s.Refinement.DetectRegions(f, mask, nProps)
+	ref := s.Refinement.DetectRegions(f, mask, len(regions))
 	dets := scoredOf(ref.Detections)
 
-	// Attribution accounting (Table 3): cost if each source had been the
-	// only supplier of regions. Overlap makes these sum to more than the
-	// actual refinement cost.
-	fromTracker := s.sourceOps(f, tracked, margin)
-	fromProposal := s.sourceOps(f, proposals, margin)
-
-	// Temporal feedback: confident detections update the tracker.
-	s.trackIn = geom.FilterScoreAppend(s.trackIn[:0], dets, s.Cfg.TrackThresh)
-	s.trk.Observe(s.trackIn)
+	if s.trk != nil {
+		// Temporal feedback: confident detections update the tracker.
+		s.trackIn = geom.FilterScoreAppend(s.trackIn[:0], dets, s.Cfg.TrackThresh)
+		s.trk.Observe(s.trackIn)
+	}
 
 	return FrameOutput{
-		Detections: dets,
-		Ops: OpsBreakdown{
-			Proposal:               prop.Ops,
-			Refinement:             ref.Ops,
-			RefinementFromTracker:  fromTracker,
-			RefinementFromProposal: fromProposal,
-		},
-		NumProposals: nProps,
-		Coverage:     ref.Coverage,
-		Regions:      regions,
+		Detections:      dets,
+		Ops:             OpsBreakdown{Proposal: prop.Ops, Refinement: ref.Ops},
+		NumProposals:    len(regions),
+		Coverage:        ref.Coverage,
+		Regions:         regions,
+		ProposalRegions: len(proposals),
 	}
-}
-
-// sourceOps prices the refinement work one proposal source would cause
-// alone.
-func (s *CaTDet) sourceOps(f detector.Frame, boxes []geom.Scored, margin float64) float64 {
-	if len(boxes) == 0 {
-		return 0
-	}
-	s.srcMask = geom.ReuseMask(s.srcMask, float64(f.Width), float64(f.Height), s.Cfg.MaskCell)
-	m := s.srcMask
-	for _, b := range boxes {
-		m.AddBox(b.Box.Expand(margin))
-	}
-	return s.Refinement.Cost.RegionOps(f.Width, f.Height, m.CoveredFraction(), len(boxes))
 }

@@ -60,6 +60,9 @@ func TestCascadedBreakdownConsistency(t *testing.T) {
 	seq := miniSeq(t)
 	casc := NewCascaded(detector.MustNew("resnet10a"), detector.MustNew("resnet50"), DefaultConfig())
 	casc.Reset(seq)
+	if casc.Tracker() != nil {
+		t.Fatal("cascade built a tracker")
+	}
 	for fi := 0; fi < 30; fi++ {
 		out := casc.Step(frameOf(seq, fi))
 		if out.Ops.Proposal <= 0 {
@@ -68,38 +71,10 @@ func TestCascadedBreakdownConsistency(t *testing.T) {
 		if math.Abs(out.Ops.Total()-(out.Ops.Proposal+out.Ops.Refinement)) > 1 {
 			t.Fatal("total != proposal + refinement")
 		}
-		if out.Ops.RefinementFromTracker != 0 {
-			t.Fatal("cascade has no tracker contribution")
+		if out.ProposalRegions != len(out.Regions) {
+			t.Fatalf("frame %d: %d of %d regions from proposals; the cascade has no other source",
+				fi, out.ProposalRegions, len(out.Regions))
 		}
-	}
-}
-
-func TestCaTDetBreakdownOverlap(t *testing.T) {
-	seq := miniSeq(t)
-	cat := NewCaTDet(detector.MustNew("resnet10a"), detector.MustNew("resnet50"), DefaultConfig())
-	cat.Reset(seq)
-	sawTrackerWork := false
-	for fi := 0; fi < 80; fi++ {
-		out := cat.Step(frameOf(seq, fi))
-		// The two attribution components must each be <= the actual
-		// refinement cost, and together cover it (they can only
-		// overlap, never miss area).
-		if out.Ops.RefinementFromTracker > out.Ops.Refinement+1 {
-			t.Fatalf("frame %d: tracker share %.3e exceeds refinement %.3e",
-				fi, out.Ops.RefinementFromTracker, out.Ops.Refinement)
-		}
-		if out.Ops.RefinementFromProposal > out.Ops.Refinement+1 {
-			t.Fatalf("frame %d: proposal share exceeds refinement", fi)
-		}
-		if sum := out.Ops.RefinementFromTracker + out.Ops.RefinementFromProposal; sum < out.Ops.Refinement-1 {
-			t.Fatalf("frame %d: shares %.3e fail to cover refinement %.3e", fi, sum, out.Ops.Refinement)
-		}
-		if out.Ops.RefinementFromTracker > 0 {
-			sawTrackerWork = true
-		}
-	}
-	if !sawTrackerWork {
-		t.Fatal("tracker never contributed regions in 80 frames")
 	}
 }
 
@@ -183,13 +158,13 @@ func TestMarginDefault(t *testing.T) {
 
 func TestOpsBreakdownArithmetic(t *testing.T) {
 	var b OpsBreakdown
-	b.Add(OpsBreakdown{Proposal: 10, Refinement: 20, RefinementFromTracker: 8, RefinementFromProposal: 15})
-	b.Add(OpsBreakdown{Proposal: 10, Refinement: 20, RefinementFromTracker: 8, RefinementFromProposal: 15})
+	b.Add(OpsBreakdown{Proposal: 10, Refinement: 20})
+	b.Add(OpsBreakdown{Proposal: 10, Refinement: 20})
 	if b.Total() != 60 {
 		t.Fatalf("total = %v", b.Total())
 	}
 	s := b.Scale(2)
-	if s.Proposal != 10 || s.RefinementFromProposal != 15 {
+	if s.Proposal != 10 || s.Refinement != 20 {
 		t.Fatalf("scale = %+v", s)
 	}
 	if z := b.Scale(0); z != b {

@@ -121,8 +121,9 @@ func clampOcc(l int) int {
 }
 
 // zoo holds the calibrated profiles. Tuned against the KITTI-sim world
-// (seed 1) to land near the paper's single-model anchors; see
-// EXPERIMENTS.md for the measured values.
+// (seed 1) to land near the paper's single-model anchors; the measured
+// values regenerate with cmd/experiments (README.md, "Reproducing the
+// paper's tables").
 var zoo = map[string]Profile{
 	"resnet50": {
 		Name: "resnet50", Midpoint: 17, Slope: 0.32, MaxRecall: 0.985,

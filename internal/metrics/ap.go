@@ -7,8 +7,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// PRPoint is one operating point of a precision/recall curve.
-type PRPoint struct {
+// prPoint is one operating point of a precision/recall curve.
+type prPoint struct {
 	Threshold float64
 	Precision float64
 	Recall    float64
@@ -32,7 +32,7 @@ func newClassIndex(tp, fp []float64, numGT int) classIndex {
 }
 
 // index indexes a copy of the records, leaving r untouched.
-func (r *ClassRecords) index() classIndex {
+func (r *classRecords) index() classIndex {
 	var tp, fp []float64
 	for _, rec := range r.Records {
 		if rec.TP {
@@ -48,7 +48,7 @@ func (r *ClassRecords) index() classIndex {
 func (ci *classIndex) empty() bool { return len(ci.tp)+len(ci.fp) == 0 }
 
 // precision is the precision of tp true and fp false positives: 1.0
-// when there are none, matching PrecisionRecallAt.
+// when there are none, matching precisionRecallAt.
 func precision(tp, fp int) float64 {
 	if tp+fp == 0 {
 		return 1
@@ -92,9 +92,9 @@ func (c *cursor) pass(s float64) {
 }
 
 // point returns the curve point at the cursor's score.
-func (c *cursor) point() PRPoint {
+func (c *cursor) point() prPoint {
 	tp, fp := c.counts()
-	return PRPoint{
+	return prPoint{
 		Threshold: c.score(),
 		Precision: precision(tp, fp),
 		Recall:    float64(tp) / float64(c.ci.numGT),
@@ -104,11 +104,11 @@ func (c *cursor) point() PRPoint {
 // curve returns the precision/recall curve, one point per distinct
 // score in descending-score (increasing-recall) order; nil without
 // records or ground truth.
-func (ci *classIndex) curve() []PRPoint {
+func (ci *classIndex) curve() []prPoint {
 	if ci.empty() || ci.numGT == 0 {
 		return nil
 	}
-	var out []PRPoint
+	var out []prPoint
 	for c := (cursor{ci: ci}); !c.done(); c.pass(c.score()) {
 		out = append(out, c.point())
 	}
@@ -146,17 +146,17 @@ func (ci *classIndex) ap() float64 {
 	return sum / 11
 }
 
-// PRCurve computes the precision/recall curve of pooled records, one
+// prCurve computes the precision/recall curve of pooled records, one
 // point per distinct score, in descending-score (increasing-recall)
 // order. An empty record set yields nil.
-func (r *ClassRecords) PRCurve() []PRPoint {
+func (r *classRecords) prCurve() []prPoint {
 	ci := r.index()
 	return ci.curve()
 }
 
-// PrecisionRecallAt returns the operating point at a score threshold:
+// precisionRecallAt returns the operating point at a score threshold:
 // precision and recall over detections with Score >= t.
-func (r *ClassRecords) PrecisionRecallAt(t float64) (precision, recall float64) {
+func (r *classRecords) precisionRecallAt(t float64) (precision, recall float64) {
 	tp, fp := 0, 0
 	for _, rec := range r.Records {
 		if rec.Score < t {
@@ -177,11 +177,11 @@ func (r *ClassRecords) PrecisionRecallAt(t float64) (precision, recall float64) 
 	return float64(tp) / float64(tp+fp), float64(tp) / float64(r.NumGT)
 }
 
-// AP returns the 11-point interpolated average precision (Pascal VOC
+// ap returns the 11-point interpolated average precision (Pascal VOC
 // 2007 protocol, which KITTI's metric follows): the mean over recall
 // targets {0, 0.1, ..., 1.0} of the maximum precision at recall >= the
 // target.
-func (r *ClassRecords) AP() float64 {
+func (r *classRecords) ap() float64 {
 	ci := r.index()
 	return ci.ap()
 }

@@ -32,7 +32,7 @@ type TrackObservation struct {
 // matching detection of score >= t. Tracks never detected are charged
 // their full remaining lifetime (LastFrame - FirstEligible + 1) — the
 // paper does not specify the never-detected case; this choice penalizes
-// permanent misses and is stated in EXPERIMENTS.md.
+// permanent misses instead of dropping them from the mean.
 func (tr *TrackObservation) DelayAt(t float64) float64 {
 	for i, s := range tr.FrameScores {
 		if s >= t {

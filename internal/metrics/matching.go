@@ -28,17 +28,17 @@ import (
 // one detection list per frame (indexed like Sequence.Frames).
 type Detections map[string][][]geom.Scored
 
-// Record is one scored detection's evaluation outcome for a class.
-type Record struct {
+// record is one scored detection's evaluation outcome for a class.
+type record struct {
 	Score float64
 	TP    bool
 }
 
-// ClassRecords accumulates the pooled records and ground-truth count for
+// classRecords accumulates the pooled records and ground-truth count for
 // one class at one difficulty.
-type ClassRecords struct {
+type classRecords struct {
 	Class   dataset.Class
-	Records []Record
+	Records []record
 	NumGT   int
 }
 

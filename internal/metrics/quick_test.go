@@ -11,16 +11,16 @@ import (
 
 // randRecords builds a random pooled record set. At most NumGT records
 // are true positives, the physical constraint the matcher guarantees.
-func randRecords(rng *rand.Rand) *ClassRecords {
+func randRecords(rng *rand.Rand) *classRecords {
 	n := 1 + rng.Intn(50)
-	r := &ClassRecords{Class: dataset.Car, NumGT: 1 + rng.Intn(40)}
+	r := &classRecords{Class: dataset.Car, NumGT: 1 + rng.Intn(40)}
 	tps := 0
 	for i := 0; i < n; i++ {
 		isTP := rng.Float64() < 0.6 && tps < r.NumGT
 		if isTP {
 			tps++
 		}
-		r.Records = append(r.Records, Record{Score: rng.Float64(), TP: isTP})
+		r.Records = append(r.Records, record{Score: rng.Float64(), TP: isTP})
 	}
 	return r
 }
@@ -29,7 +29,7 @@ func randRecords(rng *rand.Rand) *ClassRecords {
 func TestAPBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		r := randRecords(rand.New(rand.NewSource(seed)))
-		ap := r.AP()
+		ap := r.ap()
 		return ap >= 0 && ap <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -44,7 +44,7 @@ func TestPRCurveBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := randRecords(rand.New(rand.NewSource(seed)))
 		prev := -1.0
-		for _, p := range r.PRCurve() {
+		for _, p := range r.prCurve() {
 			if p.Recall < prev || p.Recall > 1+1e-9 {
 				return false
 			}
@@ -68,7 +68,7 @@ func TestPrecisionRecallMonotoneRecall(t *testing.T) {
 		r := randRecords(rand.New(rand.NewSource(seed)))
 		prevRecall := math.Inf(1)
 		for _, th := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-			_, rec := r.PrecisionRecallAt(th)
+			_, rec := r.precisionRecallAt(th)
 			if rec > prevRecall+1e-9 {
 				return false
 			}
@@ -88,10 +88,10 @@ func TestAPMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := randRecords(rng)
-		base := r.AP()
-		withFP := &ClassRecords{Class: r.Class, NumGT: r.NumGT,
-			Records: append(append([]Record{}, r.Records...), Record{Score: rng.Float64(), TP: false})}
-		if withFP.AP() > base+1e-9 {
+		base := r.ap()
+		withFP := &classRecords{Class: r.Class, NumGT: r.NumGT,
+			Records: append(append([]record{}, r.Records...), record{Score: rng.Float64(), TP: false})}
+		if withFP.ap() > base+1e-9 {
 			return false
 		}
 		// Count TPs to respect NumGT.
@@ -104,9 +104,9 @@ func TestAPMonotonicity(t *testing.T) {
 		if tp >= r.NumGT {
 			return true
 		}
-		withTP := &ClassRecords{Class: r.Class, NumGT: r.NumGT,
-			Records: append(append([]Record{}, r.Records...), Record{Score: rng.Float64(), TP: true})}
-		return withTP.AP() >= base-1e-9
+		withTP := &classRecords{Class: r.Class, NumGT: r.NumGT,
+			Records: append(append([]record{}, r.Records...), record{Score: rng.Float64(), TP: true})}
+		return withTP.ap() >= base-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

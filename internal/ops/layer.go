@@ -7,9 +7,10 @@
 // Because the authors' exact RoI-head configurations are not fully
 // specified, each cost model carries two calibration scales (feature-side
 // and head-side) fitted to the paper's published full-frame operation
-// counts; the scales are derived in zoo.go and documented in
-// EXPERIMENTS.md. All region- and proposal-dependent behaviour comes from
-// the analytic structure, never from the anchors.
+// counts; the scales are derived in zoo.go, and the resulting full-frame
+// costs are listed in README.md, "Model zoo". All region- and
+// proposal-dependent behaviour comes from the analytic structure, never
+// from the anchors.
 package ops
 
 import "math"

@@ -18,7 +18,7 @@ type AblationRow struct {
 	Gops    float64
 }
 
-// Ablations evaluates the design choices DESIGN.md calls out, all on
+// Ablations evaluates the tracker's design choices, all on
 // the (Res10a, Res50) CaTDet system, on this engine's worker pool:
 //
 //   - exponential-decay motion model (the paper's choice) vs SORT's

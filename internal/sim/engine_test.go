@@ -70,13 +70,18 @@ func TestRunFactoryError(t *testing.T) {
 	}
 }
 
-// TestEngineTable7MatchesSerial pins the sharded Table 7 path to the
-// single-worker result.
+// TestEngineTable7MatchesSerial pins the sharded cascade passes of
+// Table 7 and Table 3 to the single-worker result.
 func TestEngineTable7MatchesSerial(t *testing.T) {
 	ds := video.Generate(video.MiniKITTIPreset(), 1)
 	serial := Engine{Workers: 1}.Table7(ds)
 	par := Engine{Workers: 8}.Table7(ds)
 	if !reflect.DeepEqual(par, serial) {
 		t.Errorf("Table7 parallel = %+v, want %+v", par, serial)
+	}
+	serial3 := Engine{Workers: 1}.Table3(ds)
+	par3 := Engine{Workers: 8}.Table3(ds)
+	if !reflect.DeepEqual(par3, serial3) {
+		t.Errorf("Table3 parallel = %+v, want %+v", par3, serial3)
 	}
 }

@@ -83,9 +83,10 @@ func LoadReport(rd io.Reader) (*Report, error) {
 	return &r, nil
 }
 
-// ShapeCheck verifies the DESIGN.md shape criteria on a report and
-// returns a list of violations (empty when the reproduction holds).
-// This is the automated form of EXPERIMENTS.md's "shape holds" claims.
+// ShapeCheck asserts the paper's qualitative claims on a report (op
+// savings, cascade-vs-CaTDet contrasts, Figure 6 flatness; see
+// docs/ARCHITECTURE.md, "Evaluation substrate") and returns a list of
+// violations (empty when the reproduction holds).
 func (r *Report) ShapeCheck() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }

@@ -2,10 +2,20 @@ package sim
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/video"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files from the current output")
+
+// reportGolden pins the reduced report's JSON byte for byte, so a drift in
+// any table or figure fails here rather than only in a full reproduction
+// run. Run with -update to rewrite it after an intentional change.
+const reportGolden = "report_golden.json"
 
 func TestRunAllReportAndShapeCheck(t *testing.T) {
 	if testing.Short() {
@@ -27,11 +37,25 @@ func TestRunAllReportAndShapeCheck(t *testing.T) {
 		t.Fatalf("shape check failed:\n%v", violations)
 	}
 
-	// JSON round trip.
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join("testdata", reportGolden)
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report drifted from %s (run with -update if intentional)", path)
+	}
+
+	// JSON round trip.
 	got, err := LoadReport(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/detector"
 	"repro/internal/video"
 )
 
@@ -124,6 +125,42 @@ func TestTable3Breakdown(t *testing.T) {
 			}
 		} else if r.FromTracker != 0 {
 			t.Errorf("%s: cascade has tracker share", r.System)
+		}
+	}
+}
+
+// TestCaTDetBreakdownOverlap pins Table 3's per-source pricing frame by
+// frame: each source's share is at most the actual refinement cost, the
+// two shares together cover it (they can only overlap, never miss
+// area), the tracker contributes within 80 frames, and the tracker-less
+// cascade never does.
+func TestCaTDetBreakdownOverlap(t *testing.T) {
+	ds := video.Generate(video.MiniKITTIPreset(), 3)
+	seq := &ds.Sequences[0]
+	for _, kind := range []SystemKind{CaTDet, Cascaded} {
+		spec := SystemSpec{Kind: kind, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}
+		w := &cascadeWorker{sys: spec.MustBuild(ds.Classes).(*core.CaTDet)}
+		w.sys.Reset(seq)
+		sawTrackerWork := false
+		for fi := 0; fi < 80; fi++ {
+			out := w.sys.Step(detector.FrameOf(seq, fi))
+			fromProposal, fromTracker := w.sourceShares(out, seq.Width, seq.Height)
+			ref := out.Ops.Refinement
+			if fromTracker > ref+1 {
+				t.Fatalf("%s frame %d: tracker share %.3e exceeds refinement %.3e", kind, fi, fromTracker, ref)
+			}
+			if fromProposal > ref+1 {
+				t.Fatalf("%s frame %d: proposal share %.3e exceeds refinement %.3e", kind, fi, fromProposal, ref)
+			}
+			if sum := fromTracker + fromProposal; sum < ref-1 {
+				t.Fatalf("%s frame %d: shares %.3e fail to cover refinement %.3e", kind, fi, sum, ref)
+			}
+			if fromTracker > 0 {
+				sawTrackerWork = true
+			}
+		}
+		if want := kind == CaTDet; sawTrackerWork != want {
+			t.Fatalf("%s: tracker share seen in 80 frames = %v, want %v", kind, sawTrackerWork, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/detector"
+	"repro/internal/geom"
 	"repro/internal/gpumodel"
 	"repro/internal/metrics"
 	"repro/internal/ops"
@@ -84,20 +85,99 @@ type BreakdownRow struct {
 	FromProposal float64
 }
 
+// cascadeWorker is one pool worker's cascade and the scratch mask that
+// prices one proposal source at a time.
+type cascadeWorker struct {
+	sys  *core.CaTDet
+	mask *geom.Mask
+}
+
+// sourceShares prices the refinement work each source of one step's
+// regions would cause alone: the proposal net's (the first
+// ProposalRegions) and the tracker's. The sources overlap spatially, so
+// the shares sum to more than the step's refinement cost. An empty
+// source costs 0.
+func (w *cascadeWorker) sourceShares(out core.FrameOutput, width, height int) (fromProposal, fromTracker float64) {
+	price := func(regions []geom.Box) float64 {
+		if len(regions) == 0 {
+			return 0
+		}
+		w.mask = geom.ReuseMask(w.mask, float64(width), float64(height), w.sys.Cfg.MaskCell)
+		for _, r := range regions {
+			w.mask.AddBox(r)
+		}
+		return w.sys.Refinement.Cost.RegionOps(width, height, w.mask.CoveredFraction(), len(regions))
+	}
+	return price(out.Regions[:out.ProposalRegions]), price(out.Regions[out.ProposalRegions:])
+}
+
+// stepCascade steps spec's cascade over ds on the engine's pool, one
+// system per worker, and hands each frame's output to frame to
+// accumulate into its sequence's shard. It returns the system's name and
+// the shards in dataset order, so callers fold them deterministically.
+func stepCascade[S any](e Engine, ds *dataset.Dataset, spec SystemSpec,
+	frame func(w *cascadeWorker, sh *S, seq *dataset.Sequence, out core.FrameOutput)) (string, []S) {
+	var name string
+	shards, err := mapSequences(e, ds,
+		func() (*cascadeWorker, error) {
+			sys, err := spec.Build(ds.Classes)
+			if err != nil {
+				return nil, err
+			}
+			name = sys.Name()
+			return &cascadeWorker{sys: sys.(*core.CaTDet)}, nil
+		},
+		func(w *cascadeWorker, seq *dataset.Sequence) (sh S) {
+			w.sys.Reset(seq)
+			for fi := range seq.Frames {
+				frame(w, &sh, seq, w.sys.Step(detector.FrameOf(seq, fi)))
+			}
+			return sh
+		})
+	if err != nil {
+		panic(err)
+	}
+	return name, shards
+}
+
+// breakdownShard is one sequence's share of a Table 3 row.
+type breakdownShard struct {
+	ops                       core.OpsBreakdown
+	fromProposal, fromTracker float64
+	frames                    int
+}
+
+func (b *breakdownShard) add(o breakdownShard) {
+	b.ops.Add(o.ops)
+	b.fromProposal += o.fromProposal
+	b.fromTracker += o.fromTracker
+	b.frames += o.frames
+}
+
 // Table3 reports the per-frame operation breakdown of the four cascade
-// systems of Table 2.
+// systems of Table 2, with the refinement work attributed to each
+// proposal source.
 func (e Engine) Table3(ds *dataset.Dataset) []BreakdownRow {
 	var rows []BreakdownRow
 	for _, spec := range table2Specs()[1:] {
-		r := e.MustRun(spec, ds)
-		avg := r.AvgOps()
+		name, shards := stepCascade(e, ds, spec,
+			func(w *cascadeWorker, sh *breakdownShard, seq *dataset.Sequence, out core.FrameOutput) {
+				fromProposal, fromTracker := w.sourceShares(out, seq.Width, seq.Height)
+				sh.add(breakdownShard{out.Ops, fromProposal, fromTracker, 1})
+			})
+		var agg breakdownShard
+		for _, sh := range shards {
+			agg.add(sh)
+		}
+		n := float64(agg.frames)
+		avg := agg.ops.Scale(n)
 		rows = append(rows, BreakdownRow{
-			System:       r.SystemName,
+			System:       name,
 			Total:        ops.Gops(avg.Total()),
 			Proposal:     ops.Gops(avg.Proposal),
 			Refinement:   ops.Gops(avg.Refinement),
-			FromTracker:  ops.Gops(avg.RefinementFromTracker),
-			FromProposal: ops.Gops(avg.RefinementFromProposal),
+			FromTracker:  ops.Gops(agg.fromTracker / n),
+			FromProposal: ops.Gops(agg.fromProposal / n),
 		})
 	}
 	return rows
@@ -200,31 +280,15 @@ func (e Engine) Table7(ds *dataset.Dataset) []TimingRow {
 	}}
 
 	spec := SystemSpec{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}
-	shards, err := mapSequences(e, ds,
-		func() (*core.CaTDet, error) {
-			sys, err := spec.Build(ds.Classes)
-			if err != nil {
-				return nil, err
-			}
-			return sys.(*core.CaTDet), nil
-		},
-		func(sys *core.CaTDet, seq *dataset.Sequence) timingShard {
-			var sh timingShard
-			sys.Reset(seq)
-			for fi := range seq.Frames {
-				out := sys.Step(detector.FrameOf(seq, fi))
-				ft := gm.CaTDetFrame(out.Ops.Proposal, out.Regions,
-					float64(seq.Width), float64(seq.Height), refCost, out.NumProposals)
-				sh.gpu += ft.GPU
-				sh.total += ft.Total
-				sh.launches += float64(ft.Launches)
-				sh.frames++
-			}
-			return sh
+	_, shards := stepCascade(e, ds, spec,
+		func(_ *cascadeWorker, sh *timingShard, seq *dataset.Sequence, out core.FrameOutput) {
+			ft := gm.CaTDetFrame(out.Ops.Proposal, out.Regions,
+				float64(seq.Width), float64(seq.Height), refCost, out.NumProposals)
+			sh.gpu += ft.GPU
+			sh.total += ft.Total
+			sh.launches += float64(ft.Launches)
+			sh.frames++
 		})
-	if err != nil {
-		panic(err)
-	}
 	var agg timingShard
 	for _, sh := range shards {
 		agg.gpu += sh.gpu
