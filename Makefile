@@ -67,12 +67,13 @@ test:
 	$(GO) test ./...
 
 # The full suite under the race detector, then the serving determinism
-# matrices, the shared-world test and the parallel world warm-up test
-# five more times: their background workers interleave differently on
-# every run, so repeats are what give a race a chance.
+# matrices, the lookahead and fail-at pipeline tests, the shared-world
+# test and the parallel world warm-up test five more times: their
+# background workers interleave differently on every run, so repeats
+# are what give a race a chance.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestSharedWorldsMatchPrivate|TestWorldsWarmUpMatchesGenerate)$$' ./internal/serve
+	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestLookaheadMatchesDispatchPricing|TestFailAtWithStepsInFlight|TestSharedWorldsMatchPrivate|TestWorldsWarmUpMatchesGenerate)$$' ./internal/serve
 
 # Per-package statement coverage of the full suite (the golden preset
 # and chaos harnesses push internal/serve; CI runs this as its own job

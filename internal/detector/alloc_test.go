@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,14 +75,14 @@ func TestPerceiveMatchesRematchOnCrowdedFrame(t *testing.T) {
 		frameKey := hashKey(modelH, seqH, uint64(f.Index))
 		var raw []Detection
 		for _, o := range f.Objects {
-			z := p.logitFor(o)
+			z := p.logitFor(o, math.Log(p.Midpoint))
 			z += p.TrackBias * normal(hashKey(modelH, seqH, uint64(o.TrackID), tagBias))
 			prob := p.MaxRecall * sigmoid(z)
 			key := hashKey(modelH, seqH, uint64(f.Index), uint64(o.TrackID), tagDetect)
 			if uniform(key) >= prob {
 				continue
 			}
-			box, jitterQ := d.jitter(o, modelH, seqH, uint64(f.Index))
+			box, jitterQ := d.jitter(o, hashKey(modelH, seqH, uint64(f.Index), uint64(o.TrackID)))
 			conf := sigmoid(p.ConfGain*z + p.ConfNoise*normal(hashKey(key, tagConf)) - p.LocConfCoupling*jitterQ)
 			raw = append(raw, Detection{
 				Scored:  geom.Scored{Box: box, Score: conf, Class: int(o.Class)},

@@ -112,26 +112,31 @@ func (d *Detector) DetectRegions(f Frame, mask *geom.Mask, nProposals int) Resul
 // own and may retain — is allocated fresh, at its exact final size.
 func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detection {
 	p := d.Profile
-	modelH := hashString(p.Name)
-	seqH := hashString(f.SeqID)
-	frameKey := hashKey(modelH, seqH, uint64(f.Index))
+	// hashKey folds its words left to right, so the (model, sequence)
+	// and (model, sequence, frame) states are folded once here and each
+	// object's keys extend them with mix — bit for bit the full keys.
+	seqKey := hashKey(hashString(p.Name), hashString(f.SeqID))
+	frameKey := mix(seqKey, uint64(f.Index))
+	logMid := math.Log(p.Midpoint)
 
 	raw := d.scratch.raw[:0]
 	for _, o := range f.Objects {
 		if mask != nil && mask.BoxCoverage(o.Box) < MinCoverage {
 			continue
 		}
-		z := p.logitFor(o)
-		z += p.TrackBias * normal(hashKey(modelH, seqH, uint64(o.TrackID), tagBias))
+		id := uint64(o.TrackID)
+		z := p.logitFor(o, logMid)
+		z += p.TrackBias * normal(mix(mix(seqKey, id), tagBias))
 		if mask != nil {
 			z += p.RegionBoost
 		}
 		prob := p.MaxRecall * sigmoid(z)
-		key := hashKey(modelH, seqH, uint64(f.Index), uint64(o.TrackID), tagDetect)
+		objKey := mix(frameKey, id)
+		key := mix(objKey, tagDetect)
 		if uniform(key) >= prob {
 			continue
 		}
-		box, jitterQ := d.jitter(o, modelH, seqH, uint64(f.Index))
+		box, jitterQ := d.jitter(o, objKey)
 		conf := sigmoid(p.ConfGain*z + p.ConfNoise*normal(hashKey(key, tagConf)) - p.LocConfCoupling*jitterQ)
 		raw = append(raw, Detection{
 			Scored:  geom.Scored{Box: box, Score: conf, Class: int(o.Class)},
@@ -164,20 +169,19 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detectio
 }
 
 // jitter perturbs the ground-truth box by the profile's localization
-// noise, deterministically per (model, sequence, frame, track). The
-// second return value is the squared jitter magnitude normalized to
-// mean 1, which the confidence model uses to score badly localized
-// detections lower.
-func (d *Detector) jitter(o dataset.Object, modelH, seqH, frame uint64) (geom.Box, float64) {
+// noise, deterministically per (model, sequence, frame, track): objKey
+// is hashKey of those four words. The second return value is the
+// squared jitter magnitude normalized to mean 1, which the confidence
+// model uses to score badly localized detections lower.
+func (d *Detector) jitter(o dataset.Object, objKey uint64) (geom.Box, float64) {
 	p := d.Profile
 	if p.LocNoise == 0 {
 		return o.Box, 0
 	}
-	id := uint64(o.TrackID)
-	nx := normal(hashKey(modelH, seqH, frame, id, tagLocX))
-	ny := normal(hashKey(modelH, seqH, frame, id, tagLocY))
-	nw := normal(hashKey(modelH, seqH, frame, id, tagLocW))
-	nh := normal(hashKey(modelH, seqH, frame, id, tagLocH))
+	nx := normal(mix(objKey, tagLocX))
+	ny := normal(mix(objKey, tagLocY))
+	nw := normal(mix(objKey, tagLocW))
+	nh := normal(mix(objKey, tagLocH))
 	w, h := o.Box.Width(), o.Box.Height()
 	cx, cy := o.Box.Center()
 	cx += p.LocNoise * w * nx

@@ -410,3 +410,41 @@ func TestFullFrameOpsMatchZoo(t *testing.T) {
 		t.Fatalf("resnet10b full-frame ops = %.3e, want %.3e", r.Ops, want)
 	}
 }
+
+// TestHashPrefixIdentity pins the prefix folding perceive relies on:
+// hashKey folds its words left to right, so extending a folded prefix
+// with mix gives the full key bit for bit — for the (model, sequence)
+// state extended by a track (the bias key), the (model, sequence,
+// frame) state extended by a track (each object's state) and that
+// state extended by a purpose tag (the detect and localization keys).
+func TestHashPrefixIdentity(t *testing.T) {
+	w := uint64(42)
+	word := func() uint64 {
+		w = mix(w, 0x6a09e667f3bcc909)
+		return w
+	}
+	tags := []uint64{tagDetect, tagBias, tagLocX, tagLocY, tagLocW, tagLocH}
+	for i := 0; i < 1000; i++ {
+		model, seq, frame, track := word(), word(), word(), word()
+		if i%4 == 0 {
+			frame, track = uint64(i), uint64(i%37)
+		}
+		seqKey := hashKey(model, seq)
+		if got, want := mix(mix(seqKey, track), tagBias), hashKey(model, seq, track, tagBias); got != want {
+			t.Fatalf("bias key %#x, full hashKey %#x", got, want)
+		}
+		frameKey := mix(seqKey, frame)
+		if want := hashKey(model, seq, frame); frameKey != want {
+			t.Fatalf("frame key %#x, full hashKey %#x", frameKey, want)
+		}
+		objKey := mix(frameKey, track)
+		if want := hashKey(model, seq, frame, track); objKey != want {
+			t.Fatalf("object key %#x, full hashKey %#x", objKey, want)
+		}
+		for _, tag := range tags {
+			if got, want := mix(objKey, tag), hashKey(model, seq, frame, track, tag); got != want {
+				t.Fatalf("tag %#x: object key extended to %#x, full hashKey %#x", tag, got, want)
+			}
+		}
+	}
+}

@@ -98,13 +98,14 @@ func (p Profile) Validate() error {
 }
 
 // logitFor returns the detection logit margin z for a ground-truth
-// object, before the track bias and region bonus.
-func (p Profile) logitFor(o dataset.Object) float64 {
+// object, before the track bias and region bonus; logMid is
+// math.Log(p.Midpoint), taken once per frame by the caller.
+func (p Profile) logitFor(o dataset.Object, logMid float64) float64 {
 	h := o.Box.Height()
 	if h < 1 {
 		h = 1
 	}
-	z := (math.Log(h) - math.Log(p.Midpoint)) / p.Slope
+	z := (math.Log(h) - logMid) / p.Slope
 	z -= p.OccPenalty[clampOcc(o.Occlusion)]
 	z -= p.TruncPenalty * o.Truncation
 	return z

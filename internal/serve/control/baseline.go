@@ -1,6 +1,9 @@
 package control
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // baseline is the deterministic seeded hysteresis controller: a
 // two-threshold band per signal (backlog depth, window p99) with
@@ -29,9 +32,10 @@ import "math/rand"
 //
 // Determinism: decisions key only on the virtual time and the View.
 // The per-stream cooldown jitter (which desynchronizes switches of
-// identically-loaded streams) is drawn from a per-stream seeded
-// source at first sight of the stream, never from global rand, so
-// any tick order over any fleet shape draws identical jitter.
+// identically-loaded streams) comes from a per-(Seed, stream) seeded
+// source, never from global rand, so any tick order over any fleet
+// shape draws identical jitter; the unit draws are shared by every
+// controller in the process (unitJitter).
 type baseline struct {
 	cfg Config
 
@@ -59,16 +63,47 @@ func newBaseline(cfg Config) *baseline {
 // Name implements Controller.
 func (b *baseline) Name() string { return string(KindBaseline) }
 
-// ensure grows the per-stream state to n streams, drawing each new
-// stream's cooldown jitter from its own seeded source (deterministic
-// regardless of when the fleet shape is first observed).
+// ensure grows the per-stream state to n streams, scaling each new
+// stream's unit jitter draw (unitJitter) by half the cooldown —
+// deterministic regardless of when the fleet shape is first observed.
+// Every stream's jitter is set here, at first sight, not at its first
+// cooldown check: with an infinite Cooldown the never-switched
+// comparison in Tick depends on it.
 func (b *baseline) ensure(n int) {
+	if len(b.jitter) >= n {
+		return
+	}
+	units := unitJitter(b.cfg.Seed, n)
 	for s := len(b.jitter); s < n; s++ {
-		rng := rand.New(rand.NewSource(b.cfg.Seed*2_147_483_647 + int64(s)*92_821 + 13))
-		b.jitter = append(b.jitter, rng.Float64()*0.5*b.cfg.Cooldown)
+		b.jitter = append(b.jitter, units[s]*0.5*b.cfg.Cooldown)
 		b.lastSwitch = append(b.lastSwitch, -1e18)
 		b.calmTicks = append(b.calmTicks, 0)
 	}
+}
+
+// unitJitters holds every (Seed, stream) unit jitter drawn so far in
+// the process, by Seed, so controllers of one Seed — a cluster's
+// shards, the servers a sweep builds — seed each stream's source once
+// rather than once per controller. A draw is written once, before it
+// is published, and never moved out from under a reader: growth only
+// appends past the length any earlier caller was handed.
+var unitJitters = struct {
+	sync.Mutex
+	bySeed map[int64][]float64
+}{bySeed: make(map[int64][]float64)}
+
+// unitJitter returns the unit jitter draws of streams 0..n-1 under
+// seed: stream s's is the first Float64 of its own seeded source,
+// drawn once per process.
+func unitJitter(seed int64, n int) []float64 {
+	unitJitters.Lock()
+	defer unitJitters.Unlock()
+	u := unitJitters.bySeed[seed]
+	for s := len(u); s < n; s++ {
+		u = append(u, rand.New(rand.NewSource(seed*2_147_483_647+int64(s)*92_821+13)).Float64())
+	}
+	unitJitters.bySeed[seed] = u
+	return u[:n:n]
 }
 
 // Tick implements Controller.

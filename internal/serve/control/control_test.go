@@ -2,8 +2,10 @@ package control
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -353,5 +355,56 @@ func TestBaselineSkipsPinnedStreams(t *testing.T) {
 	}
 	if !touchedUnpinned {
 		t.Error("hot unpinned stream saw no action alongside a pinned peer")
+	}
+}
+
+// TestSharedJitterMatchesSeededDraw pins the shared unit jitter draws to
+// the per-controller seeded draws they replace: every (Seed, stream)
+// unit is bit-identical to the first Float64 of its own source, however
+// the shared table grew — in uneven steps, from several goroutines at
+// once — and a baseline's per-stream jitter is that unit times half the
+// cooldown, an infinite cooldown included.
+func TestSharedJitterMatchesSeededDraw(t *testing.T) {
+	draw := func(seed int64, s int) float64 {
+		return rand.New(rand.NewSource(seed*2_147_483_647 + int64(s)*92_821 + 13)).Float64()
+	}
+	seeds := []int64{0, 1, 7, -3, 1 << 40}
+	sizes := []int{3, 64, 17, 130}
+	var wg sync.WaitGroup
+	for _, seed := range seeds {
+		for _, n := range sizes {
+			wg.Add(1)
+			go func(seed int64, n int) {
+				defer wg.Done()
+				unitJitter(seed, n)
+			}(seed, n)
+		}
+	}
+	wg.Wait()
+	for _, seed := range seeds {
+		for _, n := range sizes {
+			u := unitJitter(seed, n)
+			if len(u) != n {
+				t.Fatalf("seed %d: %d unit draws, want %d", seed, len(u), n)
+			}
+			for s, got := range u {
+				if want := draw(seed, s); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d stream %d: shared unit %v, seeded draw %v", seed, s, got, want)
+				}
+			}
+		}
+	}
+	for _, cooldown := range []float64{0.1, 2.5, math.Inf(1)} {
+		b := newBaseline(Config{Seed: 11, Cooldown: cooldown})
+		b.ensure(5)
+		b.ensure(40)
+		if len(b.jitter) != 40 {
+			t.Fatalf("cooldown %v: %d jitters, want 40", cooldown, len(b.jitter))
+		}
+		for s, got := range b.jitter {
+			if want := draw(11, s) * 0.5 * cooldown; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cooldown %v stream %d: jitter %v, want %v", cooldown, s, got, want)
+			}
+		}
 	}
 }

@@ -269,22 +269,23 @@ type fleet struct {
 	execs0  int // Config.Executors at construction (Result identity)
 
 	// workers is Config.StepWorkers and pool the pipelined step (see
-	// stepPool); minService is its lookahead, the virtual time between
-	// a launch's dispatch and its price marker (0: the marker fires at
-	// the dispatch instant, before anything else there).
+	// stepPool); bound is its lookahead, the virtual time between a
+	// launch's dispatch and its price marker, by the launch's frame
+	// count (0: the marker fires at the dispatch instant, before
+	// anything else there).
 	// adm holds every in-flight frame in dispatch order, each launch's
 	// frames one contiguous run, and pend the in-flight launches in the
 	// same order (at most the executor count, matched linearly); a
 	// launch reuses their capacity rather than allocating, and free
 	// holds the admitted records of settled launches for reuse. works
 	// is the reused workload vector for batched pricing.
-	workers    int
-	pool       stepPool
-	minService float64
-	adm        []*admitted
-	free       []*admitted
-	pend       []pendingBatch
-	works      []float64
+	workers int
+	pool    stepPool
+	bound   launchBound
+	adm     []*admitted
+	free    []*admitted
+	pend    []pendingBatch
+	works   []float64
 
 	sink Sink
 	win  *window
@@ -338,7 +339,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 	if cfg.GPU != nil {
 		f.gpu = *cfg.GPU
 	}
-	f.minService = minService(f.gpu, f.cascade)
+	f.bound = newLaunchBound(f.gpu, f.cascade)
 	f.initPool(cfg.Streams, cfg.StepWorkers)
 	var err error
 	f.sched, err = sched.New(cfg.Scheduler, sched.Config{
@@ -587,7 +588,8 @@ func (f *fleet) admit(j sched.Job) {
 // never a step result, so launches are gathered and numbered exactly
 // as the serial engine would. Each launch's frames are queued on the
 // step pool, and the launch is priced when its evPriced marker fires
-// minService later: only then is its completion event scheduled. With
+// its lookahead later — b + cpu·n for n frames, the floor of its own
+// price: only then is its completion event scheduled. With
 // no lookahead the marker lands on the dispatch instant itself, and
 // since dispatch runs only from handle — inside advanceTo or Drain,
 // which play the agenda through that instant — and markers sort first
@@ -603,13 +605,13 @@ func (f *fleet) dispatch() {
 		}
 		f.busy++
 		f.batches++
-		head := f.adm[start].job
+		head, n := f.adm[start].job, len(f.adm)-start
 		f.pend = append(f.pend, pendingBatch{
 			at: f.now, stream: head.Stream, frame: head.Frame, epoch: head.Epoch,
-			batch: f.batches, n: len(f.adm) - start, effBatch: f.effBatch,
+			batch: f.batches, n: n, effBatch: f.effBatch,
 		})
 		f.launch(f.adm[start:])
-		f.agenda.add(event{t: f.now + f.minService, kind: evPriced,
+		f.agenda.add(event{t: f.now + f.bound.minService(n), kind: evPriced,
 			stream: head.Stream, frame: head.Frame, epoch: head.Epoch})
 	}
 }
@@ -645,8 +647,8 @@ func (f *fleet) priceRest() {
 // price waits for the steps of launch p's frames, prices the launch in
 // the batch form of its dispatch and schedules its completion at
 // dispatch plus service. The completion cannot precede the marker:
-// service >= minService, and adding the same dispatch instant to both
-// is monotone.
+// service >= the launch's minService, and adding the same dispatch
+// instant to both is monotone.
 func (f *fleet) price(p *pendingBatch, batch []*admitted) {
 	f.join(batch)
 	service := f.priceBatch(batch, p.effBatch)
@@ -849,11 +851,7 @@ func (f *fleet) priceBatch(batch []*admitted, effBatch int) float64 {
 	for _, a := range batch {
 		f.works = append(f.works, a.work)
 	}
-	cpu := f.gpu.CPUOverheadCaTDet
-	if !f.cascade {
-		cpu = f.gpu.CPUOverheadSingle
-	}
-	return f.gpu.BatchFrames(f.works, cpu).Total
+	return f.gpu.BatchFrames(f.works, frameCPU(f.gpu, f.cascade)).Total
 }
 
 // job builds the scheduler job for an arriving frame: the deadline is

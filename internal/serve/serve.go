@@ -135,12 +135,13 @@ type Config struct {
 	// timeline); StepWorkers is what maps the simulation onto physical
 	// cores. Dispatch queues each admitted frame's step and moves on;
 	// StepWorkers-1 background goroutines and the goroutine running the
-	// engine take steps off the queue, at most 2×StepWorkers of them
-	// outstanding, and never two of one stream at once, so each session
-	// sees its frames in arrival order. A launch is priced when the
-	// virtual clock reaches its dispatch plus the timing model's
-	// smallest possible price (launch overhead plus per-frame CPU
-	// overhead: no completion can come sooner), and only then does the
+	// engine take steps off the queue, at most 2×StepWorkers per frame
+	// of the newest launch outstanding, and never two of one stream at
+	// once, so each session sees its frames in arrival order. A launch
+	// is priced when the virtual clock reaches its dispatch plus the
+	// timing model's smallest possible price for its frame count (launch
+	// overhead plus the per-frame CPU overhead of each frame: no
+	// completion can come sooner), and only then does the
 	// engine wait for its steps — so every value, including 1 (the
 	// engine steps everything itself), produces byte-identical Results.
 	// Like sim.Engine.Workers it is an execution knob, not scenario

@@ -10,9 +10,10 @@ import (
 
 // stepPool runs the detection steps of dispatched frames off the event
 // loop. Dispatch queues one task per admitted frame; the engine needs a
-// task's result only when its launch's evPriced marker fires, at least
-// minService of virtual time later, and in the meantime StepWorkers-1
-// background goroutines and the engine itself step the queue.
+// task's result only when its launch's evPriced marker fires, the
+// launch's lookahead (launchBound) of virtual time later, and in the
+// meantime StepWorkers-1 background goroutines and the engine itself
+// step the queue.
 //
 // Determinism rests on two rules. A task is taken only when no earlier
 // task of its stream is running — the queue is in dispatch order, so
@@ -32,8 +33,8 @@ type stepPool struct {
 	work, done sync.Cond
 	// queue holds the tasks not yet taken, in dispatch order;
 	// running[s] marks a step of stream s in progress; outstanding
-	// counts queued plus running tasks, capped at limit (2×StepWorkers)
-	// by launch.
+	// counts queued plus running tasks, which launch caps at limit
+	// (2×StepWorkers) times the frames of the launch it queues.
 	queue       []*admitted
 	running     []bool
 	outstanding int
@@ -54,27 +55,46 @@ func (f *fleet) initPool(streams, workers int) {
 	p.limit = 2 * workers
 }
 
-// minService is the lookahead of the pipelined step: a lower bound on
-// every price the fleet can produce, so a launch dispatched at t
-// completes no earlier than t+minService. Every launch pays the launch
-// overhead b at least once (LaunchTime(w) = Alpha·w + b with w ≥ 0) and
-// the per-frame CPU overhead at least once, and floating-point addition
-// and multiplication by a count ≥ 1 are monotone, so with Alpha,
-// LaunchOverhead and the CPU overhead finite and non-negative — which
-// Config.Validate requires of every model — every FrameTime.Total and
-// BatchFrames total is ≥ LaunchOverhead + CPUOverhead. It is 0 only
-// when both overheads are.
-func minService(m gpumodel.Model, cascade bool) float64 {
+// launchBound is the lookahead of the pipelined step: a lower bound on
+// every price the fleet can produce for a launch of n frames, so a
+// launch dispatched at t completes no earlier than t+minService(n). A
+// launch pays the launch overhead b at least once (LaunchTime(w) =
+// Alpha·w + b with w ≥ 0) and the per-frame CPU overhead once per
+// frame: a per-frame launch (n = 1) costs LaunchTime(·) + cpu or more,
+// and a fused one BatchFrames(works, cpu).Total = LaunchTime(ΣW) +
+// cpu·n. Floating-point addition and multiplication are monotone, so
+// with Alpha, LaunchOverhead and the CPU overhead finite and
+// non-negative — which Config.Validate requires of every model — every
+// n-frame price is ≥ b + cpu·n, and adding the same dispatch instant
+// to both keeps the order. The bound is 0 only when both overheads are.
+type launchBound struct{ overhead, cpu float64 }
+
+// newLaunchBound returns the lookahead of a fleet pricing on m.
+func newLaunchBound(m gpumodel.Model, cascade bool) launchBound {
+	return launchBound{overhead: m.LaunchOverhead, cpu: frameCPU(m, cascade)}
+}
+
+// minService is the lookahead of an n-frame launch, b + cpu·n. For a
+// single-frame launch it is b + cpu bit for bit.
+func (l launchBound) minService(n int) float64 {
+	return l.overhead + l.cpu*float64(n)
+}
+
+// frameCPU is the per-frame CPU overhead of the system a fleet serves.
+func frameCPU(m gpumodel.Model, cascade bool) float64 {
 	if cascade {
-		return m.LaunchOverhead + m.CPUOverheadCaTDet
+		return m.CPUOverheadCaTDet
 	}
-	return m.LaunchOverhead + m.CPUOverheadSingle
+	return m.CPUOverheadSingle
 }
 
 // launch queues the steps of a new launch's frames and wakes idle
-// workers for them. Past the outstanding cap the engine works the queue
-// off itself, which bounds both the memory held by unpriced launches
-// and how far the workers can fall behind the event loop.
+// workers for them. The cap on outstanding tasks scales with the
+// launch, as its lookahead does: past 2×StepWorkers tasks per frame of
+// the launch the engine works the queue off itself, which bounds both
+// the memory held by unpriced launches and how far the workers can
+// fall behind the event loop, while a fused launch — whose marker is
+// that many CPU overheads away — goes to the workers whole.
 func (f *fleet) launch(batch []*admitted) {
 	p := &f.pool
 	if f.workers > 1 && !p.started {
@@ -86,7 +106,7 @@ func (f *fleet) launch(batch []*admitted) {
 	for i := min(p.idle, len(batch)); i > 0; i-- {
 		p.work.Signal()
 	}
-	for p.outstanding > p.limit {
+	for p.outstanding > p.limit*len(batch) {
 		f.help()
 	}
 	p.mu.Unlock()

@@ -18,12 +18,13 @@ import (
 )
 
 // TestLookaheadBound pins the lemma the pipelined step rests on: no
-// price the fleet can produce undercuts minService, so a launch's
-// completion never lands before its price marker. Seeded random models
-// (the default, every GPU tier, and random non-negative parameters,
-// zeros included) price random proposal workloads, refinement regions,
-// RoI counts and fused batches of 1–8 frames through every pricing form
-// the engine uses.
+// price the fleet can produce for an n-frame launch undercuts the
+// launch's minService(n), so a launch's completion never lands before
+// its price marker. Seeded random models (the default, every GPU tier,
+// and random non-negative parameters, zeros included) price random
+// proposal workloads, refinement regions and RoI counts through every
+// per-frame pricing form, and fused launches of 1–8 and 64 frames
+// through BatchFrames.
 func TestLookaheadBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	models := []gpumodel.Model{gpumodel.Default(), {}}
@@ -56,21 +57,27 @@ func TestLookaheadBound(t *testing.T) {
 	}
 	sizes := [][2]float64{{ops.KITTIWidth, ops.KITTIHeight}, {ops.CityPersonsWidth, ops.CityPersonsHeight}, {0, 0}}
 
-	check := func(m gpumodel.Model, cascade bool, what string, price float64) {
+	check := func(m gpumodel.Model, cascade bool, n int, what string, price float64) {
 		t.Helper()
-		lb := minService(m, cascade)
+		lb := newLaunchBound(m, cascade).minService(n)
 		if !(price >= lb) {
-			t.Fatalf("%+v cascade=%v: %s price %v below minService %v", m, cascade, what, price, lb)
+			t.Fatalf("%+v cascade=%v: %d-frame %s price %v below minService %v", m, cascade, n, what, price, lb)
 		}
 		now := rng.Float64() * 1e4
 		if !(now+price >= now+lb) {
-			t.Fatalf("%+v: now %v + %s price %v lands before now + minService %v", m, now, what, price, lb)
+			t.Fatalf("%+v: now %v + %d-frame %s price %v lands before now + minService %v", m, now, n, what, price, lb)
 		}
 	}
+	launchSizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 64}
 	for _, m := range models {
-		if minService(m, true) != m.LaunchOverhead+m.CPUOverheadCaTDet ||
-			minService(m, false) != m.LaunchOverhead+m.CPUOverheadSingle {
+		// A single-frame launch keeps the one-frame lookahead bit for
+		// bit; a fused one adds a CPU overhead per frame.
+		if newLaunchBound(m, true).minService(1) != m.LaunchOverhead+m.CPUOverheadCaTDet ||
+			newLaunchBound(m, false).minService(1) != m.LaunchOverhead+m.CPUOverheadSingle {
 			t.Fatalf("%+v: a valid model lost its lookahead", m)
+		}
+		if got, want := newLaunchBound(m, true).minService(8), m.LaunchOverhead+m.CPUOverheadCaTDet*8; got != want {
+			t.Fatalf("%+v: 8-frame lookahead %v, want b + 8·cpu = %v", m, got, want)
 		}
 		for trial := 0; trial < 200; trial++ {
 			cost := costs[rng.Intn(len(costs))]
@@ -82,17 +89,19 @@ func TestLookaheadBound(t *testing.T) {
 			}
 			rois := rng.Intn(300)
 			prop := pick(5e10)
-			works := make([]float64, 1+rng.Intn(8))
-			for k := range works {
-				works[k] = pick(3e11)
-			}
-			check(m, true, "CaTDetFrame", m.CaTDetFrame(prop, regions, wh[0], wh[1], cost, rois).Total)
-			check(m, true, "FullCascadeFrame",
+			check(m, true, 1, "CaTDetFrame", m.CaTDetFrame(prop, regions, wh[0], wh[1], cost, rois).Total)
+			check(m, true, 1, "FullCascadeFrame",
 				m.FullCascadeFrame(prop, cost.RegionOps(int(wh[0]), int(wh[1]), 1, rois)).Total)
-			check(m, true, "ProposalOnlyFrame", m.ProposalOnlyFrame(prop).Total)
-			check(m, true, "BatchFrames", m.BatchFrames(works, m.CPUOverheadCaTDet).Total)
-			check(m, false, "SingleModelFrame", m.SingleModelFrame(pick(3e11)).Total)
-			check(m, false, "BatchFrames", m.BatchFrames(works, m.CPUOverheadSingle).Total)
+			check(m, true, 1, "ProposalOnlyFrame", m.ProposalOnlyFrame(prop).Total)
+			check(m, false, 1, "SingleModelFrame", m.SingleModelFrame(pick(3e11)).Total)
+			for _, n := range launchSizes {
+				works := make([]float64, n)
+				for k := range works {
+					works[k] = pick(3e11)
+				}
+				check(m, true, n, "BatchFrames", m.BatchFrames(works, m.CPUOverheadCaTDet).Total)
+				check(m, false, n, "BatchFrames", m.BatchFrames(works, m.CPUOverheadSingle).Total)
+			}
 		}
 	}
 }
@@ -136,8 +145,10 @@ func TestLookaheadFallback(t *testing.T) {
 	}
 	t.Run("zero", func(t *testing.T) {
 		var m gpumodel.Model
-		if ms := minService(m, true); ms != 0 {
-			t.Fatalf("minService %v, want 0", ms)
+		for _, n := range []int{1, 8} {
+			if ms := newLaunchBound(m, true).minService(n); ms != 0 {
+				t.Fatalf("%d-frame minService %v, want 0", n, ms)
+			}
 		}
 		run := func(workers int) (string, []Event) {
 			cfg := goldenConfig()
@@ -164,9 +175,10 @@ func TestLookaheadFallback(t *testing.T) {
 
 // runPriced runs cfg through the schedule replay of Run, with or
 // without the lookahead, and returns the books and the sink events.
-// Without it (minService 0) each launch's price marker fires at its
-// dispatch instant, before anything else there: the pricing of the
-// serial engine, which priced every launch at dispatch.
+// Without it (both terms of the launch bound zeroed) each launch's
+// price marker fires at its dispatch instant, before anything else
+// there: the pricing of the serial engine, which priced every launch
+// at dispatch.
 func runPriced(t *testing.T, cfg Config, lookahead bool) ([]byte, []Event) {
 	t.Helper()
 	log := &eventLog{}
@@ -177,7 +189,7 @@ func runPriced(t *testing.T, cfg Config, lookahead bool) ([]byte, []Event) {
 	}
 	defer srv.Close()
 	if !lookahead {
-		srv.f.minService = 0
+		srv.f.bound = launchBound{}
 	}
 	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
 		t.Fatal(err)
@@ -195,7 +207,9 @@ func runPriced(t *testing.T, cfg Config, lookahead bool) ([]byte, []Event) {
 // batched EDF fleet, a reset-session chaos run and an adaptive fleet
 // whose controller ticks every 20 ms — inside the 48.5 ms lookahead, so
 // the effective batch size moves between launches' dispatch and their
-// price markers, and each launch must keep the form it was gathered in.
+// price markers, and each launch must keep the form it was gathered in
+// — and a cluster-style fleet that fuses up to 8 frames per launch, so
+// fused launches carry their own, longer lookahead of b + n·cpu.
 func TestLookaheadMatchesDispatchPricing(t *testing.T) {
 	batched := goldenConfig()
 	batched.Executors, batched.BatchSize, batched.Scheduler = 2, 4, sched.EDF
@@ -205,13 +219,17 @@ func TestLookaheadMatchesDispatchPricing(t *testing.T) {
 	adaptive.Executors = 2
 	adaptive.Control.Interval, adaptive.Control.Cooldown = 0.02, 0.02
 	adaptive.Control.BatchDepth = 2
+	fused := adaptiveConfig()
+	fused.Streams, fused.FPS, fused.Executors = 8, 60, 2
+	fused.Control.MaxBatch, fused.Control.BatchDepth = 8, 4
 	for name, cfg := range map[string]Config{
 		"golden": goldenConfig(), "batched-edf": batched, "chaos-reset": chaotic, "adaptive": adaptive,
+		"fused-8": fused,
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg.StepWorkers = 1
 			books, events := runPriced(t, cfg, false)
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				cfg.StepWorkers = workers
 				b, e := runPriced(t, cfg, true)
 				if string(b) != string(books) {
@@ -225,15 +243,73 @@ func TestLookaheadMatchesDispatchPricing(t *testing.T) {
 	}
 }
 
+// TestLaunchCapScalesWithLaunch pins the outstanding cap of the step
+// pool to the size of the launch being queued: with up to 2×StepWorkers
+// n-frame launches in flight, launch returns without the engine
+// stepping a frame, for single-frame and fused launches alike, and the
+// next launch past the cap steps exactly its own frame count on the
+// engine. No background worker runs (the pool is marked started before
+// the first launch), so every stepped frame was stepped by the engine.
+func TestLaunchCapScalesWithLaunch(t *testing.T) {
+	for _, n := range []int{1, 4, 8} {
+		for _, workers := range []int{2, 4} {
+			cfg := testConfig()
+			cfg.Streams = 8
+			cfg.StepWorkers = workers
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, p := srv.f, &srv.f.pool
+			p.started = true
+			var all []*admitted
+			next := func() []*admitted {
+				batch := make([]*admitted, n)
+				for k := range batch {
+					i := len(all)
+					batch[k] = &admitted{job: sched.Job{Stream: i % cfg.Streams, Frame: i / cfg.Streams}}
+					all = append(all, batch[k])
+				}
+				return batch
+			}
+			stepped := func() int {
+				c := 0
+				for _, a := range all {
+					if a.stepped {
+						c++
+					}
+				}
+				return c
+			}
+			for l := 1; l <= 2*workers; l++ {
+				f.launch(next())
+				if got := stepped(); got != 0 {
+					t.Fatalf("n=%d StepWorkers=%d: the engine stepped %d frames with %d launches in flight", n, workers, got, l)
+				}
+			}
+			f.launch(next())
+			if got := stepped(); got != n {
+				t.Errorf("n=%d StepWorkers=%d: the engine stepped %d frames past the cap, want %d", n, workers, got, n)
+			}
+			if want := 2 * workers * n; p.outstanding != want {
+				t.Errorf("n=%d StepWorkers=%d: %d steps outstanding past the cap, want %d", n, workers, p.outstanding, want)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // failRun submits the golden overload schedule up to virtual time at,
 // fails the server there, revives it at once and submits the rest of
 // the schedule — so the sessions that stepped the seized frames serve
 // on — then drains, returning the seized frames, the drained books,
 // the sink events and how many launches were still waiting for their
-// price marker when FailAt was called. Without lookahead (minService
-// 0) each launch's marker fires at its dispatch instant, before
-// anything else there, so every launch is priced at dispatch, as the
-// serial engine always did.
+// price marker when FailAt was called. Without lookahead (both terms
+// of the launch bound zeroed) each launch's marker fires at its
+// dispatch instant, before anything else there, so every launch is
+// priced at dispatch, as the serial engine always did.
 func failRun(t *testing.T, workers int, at float64, lookahead bool) ([]FailedFrame, []byte, []Event, int) {
 	t.Helper()
 	cfg := goldenConfig()
@@ -248,7 +324,7 @@ func failRun(t *testing.T, workers int, at float64, lookahead bool) ([]FailedFra
 	}
 	defer srv.Close()
 	if !lookahead {
-		srv.f.minService = 0
+		srv.f.bound = launchBound{}
 	}
 	src := ScheduleSource(cfg)
 	a, ok := src.Next()
