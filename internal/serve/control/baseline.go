@@ -60,9 +60,6 @@ func newBaseline(cfg Config) *baseline {
 	return &baseline{cfg: cfg, dlScale: 1}
 }
 
-// Name implements Controller.
-func (b *baseline) Name() string { return string(KindBaseline) }
-
 // ensure grows the per-stream state to n streams, scaling each new
 // stream's unit jitter draw (unitJitter) by half the cooldown —
 // deterministic regardless of when the fleet shape is first observed.

@@ -116,9 +116,10 @@ type Action struct {
 	Batch int
 }
 
-// StreamSignal is one stream's sliding-window observation, the
-// per-stream row of a View. Window statistics cover the most recent
-// serve.Config.StatsWindow samples (ring buffers, bounded memory).
+// StreamSignal is one stream's observation, the per-stream row of a
+// View: its backlog and the latency percentiles of its most recent
+// serve.Config.StatsWindow served frames (a bounded ring per stream,
+// kept only under a controller).
 type StreamSignal struct {
 	// Stream is the stream index; Class its configured priority class.
 	Stream, Class int
@@ -135,23 +136,18 @@ type StreamSignal struct {
 	// Queue is the stream's backlog: its frames waiting in the shared
 	// scheduler right now.
 	Queue int
-	// ArrivalRate is the stream's offered rate in frames/s over its
-	// arrival window (0 until two arrivals have been seen).
-	ArrivalRate float64
 	// P50 and P99 are the stream's end-to-end latency percentiles over
 	// its served-frame window, in seconds (0 while the window is empty).
 	P50, P99 float64
-	// Cumulative per-stream outcome counters.
-	Served, DroppedQueue, DroppedStale int
 }
 
-// View is the fleet state a control tick observes. Slices index by
-// stream; the engine reuses the backing arrays between ticks, so
-// controllers must not retain them past the Tick call.
+// View is the fleet state a control tick observes: exactly the
+// signals a controller reads. Slices index by stream; the engine
+// reuses the backing arrays between ticks, so controllers must not
+// retain them past the Tick call.
 type View struct {
-	// QueueDepth is the shared queue's total backlog; Busy and
-	// Executors the in-service and configured executor counts.
-	QueueDepth, Busy, Executors int
+	// QueueDepth is the shared queue's total backlog.
+	QueueDepth int
 	// Batch is the current effective fused-launch ceiling; BaseBatch
 	// the configured serve.Config.BatchSize it resets to.
 	Batch, BaseBatch int
@@ -173,8 +169,6 @@ type View struct {
 // deterministic (see the package comment) and fast: ticks run
 // synchronously on the engine under the Server's lock.
 type Controller interface {
-	// Name identifies the controller (the Config.Kind that built it).
-	Name() string
 	// Tick observes the fleet at virtual time now and returns the
 	// actions to apply, in application order. Returning nil means no
 	// change. The View's backing arrays are only valid during the call.

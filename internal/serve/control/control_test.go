@@ -14,7 +14,6 @@ import (
 func view(n, queue int, p99 float64) View {
 	v := View{
 		QueueDepth: n * queue,
-		Executors:  1,
 		Batch:      1,
 		BaseBatch:  1,
 		Cascade:    true,

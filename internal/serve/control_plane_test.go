@@ -84,11 +84,11 @@ func TestAdaptiveResultEcho(t *testing.T) {
 }
 
 // TestPerStreamWindowsBounded pins the memory contract of the
-// per-stream sliding windows: after serving far more frames than
-// StatsWindow, every latency ring, its sorted copy and every
-// arrival-stamp ring still hold at most StatsWindow samples (stamp
-// rings keep no sorted copy), and the snapshot percentiles cover at
-// most StatsWindow frames per stream.
+// per-stream latency windows: after serving far more frames than
+// StatsWindow, every latency ring and its sorted copy still hold at
+// most StatsWindow samples and every summary covers at most
+// StatsWindow frames. A controller-less fleet, which has no reader for
+// them, keeps no per-stream window at all.
 func TestPerStreamWindowsBounded(t *testing.T) {
 	cfg := adaptiveConfig()
 	cfg.StatsWindow = 4
@@ -108,29 +108,31 @@ func TestPerStreamWindowsBounded(t *testing.T) {
 	if r.Fleet.Served <= cfg.Streams*cfg.StatsWindow {
 		t.Fatalf("scenario too small to exercise the rings: served %d", r.Fleet.Served)
 	}
+	if len(s.f.latWinS) != cfg.Streams {
+		t.Fatalf("controlled fleet keeps %d latency windows, want %d", len(s.f.latWinS), cfg.Streams)
+	}
 	for i, w := range s.f.latWinS {
-		if len(w.buf) > cfg.StatsWindow || w.max != cfg.StatsWindow {
+		if len(w.buf) > cfg.StatsWindow || cap(w.buf) != cfg.StatsWindow {
 			t.Errorf("stream %d latency ring holds %d/%d samples, want cap %d",
-				i, len(w.buf), w.max, cfg.StatsWindow)
+				i, len(w.buf), cap(w.buf), cfg.StatsWindow)
 		}
 		if len(w.sorted) != len(w.buf) || cap(w.sorted) > cfg.StatsWindow {
 			t.Errorf("stream %d sorted copy holds %d/%d samples for %d in the ring, want cap %d",
 				i, len(w.sorted), cap(w.sorted), len(w.buf), cfg.StatsWindow)
 		}
-	}
-	for i, w := range s.f.arrWin {
-		if len(w.buf) > cfg.StatsWindow || w.max != cfg.StatsWindow {
-			t.Errorf("stream %d stamp ring holds %d/%d samples, want cap %d",
-				i, len(w.buf), w.max, cfg.StatsWindow)
-		}
-		if w.sorted != nil {
-			t.Errorf("stream %d stamp ring keeps a sorted copy", i)
+		if n := w.summary().Count; n > cfg.StatsWindow {
+			t.Errorf("stream %d window count %d > StatsWindow %d", i, n, cfg.StatsWindow)
 		}
 	}
-	for i, w := range s.StreamWindows() {
-		if w.Window.Count > cfg.StatsWindow {
-			t.Errorf("stream %d window count %d > StatsWindow %d", i, w.Window.Count, cfg.StatsWindow)
-		}
+
+	cfg.Control = control.Config{}
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if plain.f.latWinS != nil {
+		t.Errorf("controller-less fleet keeps %d per-stream latency windows, want none", len(plain.f.latWinS))
 	}
 }
 

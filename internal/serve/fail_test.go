@@ -149,8 +149,8 @@ func TestPinModeOverridesControl(t *testing.T) {
 	if err := srv.PinMode(0, "warp"); err == nil {
 		t.Error("PinMode accepted an unknown mode")
 	}
-	if got := srv.StreamWindows()[0].Mode; got != string(control.ModeProposal) {
-		t.Errorf("Stats reports pinned stream mode %q, want %q", got, control.ModeProposal)
+	if _, got := srv.f.modeOf(0); got != control.ModeProposal {
+		t.Errorf("pinned stream's configured mode is %q, want %q", got, control.ModeProposal)
 	}
 	if err := srv.Ingest(ScheduleSource(cfg)); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestPinModeOverridesControl(t *testing.T) {
 	if err := srv.PinMode(0, control.ModeAuto); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.StreamWindows()[0].Mode; got != "" {
-		t.Errorf("Stats reports unpinned stream mode %q, want the automatic policy", got)
+	if _, got := srv.f.modeOf(0); got != control.ModeAuto {
+		t.Errorf("unpinned stream's configured mode is %q, want the automatic policy", got)
 	}
 }

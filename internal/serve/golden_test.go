@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/serve/control"
 	"repro/internal/sim"
 	"repro/internal/video"
 )
@@ -37,26 +38,42 @@ func goldenConfig() Config {
 }
 
 // TestGoldenFIFO pins the full serving output byte-for-byte: the
-// overload scenario at sched=fifo, batch=1, and the same load on two
+// overload scenario at sched=fifo, batch=1; the same load on two
 // executors fusing up to four frames per launch under EDF, the batched
 // path where one round dispatches several launches whose completions
-// can settle out of dispatch order. Run with -update to rewrite the goldens
-// after an intentional change; anything else that moves these bytes is
-// a regression in the serving engine.
+// can settle out of dispatch order; and the same load under the
+// baseline controller with EDF and two priority classes, so mode
+// switches, fleet batch resizes and deadline rescales all move the
+// books. Run with -update to rewrite the goldens after an intentional
+// change; anything else that moves these bytes is a regression in the
+// serving engine.
 func TestGoldenFIFO(t *testing.T) {
 	batched := goldenConfig()
 	batched.Executors = 2
 	batched.BatchSize = 4
 	batched.Scheduler = "edf"
+	adaptive := goldenConfig()
+	adaptive.Scheduler = "edf"
+	adaptive.Priorities = []int{1, 0, 1, 0, 1, 0}
+	adaptive.Control = control.Config{
+		Kind:      control.KindBaseline,
+		HighDepth: 2, LowDepth: 1,
+		MaxBatch: 4, BatchDepth: 3,
+	}
 	for _, tc := range []struct {
 		name, file string
 		cfg        Config
 	}{
 		{"fifo", "golden_fifo.json", goldenConfig()},
 		{"batched-edf", "golden_batched_edf.json", batched},
+		{"adaptive", "golden_adaptive.json", adaptive},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := json.MarshalIndent(mustRun(t, tc.cfg), "", "  ")
+			r := mustRun(t, tc.cfg)
+			if tc.cfg.Control.Active() && (r.ModeSwitches == 0 || r.Fleet.Degraded == 0) {
+				t.Fatalf("controller idle: %d mode switches, %d degraded frames", r.ModeSwitches, r.Fleet.Degraded)
+			}
+			got, err := json.MarshalIndent(r, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

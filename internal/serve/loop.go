@@ -290,13 +290,10 @@ type fleet struct {
 	sink Sink
 	win  *window
 
-	// Per-stream sliding windows, always maintained: latWinS[s] rings
-	// the stream's most recent served-frame latencies and arrWin[s] its
-	// most recent arrival instants, both capped at Config.StatsWindow —
-	// the signals Server.StreamWindows exposes and the control plane's
-	// View is built from.
+	// latWinS[s] rings stream s's most recent Config.StatsWindow
+	// served-frame latencies for the control plane's View; nil without
+	// a controller, its only reader.
 	latWinS []*window
-	arrWin  []*window
 
 	// Adaptive control plane (nil/inert without an active
 	// Config.Control). ctrl is the per-fleet controller instance; mode,
@@ -332,7 +329,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		gpu:     gpumodel.Default(),
 		cascade: cfg.Spec.Kind != sim.Single,
 		sink:    cfg.Sink,
-		win:     newLatencyWindow(cfg.StatsWindow),
+		win:     newWindow(cfg.StatsWindow),
 		workers: cfg.StepWorkers,
 		execs0:  cfg.Executors,
 	}
@@ -378,13 +375,8 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 	f.mode = make([]control.Mode, cfg.Streams)
 	f.effStale = make([]float64, cfg.Streams)
 	f.effBatch = cfg.BatchSize
-	f.latWinS = make([]*window, cfg.Streams)
-	f.arrWin = make([]*window, cfg.Streams)
 	for s := range f.effStale {
 		f.effStale[s] = cfg.MaxStaleness
-		f.latWinS[s] = newLatencyWindow(cfg.StatsWindow)
-		// A rate needs two stamps, so the arrival ring holds at least two.
-		f.arrWin[s] = newWindow(max(cfg.StatsWindow, 2))
 	}
 	if cfg.Control.Active() {
 		ctrl, err := control.New(cfg.Control)
@@ -393,6 +385,10 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		}
 		f.ctrl = ctrl
 		f.view.Streams = make([]control.StreamSignal, cfg.Streams)
+		f.latWinS = make([]*window, cfg.Streams)
+		for s := range f.latWinS {
+			f.latWinS[s] = newWindow(cfg.StatsWindow)
+		}
 	}
 	for s := 0; s < cfg.Streams; s++ {
 		sys, err := factory()
@@ -425,7 +421,6 @@ func (f *fleet) handle(e event) {
 	switch e.kind {
 	case evArrival:
 		f.acc[e.stream].Arrived++
-		f.arrWin[e.stream].add(e.t)
 		f.admit(f.job(e.stream, e.frame, e.arrive, e.epoch))
 		f.armTick(e.t)
 	case evCompletion:
@@ -511,8 +506,6 @@ func (f *fleet) controlTick(t float64) {
 // retain it).
 func (f *fleet) buildView() control.View {
 	f.view.QueueDepth = f.sched.Len()
-	f.view.Busy = f.busy
-	f.view.Executors = f.cfg.Executors
 	f.view.Batch = f.effBatch
 	f.view.BaseBatch = f.cfg.BatchSize
 	f.view.EDF = f.cfg.Scheduler == sched.EDF
@@ -525,13 +518,8 @@ func (f *fleet) buildView() control.View {
 		_, sig.Mode = f.modeOf(s)
 		sig.Pinned = f.pin(s) != control.ModeAuto
 		sig.Queue = f.queued[s]
-		sig.ArrivalRate = f.arrWin[s].rate()
 		lat := f.latWinS[s].summary()
 		sig.P50, sig.P99 = lat.P50, lat.P99
-		a := &f.acc[s]
-		sig.Served = a.Served
-		sig.DroppedQueue = a.DroppedQueue
-		sig.DroppedStale = a.DroppedStale
 	}
 	return f.view
 }
@@ -677,7 +665,9 @@ func (f *fleet) account(batch []*admitted, done float64, batchNo int) {
 		lat := done - adm.job.Arrive
 		a.latencies = append(a.latencies, lat)
 		f.win.add(lat)
-		f.latWinS[adm.job.Stream].add(lat)
+		if f.latWinS != nil {
+			f.latWinS[adm.job.Stream].add(lat)
+		}
 		ev := Event{
 			Kind: EventServed, Stream: adm.job.Stream, Frame: adm.job.Frame,
 			Arrive: adm.job.Arrive, Time: done,
@@ -924,20 +914,6 @@ func (f *fleet) stats() Stats {
 	}
 	st.Fleet.derive(st.Now, f.win.summary())
 	return st
-}
-
-// streamWindows snapshots every stream's sliding windows.
-func (f *fleet) streamWindows() []StreamWindow {
-	ws := make([]StreamWindow, len(f.acc))
-	for s := range ws {
-		w := &ws[s]
-		w.Queue = f.queued[s]
-		w.ArrivalRate = f.arrWin[s].rate()
-		w.Window = f.latWinS[s].summary()
-		_, mode := f.modeOf(s)
-		w.Mode = string(mode)
-	}
-	return ws
 }
 
 // result folds the accumulated counters into the Result, in stream

@@ -245,7 +245,9 @@ type Config struct {
 
 	// StatsWindow is the number of most recent served frames whose
 	// latencies feed the sliding-window percentiles of Server.Stats
-	// (default 256). It does not affect the Result.
+	// and, under a controller, each stream's window p50/p99 in its
+	// View (default 256). Without a controller it does not affect the
+	// Result.
 	StatsWindow int
 }
 

@@ -531,16 +531,6 @@ func (s *Server) Stats() Stats {
 	return s.f.stats()
 }
 
-// StreamWindows returns each stream's sliding-window snapshot — queue,
-// arrival rate, window latency and operating mode — in stream order:
-// the per-stream view the adaptive control plane observes at its
-// ticks.
-func (s *Server) StreamWindows() []StreamWindow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.streamWindows()
-}
-
 // Drain plays the agenda dry — every queued and in-flight frame runs
 // to completion on the virtual clock, with no further arrivals — and
 // returns the cumulative Result. The context is checked between

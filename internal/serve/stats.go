@@ -52,8 +52,7 @@ func ceilRank(q float64, n int) int {
 // elapsed makespan (Now), so after a full Drain they equal the final
 // Result's fleet row; its Latency, though, summarizes only the most
 // recent Config.StatsWindow served frames. It carries only what the
-// cluster router reads at each control tick; the per-stream windows
-// are Server.StreamWindows.
+// cluster router reads at each control tick.
 type Stats struct {
 	// Now is the engine's virtual clock: the time of the last event
 	// played so far (the makespan so far).
@@ -73,40 +72,14 @@ type Stats struct {
 	PerStreamQueue []int `json:"per_stream_queue,omitempty"`
 }
 
-// StreamWindow is one stream's sliding-window snapshot, as returned by
-// Server.StreamWindows — the per-stream signal set the adaptive
-// control plane (serve/control) observes at its ticks. Every window is
-// a bounded ring capped at Config.StatsWindow samples, so the memory
-// cost is O(Streams * StatsWindow) regardless of run length.
-type StreamWindow struct {
-	// Queue is the stream's current backlog in the shared scheduler.
-	Queue int `json:"queue"`
-	// ArrivalRate is the stream's offered rate in frames/s over its
-	// most recent StatsWindow arrivals (0 until two have been seen).
-	ArrivalRate float64 `json:"arrival_rate_fps"`
-	// Window summarizes end-to-end latency over the stream's most
-	// recent StatsWindow served frames.
-	Window LatencySummary `json:"window_latency"`
-	// Mode is the stream's current operating mode, empty while the
-	// stream runs the legacy automatic policy (see serve/control).
-	Mode string `json:"mode,omitempty"`
-}
-
-// window is a fixed-capacity ring over the most recent samples of one
-// signal — served-frame latencies or arrival instants — feeding the
-// sliding-window views of Stats and the control plane. The window size
-// is stored explicitly because make() may round a slice's capacity up
-// to an allocation size class.
-//
-// A latency window (newLatencyWindow) also keeps the same samples in
-// ascending order and memoizes its summary until the next add, so the
-// live reads — every control tick, every router tick, every poll —
-// neither copy nor sort. An arrival-stamp window keeps no sorted copy:
-// it only feeds rate().
+// window is a fixed-capacity ring over the most recent served-frame
+// latencies, feeding the sliding-window views of Stats and the
+// control plane. It also keeps the same samples in ascending order and
+// memoizes its summary until the next add, so the live reads — every
+// control tick, every router tick, every poll — neither copy nor sort.
 type window struct {
-	buf    []float64 // ring in arrival order
-	sorted []float64 // buf's samples ascending; nil for stamp rings
-	max    int       // window size
+	buf    []float64 // ring in arrival order; cap(buf) is the window size
+	sorted []float64 // buf's samples ascending
 	n      int       // total samples ever added
 	memo   LatencySummary
 	fresh  bool // memo summarizes sorted
@@ -116,27 +89,17 @@ func newWindow(capacity int) *window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &window{buf: make([]float64, 0, capacity), max: capacity}
-}
-
-func newLatencyWindow(capacity int) *window {
-	w := newWindow(capacity)
-	w.sorted = make([]float64, 0, w.max)
-	return w
+	return &window{buf: make([]float64, 0, capacity), sorted: make([]float64, 0, capacity)}
 }
 
 func (w *window) add(v float64) {
-	if len(w.buf) < w.max {
+	if len(w.buf) < cap(w.buf) {
 		w.buf = append(w.buf, v)
-		if w.sorted != nil {
-			i, _ := slices.BinarySearch(w.sorted, v)
-			w.sorted = slices.Insert(w.sorted, i, v)
-		}
+		i, _ := slices.BinarySearch(w.sorted, v)
+		w.sorted = slices.Insert(w.sorted, i, v)
 	} else {
-		slot := w.n % w.max
-		if w.sorted != nil {
-			w.replace(w.buf[slot], v)
-		}
+		slot := w.n % cap(w.buf)
+		w.replace(w.buf[slot], v)
 		w.buf[slot] = v
 	}
 	w.n++
@@ -159,8 +122,8 @@ func (w *window) replace(old, v float64) {
 	}
 }
 
-// summary is the latency window's LatencySummary, computed from the
-// sorted copy once per add.
+// summary is the window's LatencySummary, computed from the sorted
+// copy once per add.
 //
 //detlint:allocfree
 func (w *window) summary() LatencySummary {
@@ -169,26 +132,6 @@ func (w *window) summary() LatencySummary {
 		w.fresh = true
 	}
 	return w.memo
-}
-
-// rate reads the ring as arrival stamps: (count-1) arrivals over the
-// span from the oldest to the newest stamp, in frames/s. 0 until two
-// arrivals have been seen or while the span is zero.
-func (w *window) rate() float64 {
-	k := len(w.buf)
-	if k < 2 {
-		return 0
-	}
-	newest := w.buf[(w.n-1)%w.max]
-	oldest := w.buf[0]
-	if k == w.max {
-		oldest = w.buf[w.n%w.max]
-	}
-	span := newest - oldest
-	if span <= 0 {
-		return 0
-	}
-	return float64(k-1) / span
 }
 
 // summarize computes the latency summary of a sample set — a Result

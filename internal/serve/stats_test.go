@@ -84,7 +84,7 @@ func TestWindowSummaryMatchesSort(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 7, 256} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(size)))
-			w := newLatencyWindow(size)
+			w := newWindow(size)
 			for i := 0; i < 5000; i++ {
 				v := rng.Float64() * 3
 				if rng.Intn(2) == 0 {
@@ -110,7 +110,7 @@ func TestWindowSummaryMatchesSort(t *testing.T) {
 // TestWindowSummaryAllocFree pins the live read path: a full window's
 // add and summary allocate nothing.
 func TestWindowSummaryAllocFree(t *testing.T) {
-	w := newLatencyWindow(256)
+	w := newWindow(256)
 	for i := 0; i < 300; i++ {
 		w.add(float64(i%17) / 4)
 	}
