@@ -218,6 +218,32 @@ func BenchmarkTrackerThroughput(b *testing.B) {
 	b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "frames/s")
 }
 
+// BenchmarkCaTDetStep times the detection system's Step alone: one op
+// resets the (Res10a, Res50) CaTDet system and steps it over one whole
+// KITTI-sim sequence. Its allocs/op is the per-sequence allocation
+// count (one Detections slice per frame plus the tracker Reset builds),
+// which the bench-diff gate pins.
+func BenchmarkCaTDetStep(b *testing.B) {
+	ds, _ := benchData()
+	seq := &ds.Sequences[0]
+	sys := engineBenchSpec().MustBuild(ds.Classes)
+	var out core.FrameOutput
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Reset(seq)
+		for fi := range seq.Frames {
+			out = sys.Step(detector.FrameOf(seq, fi))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq.Frames)), "ns/frame")
+	benchStepSink = out
+}
+
+// benchStepSink keeps the last Step's output reachable so the compiler
+// cannot drop the stepping loop.
+var benchStepSink core.FrameOutput
+
 // --- Engine benches: serial loop vs sharded parallel runner ---
 
 // engineBenchSpec is the (Res10a, Res50) CaTDet system every runner

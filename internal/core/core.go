@@ -9,6 +9,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 
 	"repro/internal/dataset"
@@ -66,8 +67,9 @@ type FrameOutput struct {
 	//
 	// Ownership: Regions aliases the System's per-frame scratch and is
 	// valid only until the System's next Step. Consumers that need it
-	// longer (none in this repo do) must copy; Detections is always a
-	// fresh slice and safe to retain.
+	// longer (none in this repo do) must copy. Detections is the one
+	// allocation of a warm Step: an exact-size copy of the detector
+	// pass that systems fill in their own scratch, safe to retain.
 	Regions []geom.Box
 	// ProposalRegions is how many of Regions came from the proposal
 	// network; the rest came from the tracker (none without one).
@@ -82,33 +84,21 @@ type System interface {
 	Step(f detector.Frame) FrameOutput
 }
 
-// scoredOf strips simulation metadata from detector output. The result
-// is always freshly allocated — FrameOutput.Detections is retained by
-// callers (the experiment harness accumulates it per run).
-func scoredOf(dets []detector.Detection) []geom.Scored {
+// ownedCopy is the exact-size copy of a pass's scratch output that
+// FrameOutput.Detections hands to the caller, never nil.
+func ownedCopy(dets []geom.Scored) []geom.Scored {
 	out := make([]geom.Scored, len(dets))
-	for i, d := range dets {
-		out[i] = d.Scored
-	}
+	copy(out, dets)
 	return out
 }
 
-// filterScored appends the Scored views of the detections at or above
-// thresh to dst — the fused scoredOf+FilterScore of the cascade hot
-// path, so the intermediate copy never materializes.
-func filterScored(dst []geom.Scored, dets []detector.Detection, thresh float64) []geom.Scored {
-	for _, d := range dets {
-		if d.Score >= thresh {
-			dst = append(dst, d.Scored)
-		}
-	}
-	return dst
-}
-
-// SingleModel runs one detector on every full frame (Figure 1a).
+// SingleModel runs one detector on every full frame (Figure 1a). Like
+// its detector, an instance carries per-frame scratch and must not be
+// stepped from multiple goroutines concurrently.
 type SingleModel struct {
 	Detector *detector.Detector
 	name     string
+	dets     []geom.Scored
 }
 
 // NewSingleModel wraps a detector as a System.
@@ -128,9 +118,10 @@ func (s *SingleModel) Reset(*dataset.Sequence) {}
 
 // Step implements System.
 func (s *SingleModel) Step(f detector.Frame) FrameOutput {
-	r := s.Detector.DetectFull(f)
+	var r detector.Result
+	s.dets, r = s.Detector.DetectAppend(s.dets[:0], math.Inf(-1), f, nil, 0)
 	return FrameOutput{
-		Detections: scoredOf(r.Detections),
+		Detections: ownedCopy(s.dets),
 		Ops:        OpsBreakdown{Proposal: 0, Refinement: r.Ops},
 		Coverage:   1,
 	}
@@ -186,13 +177,14 @@ type CaTDet struct {
 
 	// Per-frame scratch reused across Steps: the region occupancy mask
 	// (word-zeroed between frames), the region list returned via
-	// FrameOutput.Regions, the thresholded proposals, the tracker's
-	// predictions and the confident detections fed back to it.
+	// FrameOutput.Regions, the region candidates (thresholded proposals
+	// followed by the tracker's predictions) and the refinement
+	// detections, which Step copies out and then cuts down to the
+	// confident ones fed back to the tracker.
 	mask    *geom.Mask
 	regions []geom.Box
-	props   []geom.Scored
-	preds   []geom.Scored
-	trackIn []geom.Scored
+	cands   []geom.Scored
+	dets    []geom.Scored
 }
 
 // NewCaTDet builds the full CaTDet system.
@@ -250,34 +242,33 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 		// Step before Reset: synthesize a tracker from frame dims.
 		s.Reset(&dataset.Sequence{Width: f.Width, Height: f.Height})
 	}
+	// The proposal pass and the tracker's prediction read disjoint
+	// state, so predicting after the pass lets both fill one buffer.
+	var prop, ref detector.Result
+	s.cands, prop = s.Proposal.DetectAppend(s.cands[:0], s.Cfg.CThresh, f, nil, 0)
+	nProps := len(s.cands)
 	if s.trk != nil {
-		s.preds = s.trk.PredictAppend(s.preds[:0])
+		s.cands = s.trk.PredictAppend(s.cands)
 	}
-
-	prop := s.Proposal.DetectFull(f)
-	proposals := filterScored(s.props[:0], prop.Detections, s.Cfg.CThresh)
-	s.props = proposals
 
 	margin := s.Cfg.margin()
 	s.mask = geom.ReuseMask(s.mask, float64(f.Width), float64(f.Height), s.Cfg.MaskCell)
 	mask := s.mask
 	frame := geom.NewBox(0, 0, float64(f.Width), float64(f.Height))
 	regions := s.regions[:0]
-	for _, src := range [...][]geom.Scored{proposals, s.preds} {
-		for _, p := range src {
-			r := p.Box.Expand(margin).Intersect(frame)
-			mask.AddBox(r)
-			regions = append(regions, r)
-		}
+	for _, p := range s.cands {
+		r := p.Box.Expand(margin).Intersect(frame)
+		mask.AddBox(r)
+		regions = append(regions, r)
 	}
 	s.regions = regions
-	ref := s.Refinement.DetectRegions(f, mask, len(regions))
-	dets := scoredOf(ref.Detections)
+	s.dets, ref = s.Refinement.DetectAppend(s.dets[:0], math.Inf(-1), f, mask, len(regions))
+	dets := ownedCopy(s.dets)
 
 	if s.trk != nil {
 		// Temporal feedback: confident detections update the tracker.
-		s.trackIn = geom.FilterScoreAppend(s.trackIn[:0], dets, s.Cfg.TrackThresh)
-		s.trk.Observe(s.trackIn)
+		s.dets = geom.FilterScoreAppend(s.dets[:0], dets, s.Cfg.TrackThresh)
+		s.trk.Observe(s.dets)
 	}
 
 	return FrameOutput{
@@ -286,6 +277,6 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 		NumProposals:    len(regions),
 		Coverage:        ref.Coverage,
 		Regions:         regions,
-		ProposalRegions: len(proposals),
+		ProposalRegions: nProps,
 	}
 }

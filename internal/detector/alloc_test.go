@@ -105,10 +105,8 @@ func TestPerceiveMatchesRematchOnCrowdedFrame(t *testing.T) {
 
 // TestDetectAllocBudget pins the steady-state allocation budget of the
 // full-frame detect path on a crowded frame. The scratch buffers absorb
-// candidate accumulation and NMS; what remains is the returned
-// Detections slice (callers own and may retain it) plus small
-// per-result bookkeeping. Budget 4 leaves headroom over the current 1-2
-// while still catching any reintroduced per-candidate churn.
+// candidate accumulation and NMS; the one allocation left is the
+// returned Detections slice, which callers own and may retain.
 func TestDetectAllocBudget(t *testing.T) {
 	d := MustNew("resnet50")
 	f := crowdedFrame(0)
@@ -117,8 +115,107 @@ func TestDetectAllocBudget(t *testing.T) {
 		f.Index = (f.Index + 1) % 50
 		d.DetectFull(f)
 	})
-	if n > 4 {
-		t.Errorf("DetectFull allocates %v per frame after warm-up, budget is 4", n)
+	if n > 1 {
+		t.Errorf("DetectFull allocates %v per frame after warm-up, budget is 1", n)
+	}
+}
+
+// TestDetectAppendAllocFree pins the cascade's path at zero allocations:
+// once the detector's scratch and the caller's buffer are warm, a
+// full-frame or region pass appending into that buffer allocates
+// nothing.
+func TestDetectAppendAllocFree(t *testing.T) {
+	d := MustNew("resnet10c") // highest FP rate: densest raw sets
+	f := crowdedFrame(0)
+	mask := geom.NewMask(float64(f.Width), float64(f.Height), 0)
+	mask.AddBox(geom.NewBox(0, 0, 700, 375))
+	var buf []geom.Scored
+	for fi := 0; fi < 50; fi++ { // warm both buffers on every frame measured
+		f.Index = fi
+		buf, _ = d.DetectAppend(buf[:0], 0, f, nil, 0)
+		buf, _ = d.DetectAppend(buf[:0], 0, f, mask, 20)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		f.Index = (f.Index + 1) % 50
+		buf, _ = d.DetectAppend(buf[:0], 0.1, f, nil, 0)
+		buf, _ = d.DetectAppend(buf[:0], 0, f, mask, 20)
+	})
+	if n != 0 {
+		t.Errorf("warm DetectAppend allocates %v per frame, want 0", n)
+	}
+}
+
+// TestDetectAppendMatchesDetect pins the append path against the
+// allocating passes: the same Scored values in the same order, cut at
+// minScore, and the same cost accounting.
+func TestDetectAppendMatchesDetect(t *testing.T) {
+	d := MustNew("resnet10c")
+	mask := geom.NewMask(1242, 375, 0)
+	mask.AddBox(geom.NewBox(100, 40, 900, 300))
+	var buf []geom.Scored
+	for fi := 0; fi < 25; fi++ {
+		f := crowdedFrame(fi)
+		for _, minScore := range []float64{math.Inf(-1), 0.1, 0.5} {
+			for _, m := range []*geom.Mask{nil, mask} {
+				var want Result
+				if m == nil {
+					want = d.DetectFull(f)
+				} else {
+					want = d.DetectRegions(f, m, 17)
+				}
+				var got Result
+				buf, got = d.DetectAppend(buf[:0], minScore, f, m, 17)
+				var wantScored []geom.Scored
+				for _, det := range want.Detections {
+					if det.Score >= minScore {
+						wantScored = append(wantScored, det.Scored)
+					}
+				}
+				if len(buf) != len(wantScored) {
+					t.Fatalf("frame %d min %v mask %v: %d detections, want %d", fi, minScore, m != nil, len(buf), len(wantScored))
+				}
+				for i := range buf {
+					if buf[i] != wantScored[i] {
+						t.Fatalf("frame %d min %v mask %v detection %d: %+v, want %+v", fi, minScore, m != nil, i, buf[i], wantScored[i])
+					}
+				}
+				if got.Detections != nil || got.Ops != want.Ops || got.Coverage != want.Coverage || got.NumProposals != want.NumProposals {
+					t.Fatalf("frame %d mask %v: result %+v, want %+v without detections", fi, m != nil, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSequenceStateFollowsProfile guards the per-sequence hash cache:
+// replacing the profile's name or midpoint, or moving to another
+// sequence, must give the detections a fresh detector would.
+func TestSequenceStateFollowsProfile(t *testing.T) {
+	d := MustNew("resnet50")
+	other := MustNew("resnet10c").Profile
+	renamed := d.Profile
+	renamed.Name = "resnet50-renamed"
+	moved := d.Profile
+	moved.Midpoint *= 1.7
+	f := crowdedFrame(3)
+	g := crowdedFrame(3)
+	g.SeqID = "crowd-2"
+	steps := []struct {
+		p Profile
+		f Frame
+	}{{d.Profile, f}, {renamed, f}, {other, f}, {moved, f}, {moved, g}, {d.Profile, g}, {d.Profile, f}}
+	for i, s := range steps {
+		d.Profile = s.p
+		fresh := &Detector{Profile: s.p, Cost: d.Cost}
+		got, want := d.DetectFull(s.f).Detections, fresh.DetectFull(s.f).Detections
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d detections, fresh detector %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("step %d detection %d: %+v, fresh detector %+v", i, k, got[k], want[k])
+			}
+		}
 	}
 }
 

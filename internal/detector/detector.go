@@ -62,6 +62,8 @@ type Result struct {
 // scratch and the Profile are per instance; Cost is not: New hands
 // every detector of a zoo name the same read-only ops model, which is
 // safe to price from any number of goroutines and must not be mutated.
+// A pass keeps its survivors in the scratch; DetectFull and
+// DetectRegions copy them out fresh, DetectAppend into a caller buffer.
 type Detector struct {
 	Profile Profile
 	Cost    ops.CostModel
@@ -70,54 +72,118 @@ type Detector struct {
 	// datasets do not receive Car clutter.
 	Classes []dataset.Class
 
-	// Per-invocation scratch, reused across frames so the steady-state
-	// perceive path allocates only its returned Detections slice.
+	// Per-invocation scratch, reused across frames: the raw candidates
+	// of the last pass, their Scored views for NMS, and the NMS
+	// workspace, which owns the survivors' indices into raw.
 	scratch struct {
 		raw    []Detection
 		scored []geom.Scored
 		nms    geom.NMSBuffer
 	}
+
+	// seq caches the hash state and log-midpoint of the last (profile,
+	// sequence) pair perceived, keyed on both names and the midpoint
+	// because Profile is exported and may be replaced between passes.
+	seq struct {
+		set      bool
+		name, id string
+		midpoint float64
+		key      uint64
+		logMid   float64
+	}
 }
 
 // DetectFull runs the detector over the whole frame, the single-model
-// and proposal-network mode.
+// and proposal-network mode. The returned Detections are the caller's
+// to keep.
 func (d *Detector) DetectFull(f Frame) Result {
-	dets := d.perceive(f, nil, 0)
-	return Result{
-		Detections:   dets,
-		Ops:          d.Cost.FullFrameOps(f.Width, f.Height),
-		Coverage:     1,
-		NumProposals: ops.DefaultProposals,
-	}
+	return d.detect(f, nil, 0)
 }
 
 // DetectRegions runs the detector restricted to the masked regions with
 // nProposals per-RoI head invocations, the refinement-network mode of
 // Section 4.3. Objects insufficiently covered by the mask cannot be
-// detected; false positives only arise inside the covered area.
+// detected; false positives only arise inside the covered area. The
+// returned Detections are the caller's to keep.
 func (d *Detector) DetectRegions(f Frame, mask *geom.Mask, nProposals int) Result {
-	dets := d.perceive(f, mask, nProposals)
+	return d.detect(f, mask, nProposals)
+}
+
+// DetectAppend runs the pass DetectFull (mask == nil; nProposals is
+// then ignored) or DetectRegions would, and appends the Scored views of
+// its detections scoring at or above minScore to dst, in the same
+// descending-confidence order. The returned Result carries the pass's
+// cost and nil Detections. Nothing appended aliases the detector, so a
+// caller reusing dst across frames allocates only when dst grows.
+//
+//detlint:allocfree
+func (d *Detector) DetectAppend(dst []geom.Scored, minScore float64, f Frame, mask *geom.Mask, nProposals int) ([]geom.Scored, Result) {
+	kept := d.perceive(f, mask, nProposals)
+	raw := d.scratch.raw
+	for _, i := range kept {
+		if raw[i].Score >= minScore {
+			//detlint:ok appends into the caller's reused buffer; grows only when dst lacks capacity, per the documented contract
+			dst = append(dst, raw[i].Scored)
+		}
+	}
+	return dst, d.cost(f, mask, nProposals)
+}
+
+// detect runs one pass and copies its survivors into a fresh Detections
+// slice of exactly their count (nil when none survive).
+func (d *Detector) detect(f Frame, mask *geom.Mask, nProposals int) Result {
+	kept := d.perceive(f, mask, nProposals)
+	r := d.cost(f, mask, nProposals)
+	if len(kept) > 0 {
+		r.Detections = make([]Detection, len(kept))
+		for k, i := range kept {
+			r.Detections[k] = d.scratch.raw[i]
+		}
+	}
+	return r
+}
+
+// cost prices one pass; mask == nil is the full frame.
+func (d *Detector) cost(f Frame, mask *geom.Mask, nProposals int) Result {
+	if mask == nil {
+		return Result{
+			Ops:          d.Cost.FullFrameOps(f.Width, f.Height),
+			Coverage:     1,
+			NumProposals: ops.DefaultProposals,
+		}
+	}
 	frac := mask.CoveredFraction()
 	return Result{
-		Detections:   dets,
 		Ops:          d.Cost.RegionOps(f.Width, f.Height, frac, nProposals),
 		Coverage:     frac,
 		NumProposals: nProposals,
 	}
 }
 
-// perceive produces the raw detections. mask == nil means full frame.
-// Candidate accumulation, NMS ordering and suppression all run on the
-// detector's reused scratch; only the returned slice — which callers
-// own and may retain — is allocated fresh, at its exact final size.
-func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detection {
+// seqState returns the (model, sequence) hash state and the log of the
+// recall midpoint for f's sequence, folding them only when the profile
+// or the sequence changed since the last pass.
+func (d *Detector) seqState(f Frame) (key uint64, logMid float64) {
+	p, c := &d.Profile, &d.seq
+	if !c.set || c.name != p.Name || c.id != f.SeqID || c.midpoint != p.Midpoint {
+		c.set, c.name, c.id, c.midpoint = true, p.Name, f.SeqID, p.Midpoint
+		c.key = hashKey(hashString(p.Name), hashString(f.SeqID))
+		c.logMid = math.Log(p.Midpoint)
+	}
+	return c.key, c.logMid
+}
+
+// perceive produces one pass's detections — mask == nil means full
+// frame — on the detector's reused scratch and returns the NMS
+// survivors as indices into d.scratch.raw, in descending confidence
+// order. Both stay valid only until the next pass.
+func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []int {
 	p := d.Profile
 	// hashKey folds its words left to right, so the (model, sequence)
-	// and (model, sequence, frame) states are folded once here and each
+	// and (model, sequence, frame) states are folded once and each
 	// object's keys extend them with mix — bit for bit the full keys.
-	seqKey := hashKey(hashString(p.Name), hashString(f.SeqID))
+	seqKey, logMid := d.seqState(f)
 	frameKey := mix(seqKey, uint64(f.Index))
-	logMid := math.Log(p.Midpoint)
 
 	raw := d.scratch.raw[:0]
 	for _, o := range f.Objects {
@@ -157,15 +223,7 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detectio
 	for i, r := range raw {
 		scored[i] = r.Scored
 	}
-	kept := d.scratch.nms.Indices(scored, NMSIoU)
-	if len(kept) == 0 {
-		return nil
-	}
-	out := make([]Detection, len(kept))
-	for k, i := range kept {
-		out[k] = raw[i]
-	}
-	return out
+	return d.scratch.nms.Indices(scored, NMSIoU)
 }
 
 // jitter perturbs the ground-truth box by the profile's localization

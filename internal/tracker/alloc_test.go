@@ -99,3 +99,75 @@ func TestObserveMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledSpawnMatchesFresh pins the free list: a spawn that reuses
+// a Track discarded with stale state — by a miss or by Reset — holds
+// exactly the value a spawn on a fresh tracker holds.
+func TestRecycledSpawnMatchesFresh(t *testing.T) {
+	for _, motion := range []MotionModel{ExponentialDecay, Kalman} {
+		cfg := DefaultConfig()
+		cfg.Motion = motion
+		spawn := []geom.Scored{det(300, 150, 50, 40, 1)}
+
+		// Dirty a track with matches and motion, then discard it by
+		// misses; the spawn on the next frame takes its struct.
+		trk := New(cfg, 1242, 375)
+		for f := 0; f < 3; f++ {
+			trk.Observe([]geom.Scored{det(100+7*float64(f), 100, 40, 30, 0)})
+		}
+		old := trk.Tracks()[0]
+		for len(trk.Tracks()) > 0 {
+			trk.Observe(nil)
+		}
+		trk.Observe(spawn)
+		fresh := New(cfg, 1242, 375)
+		fresh.nextID = trk.Tracks()[0].ID
+		fresh.Observe(spawn)
+		if trk.Tracks()[0] != old {
+			t.Fatalf("motion %d: spawn after a discard did not reuse the discarded Track", motion)
+		}
+		if *trk.Tracks()[0] != *fresh.Tracks()[0] {
+			t.Fatalf("motion %d: recycled spawn %+v, fresh spawn %+v", motion, *trk.Tracks()[0], *fresh.Tracks()[0])
+		}
+
+		// Reset hands the live track back; the next spawn reuses it
+		// with ID 1, as a fresh tracker's first spawn has.
+		trk.Observe(spawn)
+		live := trk.Tracks()[0]
+		trk.Reset()
+		trk.Observe(spawn)
+		fresh = New(cfg, 1242, 375)
+		fresh.Observe(spawn)
+		if trk.Tracks()[0] != live {
+			t.Fatalf("motion %d: spawn after Reset did not reuse the live Track", motion)
+		}
+		if *trk.Tracks()[0] != *fresh.Tracks()[0] {
+			t.Fatalf("motion %d: spawn after Reset %+v, fresh spawn %+v", motion, *trk.Tracks()[0], *fresh.Tracks()[0])
+		}
+	}
+}
+
+// TestChurnAllocFree pins spawns at zero allocations once the free list
+// is warm: a population that grows and shrinks every few frames spawns
+// and discards tracks, and recycles every one of them. Each run replays
+// a whole cycle, so a single allocating spawn in it fails the test.
+func TestChurnAllocFree(t *testing.T) {
+	trk := New(DefaultConfig(), 1242, 375)
+	scenes := make([][]geom.Scored, 40)
+	for f := range scenes {
+		scenes[f] = driftScene(f%10, 4+3*(f/5%2))
+	}
+	cycle := func() {
+		for _, s := range scenes {
+			trk.Observe(s)
+		}
+	}
+	cycle() // warms scratch and free list
+	spawned := trk.nextID
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Errorf("Observe under spawn churn allocates %v per cycle after warm-up, want 0", n)
+	}
+	if trk.nextID == spawned {
+		t.Fatal("no track spawned during the measured cycles; the scene does not churn")
+	}
+}

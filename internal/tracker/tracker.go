@@ -125,6 +125,10 @@ type Tracker struct {
 	frameH float64
 	tracks []*Track
 	nextID int
+	// free holds discarded tracks for later spawns to reuse, so a warm
+	// tracker allocates no Track; live plus free never exceeds the
+	// peak live count.
+	free []*Track
 
 	// Per-frame scratch, reused across Observe/Predict calls so the
 	// steady-state association path allocates nothing: the assignment
@@ -144,13 +148,17 @@ func New(cfg Config, frameW, frameH float64) *Tracker {
 	return &Tracker{cfg: cfg, frameW: frameW, frameH: frameH, nextID: 1}
 }
 
-// Reset discards all tracks (call between sequences).
+// Reset discards all tracks (call between sequences), keeping them for
+// reuse by later spawns.
 func (t *Tracker) Reset() {
-	t.tracks = nil
+	t.free = append(t.free, t.tracks...)
+	t.tracks = t.tracks[:0]
 	t.nextID = 1
 }
 
-// Tracks exposes the live tracks (read-only use expected).
+// Tracks exposes the live tracks (read-only use expected). A track
+// discarded by Observe or Reset is reused by a later spawn, so a *Track
+// is valid only while the track is live.
 func (t *Tracker) Tracks() []*Track { return t.tracks }
 
 // Observe ingests the current frame's detections: it associates them
@@ -196,6 +204,8 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 			tr.Misses++
 			tr.Confidence--
 			if tr.Confidence < 0 {
+				//detlint:ok the free list grows only past its peak length, bounded by the peak live count
+				t.free = append(t.free, tr)
 				continue
 			}
 			// Coast: adopt the prediction as the new state; velocity
@@ -221,8 +231,14 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 			continue
 		}
 		cx, cy := d.Box.Center()
-		//detlint:ok spawning an emerging track is the cold path; steady state spawns none (alloc budget pins 0)
-		tr := &Track{
+		var tr *Track
+		if n := len(t.free); n > 0 {
+			tr, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			//detlint:ok a spawn allocates only when no discarded track is free to reuse
+			tr = new(Track)
+		}
+		*tr = Track{
 			ID: t.nextID, Class: d.Class,
 			X: cx, Y: cy, S: w, R: d.Box.AspectRatio(),
 			Confidence: t.cfg.InitialConfidence,
