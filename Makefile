@@ -67,13 +67,14 @@ test:
 	$(GO) test ./...
 
 # The full suite under the race detector, then the serving determinism
-# matrices, the lookahead and fail-at pipeline tests, the shared-world
-# test and the parallel world warm-up test five more times: their
-# background workers interleave differently on every run, so repeats
-# are what give a race a chance.
+# matrices, the lookahead and fail-at pipeline tests, the trace-equals-
+# books test (its served events at StepWorkers 2/8 come from launches
+# stepped on the pool), the shared-world test and the parallel world
+# warm-up test five more times: their background workers interleave
+# differently on every run, so repeats are what give a race a chance.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestLookaheadMatchesDispatchPricing|TestFailAtWithStepsInFlight|TestSharedWorldsMatchPrivate|TestWorldsWarmUpMatchesGenerate)$$' ./internal/serve
+	$(GO) test -race -count=5 -run '^(TestDeterminism|TestAdaptiveDeterminism|TestChaosDeterminism|TestLookaheadMatchesDispatchPricing|TestFailAtWithStepsInFlight|TestTraceEqualsBooks|TestSharedWorldsMatchPrivate|TestWorldsWarmUpMatchesGenerate)$$' ./internal/serve
 
 # Per-package statement coverage of the full suite (the golden preset
 # and chaos harnesses push internal/serve; CI runs this as its own job

@@ -221,8 +221,8 @@ func BenchmarkTrackerThroughput(b *testing.B) {
 // BenchmarkCaTDetStep times the detection system's Step alone: one op
 // resets the (Res10a, Res50) CaTDet system and steps it over one whole
 // KITTI-sim sequence. Its allocs/op is the per-sequence allocation
-// count (one Detections slice per frame plus the tracker Reset builds),
-// which the bench-diff gate pins.
+// count (one Detections slice per frame: Reset keeps the tracker, its
+// recycled tracks and its scratch), which the bench-diff gate pins.
 func BenchmarkCaTDetStep(b *testing.B) {
 	ds, _ := benchData()
 	seq := &ds.Sequences[0]

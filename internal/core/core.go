@@ -212,7 +212,8 @@ func NewCascaded(proposal, refinement *detector.Detector, cfg Config) *CaTDet {
 // Name implements System.
 func (s *CaTDet) Name() string { return s.name }
 
-// Reset implements System: tracker state never crosses sequences.
+// Reset implements System: tracker state never crosses sequences, but
+// one tracker, its recycled tracks and its scratch serve them all.
 func (s *CaTDet) Reset(seq *dataset.Sequence) {
 	if !s.tracked {
 		return
@@ -221,12 +222,11 @@ func (s *CaTDet) Reset(seq *dataset.Sequence) {
 	if s.Cfg.Tracker != nil {
 		cfg = *s.Cfg.Tracker
 	}
-	s.trk = tracker.New(cfg, float64(seq.Width), float64(seq.Height))
+	if s.trk == nil {
+		s.trk = new(tracker.Tracker)
+	}
+	s.trk.Reset(cfg, float64(seq.Width), float64(seq.Height))
 }
-
-// Tracker exposes the live tracker (nil before Reset, and always nil
-// for the tracker-less cascade).
-func (s *CaTDet) Tracker() *tracker.Tracker { return s.trk }
 
 // Step implements System. The execution loop of Figure 2:
 //

@@ -60,7 +60,7 @@ func TestCascadedBreakdownConsistency(t *testing.T) {
 	seq := miniSeq(t)
 	casc := NewCascaded(detector.MustNew("resnet10a"), detector.MustNew("resnet50"), DefaultConfig())
 	casc.Reset(seq)
-	if casc.Tracker() != nil {
+	if casc.trk != nil {
 		t.Fatal("cascade built a tracker")
 	}
 	for fi := 0; fi < 30; fi++ {
@@ -85,11 +85,11 @@ func TestCaTDetResetClearsTracker(t *testing.T) {
 	for fi := 0; fi < 30; fi++ {
 		cat.Step(frameOf(seq, fi))
 	}
-	if len(cat.Tracker().Tracks()) == 0 {
+	if len(cat.trk.Tracks()) == 0 {
 		t.Fatal("no tracks formed in 30 frames")
 	}
 	cat.Reset(seq)
-	if len(cat.Tracker().Tracks()) != 0 {
+	if len(cat.trk.Tracks()) != 0 {
 		t.Fatal("Reset leaked tracker state across sequences")
 	}
 }

@@ -79,13 +79,13 @@ func TestCaTDetRecoversAfterBlackout(t *testing.T) {
 		sys.Step(detector.Frame{SeqID: "blk", Index: fi, Width: 1242, Height: 375,
 			Objects: []dataset.Object{obj}})
 	}
-	if len(sys.Tracker().Tracks()) == 0 {
+	if len(sys.trk.Tracks()) == 0 {
 		t.Fatal("no track before blackout")
 	}
 	for fi := 15; fi < 40; fi++ {
 		sys.Step(detector.Frame{SeqID: "blk", Index: fi, Width: 1242, Height: 375})
 	}
-	if n := len(sys.Tracker().Tracks()); n != 0 {
+	if n := len(sys.trk.Tracks()); n != 0 {
 		t.Fatalf("%d stale tracks survived a 25-frame blackout", n)
 	}
 	detected := false

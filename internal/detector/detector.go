@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -73,12 +74,13 @@ type Detector struct {
 	Classes []dataset.Class
 
 	// Per-invocation scratch, reused across frames: the raw candidates
-	// of the last pass, their Scored views for NMS, and the NMS
-	// workspace, which owns the survivors' indices into raw.
+	// of the last pass, which NMS reads directly, their ground-truth
+	// track IDs (ids[i] is raw[i]'s), and the NMS workspace, which owns
+	// the survivors' indices into raw.
 	scratch struct {
-		raw    []Detection
-		scored []geom.Scored
-		nms    geom.NMSBuffer
+		raw []geom.Scored
+		ids []int
+		nms geom.NMSBuffer
 	}
 
 	// seq caches the hash state and log-midpoint of the last (profile,
@@ -123,7 +125,7 @@ func (d *Detector) DetectAppend(dst []geom.Scored, minScore float64, f Frame, ma
 	for _, i := range kept {
 		if raw[i].Score >= minScore {
 			//detlint:ok appends into the caller's reused buffer; grows only when dst lacks capacity, per the documented contract
-			dst = append(dst, raw[i].Scored)
+			dst = append(dst, raw[i])
 		}
 	}
 	return dst, d.cost(f, mask, nProposals)
@@ -137,7 +139,7 @@ func (d *Detector) detect(f Frame, mask *geom.Mask, nProposals int) Result {
 	if len(kept) > 0 {
 		r.Detections = make([]Detection, len(kept))
 		for k, i := range kept {
-			r.Detections[k] = d.scratch.raw[i]
+			r.Detections[k] = Detection{Scored: d.scratch.raw[i], TrackID: d.scratch.ids[i]}
 		}
 	}
 	return r
@@ -175,8 +177,9 @@ func (d *Detector) seqState(f Frame) (key uint64, logMid float64) {
 
 // perceive produces one pass's detections — mask == nil means full
 // frame — on the detector's reused scratch and returns the NMS
-// survivors as indices into d.scratch.raw, in descending confidence
-// order. Both stay valid only until the next pass.
+// survivors as indices into d.scratch.raw and d.scratch.ids, in
+// descending confidence order. All three stay valid only until the
+// next pass.
 func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []int {
 	p := d.Profile
 	// hashKey folds its words left to right, so the (model, sequence)
@@ -185,7 +188,8 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []int {
 	seqKey, logMid := d.seqState(f)
 	frameKey := mix(seqKey, uint64(f.Index))
 
-	raw := d.scratch.raw[:0]
+	raw := slices.Grow(d.scratch.raw[:0], len(f.Objects)) // grow once, not by doubling
+	ids := slices.Grow(d.scratch.ids[:0], len(f.Objects))
 	for _, o := range f.Objects {
 		if mask != nil && mask.BoxCoverage(o.Box) < MinCoverage {
 			continue
@@ -204,26 +208,17 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []int {
 		}
 		box, jitterQ := d.jitter(o, objKey)
 		conf := sigmoid(p.ConfGain*z + p.ConfNoise*normal(hashKey(key, tagConf)) - p.LocConfCoupling*jitterQ)
-		raw = append(raw, Detection{
-			Scored:  geom.Scored{Box: box, Score: conf, Class: int(o.Class)},
-			TrackID: o.TrackID,
-		})
+		raw = append(raw, geom.Scored{Box: box, Score: conf, Class: int(o.Class)})
+		ids = append(ids, o.TrackID)
 	}
 
-	raw = d.appendFalsePositives(raw, f, mask, nProposals, frameKey)
-	d.scratch.raw = raw
+	raw, ids = d.appendClutter(raw, ids, f, mask, nProposals, frameKey)
+	d.scratch.raw, d.scratch.ids = raw, ids
 
 	// NMS over the combined output. The index-carrying variant keeps
-	// track identity directly — kept[i] indexes raw — instead of the
-	// former O(kept*raw) struct-equality re-match.
-	if cap(d.scratch.scored) < len(raw) {
-		d.scratch.scored = make([]geom.Scored, len(raw))
-	}
-	scored := d.scratch.scored[:len(raw)]
-	for i, r := range raw {
-		scored[i] = r.Scored
-	}
-	return d.scratch.nms.Indices(scored, NMSIoU)
+	// track identity directly — kept[i] indexes ids too — instead of
+	// the former O(kept*raw) struct-equality re-match.
+	return d.scratch.nms.Indices(raw, NMSIoU)
 }
 
 // jitter perturbs the ground-truth box by the profile's localization
@@ -250,19 +245,18 @@ func (d *Detector) jitter(o dataset.Object, objKey uint64) (geom.Box, float64) {
 	return geom.NewBoxCenter(cx, cy, w*sw, h*sh), q
 }
 
-// appendFalsePositives appends the frame's clutter detections to dst
-// and returns the extended slice. The count is Poisson with mean FPRate
-// scaled by the covered fraction; locations are sampled
-// deterministically and, in region mode, kept only when they fall
-// inside the mask (with resampling).
-func (d *Detector) appendFalsePositives(dst []Detection, f Frame, mask *geom.Mask, nProposals int, frameKey uint64) []Detection {
+// appendClutter appends the frame's false positives to dst, and their
+// track ID -1 to ids, and returns both extended slices. The count is
+// Poisson with mean FPRate scaled by the covered fraction; locations
+// are sampled deterministically and, in region mode, kept only when
+// they fall inside the mask (with resampling).
+func (d *Detector) appendClutter(dst []geom.Scored, ids []int, f Frame, mask *geom.Mask, nProposals int, frameKey uint64) ([]geom.Scored, []int) {
 	p := d.Profile
 	rate := p.FPRate
 	if mask != nil {
 		rate = rate*mask.CoveredFraction() + p.RegionFPPerProposal*float64(nProposals)
 	}
 	n := poissonHash(hashKey(frameKey, tagFP), rate)
-	out := dst
 	fw, fh := float64(f.Width), float64(f.Height)
 	for i := 0; i < n; i++ {
 		var box geom.Box
@@ -293,12 +287,10 @@ func (d *Detector) appendFalsePositives(dst []Detection, f Frame, mask *geom.Mas
 		} else {
 			class = int(uint(mix(k, 5)) % uint(dataset.NumClasses))
 		}
-		out = append(out, Detection{
-			Scored:  geom.Scored{Box: box, Score: conf, Class: class},
-			TrackID: -1,
-		})
+		dst = append(dst, geom.Scored{Box: box, Score: conf, Class: class})
+		ids = append(ids, -1)
 	}
-	return out
+	return dst, ids
 }
 
 // poissonHash draws a Poisson variate from hashed uniforms (Knuth).

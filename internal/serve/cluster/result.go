@@ -127,7 +127,8 @@ type Result struct {
 }
 
 // merge folds the per-shard books into the cluster Result. Called with
-// r.mu held; books is indexed by shard.
+// r.mu held; books is indexed by shard. Shard rows and r.lat fold serve
+// events; applyFailover adds the ledger no serve event carries.
 func (r *Router) merge(books []*serve.Result) *Result {
 	cfg := r.cfg
 	base := books[0]

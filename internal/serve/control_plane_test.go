@@ -108,10 +108,10 @@ func TestPerStreamWindowsBounded(t *testing.T) {
 	if r.Fleet.Served <= cfg.Streams*cfg.StatsWindow {
 		t.Fatalf("scenario too small to exercise the rings: served %d", r.Fleet.Served)
 	}
-	if len(s.f.latWinS) != cfg.Streams {
-		t.Fatalf("controlled fleet keeps %d latency windows, want %d", len(s.f.latWinS), cfg.Streams)
+	if len(s.f.books.latWinS) != cfg.Streams {
+		t.Fatalf("controlled fleet keeps %d latency windows, want %d", len(s.f.books.latWinS), cfg.Streams)
 	}
-	for i, w := range s.f.latWinS {
+	for i, w := range s.f.books.latWinS {
 		if len(w.buf) > cfg.StatsWindow || cap(w.buf) != cfg.StatsWindow {
 			t.Errorf("stream %d latency ring holds %d/%d samples, want cap %d",
 				i, len(w.buf), cap(w.buf), cfg.StatsWindow)
@@ -131,8 +131,8 @@ func TestPerStreamWindowsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if plain.f.latWinS != nil {
-		t.Errorf("controller-less fleet keeps %d per-stream latency windows, want none", len(plain.f.latWinS))
+	if plain.f.books.latWinS != nil {
+		t.Errorf("controller-less fleet keeps %d per-stream latency windows, want none", len(plain.f.books.latWinS))
 	}
 }
 
@@ -156,7 +156,7 @@ func TestBuildViewAllocFree(t *testing.T) {
 		t.Errorf("memoized buildView allocates %v times, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		for _, w := range s.f.latWinS {
+		for _, w := range s.f.books.latWinS {
 			w.add(0.5)
 		}
 		s.f.buildView()

@@ -37,17 +37,21 @@ func goldenConfig() Config {
 	}
 }
 
-// TestGoldenFIFO pins the full serving output byte-for-byte: the
+// goldenScenario is one scenario a testdata golden file pins.
+type goldenScenario struct {
+	name, file string
+	cfg        Config
+}
+
+// goldenScenarios are the three scenarios TestGoldenFIFO pins: the
 // overload scenario at sched=fifo, batch=1; the same load on two
 // executors fusing up to four frames per launch under EDF, the batched
 // path where one round dispatches several launches whose completions
 // can settle out of dispatch order; and the same load under the
 // baseline controller with EDF and two priority classes, so mode
 // switches, fleet batch resizes and deadline rescales all move the
-// books. Run with -update to rewrite the goldens after an intentional
-// change; anything else that moves these bytes is a regression in the
-// serving engine.
-func TestGoldenFIFO(t *testing.T) {
+// books.
+func goldenScenarios() []goldenScenario {
 	batched := goldenConfig()
 	batched.Executors = 2
 	batched.BatchSize = 4
@@ -60,14 +64,19 @@ func TestGoldenFIFO(t *testing.T) {
 		HighDepth: 2, LowDepth: 1,
 		MaxBatch: 4, BatchDepth: 3,
 	}
-	for _, tc := range []struct {
-		name, file string
-		cfg        Config
-	}{
+	return []goldenScenario{
 		{"fifo", "golden_fifo.json", goldenConfig()},
 		{"batched-edf", "golden_batched_edf.json", batched},
 		{"adaptive", "golden_adaptive.json", adaptive},
-	} {
+	}
+}
+
+// TestGoldenFIFO pins the full serving output of goldenScenarios
+// byte-for-byte. Run with -update to rewrite the goldens after an
+// intentional change; anything else that moves these bytes is a
+// regression in the serving engine.
+func TestGoldenFIFO(t *testing.T) {
+	for _, tc := range goldenScenarios() {
 		t.Run(tc.name, func(t *testing.T) {
 			r := mustRun(t, tc.cfg)
 			if tc.cfg.Control.Active() && (r.ModeSwitches == 0 || r.Fleet.Degraded == 0) {

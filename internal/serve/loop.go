@@ -136,16 +136,56 @@ type admitted struct {
 	stepped bool    // set under the step pool's lock once the step ran
 }
 
-// degraded reports the frame ran proposal-only (the refinement pass
-// was shed), whether by the legacy DegradeDepth threshold or an
-// explicit per-stream ModeProposal policy.
-func (a *admitted) degraded() bool { return a.mode == control.ModeProposal }
-
-// streamAcc accumulates one stream's ledger row during the run: the
-// frame counters of its Result row plus every served latency sample.
+// streamAcc is one stream's row of the books: the frame counters of its
+// Result row plus every served latency sample.
 type streamAcc struct {
 	StreamStats
 	latencies []float64
+}
+
+// books is the fold of a fleet's event stream: fleet.emit books every
+// event before the Sink sees it, so replaying a run's events into fresh
+// books reproduces its rows. Arrived, the one row counter no event
+// carries, is booked by the engine at each arrival.
+type books struct {
+	acc []streamAcc
+	win *window
+	// latWinS[s] rings stream s's last StatsWindow served latencies for
+	// the control plane's View; nil without a controller, its only reader.
+	latWinS      []*window
+	modeSwitches int
+}
+
+// book folds one event into the books.
+func (b *books) book(e Event) {
+	switch e.Kind {
+	case EventServed:
+		a := &b.acc[e.Stream]
+		a.Served++
+		if e.Degraded {
+			a.Degraded++
+		}
+		if e.full {
+			a.ModeFull++
+		}
+		a.latencies = append(a.latencies, e.Latency)
+		b.win.add(e.Latency)
+		if b.latWinS != nil {
+			b.latWinS[e.Stream].add(e.Latency)
+		}
+	case EventDroppedQueue:
+		b.acc[e.Stream].DroppedQueue++
+	case EventDroppedStale:
+		b.acc[e.Stream].DroppedStale++
+	case EventDroppedPoison:
+		b.acc[e.Stream].DroppedPoison++
+	case EventReconnect:
+		b.acc[e.Stream].Reconnects++
+	case EventFailedOver:
+		b.acc[e.Stream].FailedOver++
+	case EventModeSwitch:
+		b.modeSwitches++
+	}
 }
 
 // pendingBatch is one in-flight launch, held unrecorded until its
@@ -287,13 +327,8 @@ type fleet struct {
 	pend    []pendingBatch
 	works   []float64
 
-	sink Sink
-	win  *window
-
-	// latWinS[s] rings stream s's most recent Config.StatsWindow
-	// served-frame latencies for the control plane's View; nil without
-	// a controller, its only reader.
-	latWinS []*window
+	sink  Sink
+	books books
 
 	// Adaptive control plane (nil/inert without an active
 	// Config.Control). ctrl is the per-fleet controller instance; mode,
@@ -310,14 +345,12 @@ type fleet struct {
 	effBatch     int
 	tickArmed    bool
 	controlTicks int
-	modeSwitches int
 	view         control.View // reused tick scratch
 
 	now, lastT        float64
 	depthInt, busyInt float64 // time integrals of queue depth / busy executors
 	maxDepth          int
 	maxService        float64
-	acc               []streamAcc
 }
 
 // newFleet builds the engine for a normalized, validated config over
@@ -329,7 +362,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		gpu:     gpumodel.Default(),
 		cascade: cfg.Spec.Kind != sim.Single,
 		sink:    cfg.Sink,
-		win:     newWindow(cfg.StatsWindow),
+		books:   books{acc: make([]streamAcc, cfg.Streams), win: newWindow(cfg.StatsWindow)},
 		workers: cfg.StepWorkers,
 		execs0:  cfg.Executors,
 	}
@@ -366,7 +399,6 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 	factory := spec.Factory(cfg.Preset.ClassList())
 	f.sessions = make([]core.System, cfg.Streams)
 	f.sessEpoch = make([]int, cfg.Streams)
-	f.acc = make([]streamAcc, cfg.Streams)
 	// Sized for one single-frame launch per executor, so a fleet that
 	// never batches or resizes never grows them.
 	f.adm = make([]*admitted, 0, cfg.Executors)
@@ -385,9 +417,9 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		}
 		f.ctrl = ctrl
 		f.view.Streams = make([]control.StreamSignal, cfg.Streams)
-		f.latWinS = make([]*window, cfg.Streams)
-		for s := range f.latWinS {
-			f.latWinS[s] = newWindow(cfg.StatsWindow)
+		f.books.latWinS = make([]*window, cfg.Streams)
+		for s := range f.books.latWinS {
+			f.books.latWinS[s] = newWindow(cfg.StatsWindow)
 		}
 	}
 	for s := 0; s < cfg.Streams; s++ {
@@ -420,7 +452,7 @@ func (f *fleet) handle(e event) {
 	f.tick(e.t)
 	switch e.kind {
 	case evArrival:
-		f.acc[e.stream].Arrived++
+		f.books.acc[e.stream].Arrived++
 		f.admit(f.job(e.stream, e.frame, e.arrive, e.epoch))
 		f.armTick(e.t)
 	case evCompletion:
@@ -442,10 +474,12 @@ func (f *fleet) handle(e event) {
 	f.dispatch()
 }
 
-// emit hands an event to the sink, if any. Sinks run synchronously on
-// the engine (under the Server's lock): they must be fast and must not
-// call back into the Server.
+// emit is the one place a frame outcome reaches the books: it folds the
+// event into them, then hands it to the sink, if any. Sinks run
+// synchronously on the engine (under the Server's lock): they must be
+// fast and must not call back into the Server.
 func (f *fleet) emit(e Event) {
+	f.books.book(e)
 	if f.sink != nil {
 		f.sink.ServeEvent(e)
 	}
@@ -518,7 +552,7 @@ func (f *fleet) buildView() control.View {
 		_, sig.Mode = f.modeOf(s)
 		sig.Pinned = f.pin(s) != control.ModeAuto
 		sig.Queue = f.queued[s]
-		lat := f.latWinS[s].summary()
+		lat := f.books.latWinS[s].summary()
 		sig.P50, sig.P99 = lat.P50, lat.P99
 	}
 	return f.view
@@ -526,8 +560,7 @@ func (f *fleet) buildView() control.View {
 
 // apply commits one controller action, clamping defensively: out-of-
 // range streams are ignored, batch requests clamp to [1, MaxBatch].
-// Mode switches are counted and sunk (EventModeSwitch) at the decision
-// instant.
+// Mode switches are emitted (EventModeSwitch) at the decision instant.
 func (f *fleet) apply(a control.Action, now float64) {
 	if a.Stream == control.Fleet {
 		if a.Batch > 0 {
@@ -544,7 +577,6 @@ func (f *fleet) apply(a control.Action, now float64) {
 	}
 	if m := a.Policy.Mode; m != control.ModeAuto && m != f.mode[a.Stream] && f.cascade {
 		f.mode[a.Stream] = m
-		f.modeSwitches++
 		f.emit(Event{Kind: EventModeSwitch, Stream: a.Stream, Time: now, Mode: string(m)})
 	}
 	if s := a.Policy.DeadlineScale; s > 0 && f.cfg.MaxStaleness > 0 {
@@ -552,13 +584,12 @@ func (f *fleet) apply(a control.Action, now float64) {
 	}
 }
 
-// admit offers an arriving frame to the scheduler and charges the
-// victim, if the policy evicted one to stay under the cap.
+// admit offers an arriving frame to the scheduler and emits the victim,
+// if the policy evicted one to stay under the cap.
 func (f *fleet) admit(j sched.Job) {
 	f.queued[j.Stream]++
 	if victim, dropped := f.sched.Admit(j); dropped {
 		f.queued[victim.Stream]--
-		f.acc[victim.Stream].DroppedQueue++
 		f.emit(Event{
 			Kind: EventDroppedQueue, Stream: victim.Stream, Frame: victim.Frame,
 			Arrive: victim.Arrive, Time: f.now, Epoch: victim.Epoch,
@@ -647,36 +678,19 @@ func (f *fleet) price(p *pendingBatch, batch []*admitted) {
 	f.agenda.add(event{t: p.t, kind: evCompletion, stream: p.stream, frame: p.frame, epoch: p.epoch})
 }
 
-// account records a launch's frames as served at its completion instant
-// done: per-stream counters, latency samples, sliding windows and the
-// EventServed emissions. settle calls it when the completion event
+// account emits a launch's frames as served at its completion instant
+// done, one EventServed each. settle calls it when the completion event
 // fires, so the books, the controller's latency windows and the sink
 // see a frame only once it has actually finished.
 func (f *fleet) account(batch []*admitted, done float64, batchNo int) {
 	for _, adm := range batch {
-		a := &f.acc[adm.job.Stream]
-		a.Served++
-		if adm.degraded() {
-			a.Degraded++
-		}
-		if adm.mode == control.ModeFull {
-			a.ModeFull++
-		}
-		lat := done - adm.job.Arrive
-		a.latencies = append(a.latencies, lat)
-		f.win.add(lat)
-		if f.latWinS != nil {
-			f.latWinS[adm.job.Stream].add(lat)
-		}
 		ev := Event{
 			Kind: EventServed, Stream: adm.job.Stream, Frame: adm.job.Frame,
 			Arrive: adm.job.Arrive, Time: done,
-			Latency: lat, Degraded: adm.degraded(), Batch: batchNo,
-			Epoch: adm.job.Epoch,
+			Latency: done - adm.job.Arrive, Degraded: adm.mode == control.ModeProposal,
+			Batch: batchNo, Epoch: adm.job.Epoch, full: adm.mode == control.ModeFull,
 		}
-		if f.ctrl != nil {
-			// Mode attribution only matters — and only changes trace
-			// bytes — on controlled runs.
+		if f.ctrl != nil { // trace bytes carry the mode only on controlled runs
 			ev.Mode = string(adm.mode)
 		}
 		f.emit(ev)
@@ -706,26 +720,17 @@ func (f *fleet) settle(e event) {
 	}
 }
 
-// failAt kills the fleet's hardware at virtual time t: pending launches
-// are cancelled (their frames were never recorded — the launch simply
-// never happened), queued frames are popped, the agenda is cleared
-// (completions, provisioning resizes and the armed control tick die
-// with the machine) and the executor count drops to zero until a later
-// ResizeAt revives it. The seized frames come back in
-// dispatch-then-queue order — which preserves per-stream frame order,
-// so a caller replaying them elsewhere keeps every stream's timeline
-// monotone — each counted in StreamStats.FailedOver and emitted as an
-// EventFailedOver at the failure instant. Launches still waiting for
-// their price marker are joined and priced first, so the sessions have
-// stepped and Result.MaxService counts exactly what the serial engine,
-// which prices at dispatch, would; their completions die with the
-// agenda.
+// failAt is the engine half of Server.FailAt at virtual time t.
+// Dispatch-then-queue order keeps each stream's timeline monotone for a
+// caller replaying the seized frames elsewhere. Launches still waiting
+// for their price marker are joined and priced first, so the sessions
+// have stepped and Result.MaxService counts exactly what the serial
+// engine, which prices at dispatch, would.
 func (f *fleet) failAt(t float64) []FailedFrame {
 	f.tick(t)
 	f.priceRest()
 	var seized []FailedFrame
 	grab := func(j sched.Job) {
-		f.acc[j.Stream].FailedOver++
 		f.emit(Event{
 			Kind: EventFailedOver, Stream: j.Stream, Frame: j.Frame,
 			Arrive: j.Arrive, Time: t, Epoch: j.Epoch,
@@ -772,7 +777,6 @@ func (f *fleet) gather() {
 		}
 		f.queued[j.Stream]--
 		if f.cfg.MaxStaleness > 0 && f.now-j.Arrive > f.effStale[j.Stream] {
-			f.acc[j.Stream].DroppedStale++
 			f.emit(Event{
 				Kind: EventDroppedStale, Stream: j.Stream, Frame: j.Frame,
 				Arrive: j.Arrive, Time: f.now, Epoch: j.Epoch,
@@ -869,30 +873,18 @@ func (f *fleet) class(stream int) int {
 	return 0
 }
 
-// dropPoison charges a poison pill to its stream and sinks it. Pills
-// deliberately leave the virtual clock, the causality state and the
-// session untouched, so a run's books with and without a pill are
-// identical — the isolation the PoisonDrop policy promises. A
-// non-finite arrival stamp is re-stamped to the current clock for the
-// sink (NaN would break JSON trace encoders downstream).
+// dropPoison emits a poison pill as dropped. Pills deliberately leave
+// the virtual clock, the causality state and the session untouched, so
+// a run's books with and without a pill differ only in DroppedPoison —
+// the isolation the PoisonDrop policy promises. A non-finite arrival
+// stamp is re-stamped to the current clock for the sink (NaN would
+// break JSON trace encoders downstream).
 func (f *fleet) dropPoison(stream, frame int, arrive float64, epoch int) {
-	f.acc[stream].DroppedPoison++
 	if math.IsNaN(arrive) || math.IsInf(arrive, 0) {
 		arrive = f.now
 	}
 	f.emit(Event{
 		Kind: EventDroppedPoison, Stream: stream, Frame: frame,
-		Arrive: arrive, Time: f.now, Epoch: epoch,
-	})
-}
-
-// noteReconnect charges an accepted camera reconnect to its stream and
-// sinks it at the decision instant (the current clock — the
-// reconnecting frame's own arrival, possibly later, follows it).
-func (f *fleet) noteReconnect(stream, eff int, arrive float64, epoch int) {
-	f.acc[stream].Reconnects++
-	f.emit(Event{
-		Kind: EventReconnect, Stream: stream, Frame: eff,
 		Arrive: arrive, Time: f.now, Epoch: epoch,
 	})
 }
@@ -909,10 +901,10 @@ func (f *fleet) stats() Stats {
 		Executors:      f.cfg.Executors,
 		PerStreamQueue: append([]int(nil), f.queued...),
 	}
-	for s := range f.acc {
-		st.Fleet.Add(f.acc[s].StreamStats)
+	for s := range f.books.acc {
+		st.Fleet.Add(f.books.acc[s].StreamStats)
 	}
-	st.Fleet.derive(st.Now, f.win.summary())
+	st.Fleet.derive(st.Now, f.books.win.summary())
 	return st
 }
 
@@ -974,7 +966,7 @@ func (f *fleet) result() *Result {
 		cc := cfg.Control
 		r.Control = &cc
 		r.ControlTicks = f.controlTicks
-		r.ModeSwitches = f.modeSwitches
+		r.ModeSwitches = f.books.modeSwitches
 	}
 	if len(f.sessions) > 0 {
 		r.System = f.sessions[0].Name()
@@ -982,8 +974,8 @@ func (f *fleet) result() *Result {
 	horizon := f.lastT
 	var all []float64
 	fleetRow := StreamStats{ID: "fleet"}
-	for s := range f.acc {
-		a := &f.acc[s]
+	for s := range f.books.acc {
+		a := &f.books.acc[s]
 		row := a.StreamStats
 		row.ID = f.worlds.seq(s).ID
 		row.Derive(horizon, a.latencies)
@@ -1017,7 +1009,7 @@ func (f *fleet) result() *Result {
 // highest class first.
 func (f *fleet) perClass(horizon float64) []StreamStats {
 	var classes []int
-	for s := range f.acc {
+	for s := range f.books.acc {
 		if c := f.class(s); !slices.Contains(classes, c) {
 			classes = append(classes, c)
 		}
@@ -1027,10 +1019,10 @@ func (f *fleet) perClass(horizon float64) []StreamStats {
 	for i, c := range classes {
 		out[i].ID = fmt.Sprintf("class-%d", c)
 		var lats []float64
-		for s := range f.acc {
+		for s := range f.books.acc {
 			if f.class(s) == c {
-				out[i].Add(f.acc[s].StreamStats)
-				lats = append(lats, f.acc[s].latencies...)
+				out[i].Add(f.books.acc[s].StreamStats)
+				lats = append(lats, f.books.acc[s].latencies...)
 			}
 		}
 		out[i].Derive(horizon, lats)

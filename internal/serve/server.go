@@ -86,6 +86,9 @@ type Event struct {
 	// served frame ran in on controlled runs. Empty — and the trace
 	// bytes unchanged — without an active controller.
 	Mode string `json:"mode,omitempty"`
+	// full marks a served frame that ran control.ModeFull, which Mode
+	// shows only under a controller; unexported, so no trace byte moves.
+	full bool
 }
 
 // Sink receives per-frame events. Implementations run synchronously on
@@ -371,7 +374,9 @@ func (s *Server) Submit(stream, frame int, arriveAt float64) error {
 	if reconnect {
 		s.rebase[stream] = eff - frame
 		s.epoch[stream] = epoch
-		s.f.noteReconnect(stream, eff, arriveAt, epoch)
+		// Emitted at the decision instant; the reconnecting frame's own
+		// arrival, possibly later, follows it.
+		s.f.emit(Event{Kind: EventReconnect, Stream: stream, Frame: eff, Arrive: arriveAt, Time: s.f.now, Epoch: epoch})
 	}
 	s.lastFrame[stream], s.lastArrive[stream] = eff, arriveAt
 	s.f.agenda.add(event{t: t, kind: evArrival, stream: stream, frame: eff, arrive: arriveAt, epoch: epoch})
@@ -467,7 +472,7 @@ type FailedFrame struct {
 // engine advances to t, then every in-flight launch is cancelled and
 // every queued frame popped — the seized frames are returned in
 // dispatch-then-queue order (per-stream frame order preserved), each
-// counted in StreamStats.FailedOver and emitted as an EventFailedOver —
+// emitted as an EventFailedOver and so booked in StreamStats.FailedOver —
 // the agenda is cleared (pending completions, provisioning resizes and
 // the armed control tick die with the machine) and the executor count
 // drops to 0 until a later ResizeAt revives the shard. A launch

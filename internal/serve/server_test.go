@@ -183,56 +183,6 @@ func TestStatsWindowBounded(t *testing.T) {
 	}
 }
 
-// TestSinkObservesEveryOutcome wires a counting sink into the golden
-// scenario and checks the event stream is complete and exact: one
-// served event per served frame (degraded flagged), one drop event per
-// dropped frame, latencies matching the Result's books.
-func TestSinkObservesEveryOutcome(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.DegradeDepth = 2
-	var events []Event
-	cfg.Sink = SinkFunc(func(e Event) { events = append(events, e) })
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	count := map[EventKind]int{}
-	degraded, maxLat := 0, 0.0
-	for _, e := range events {
-		count[e.Kind]++
-		if e.Degraded {
-			degraded++
-		}
-		if e.Latency > maxLat {
-			maxLat = e.Latency
-		}
-	}
-	if count[EventServed] != r.Fleet.Served {
-		t.Errorf("served events %d != served frames %d", count[EventServed], r.Fleet.Served)
-	}
-	if count[EventDroppedQueue] != r.Fleet.DroppedQueue {
-		t.Errorf("queue-drop events %d != dropped %d", count[EventDroppedQueue], r.Fleet.DroppedQueue)
-	}
-	if count[EventDroppedStale] != r.Fleet.DroppedStale {
-		t.Errorf("stale-drop events %d != dropped %d", count[EventDroppedStale], r.Fleet.DroppedStale)
-	}
-	if degraded != r.Fleet.Degraded {
-		t.Errorf("degraded events %d != degraded frames %d", degraded, r.Fleet.Degraded)
-	}
-	if maxLat != r.Fleet.Latency.Max {
-		t.Errorf("max event latency %v != result max %v", maxLat, r.Fleet.Latency.Max)
-	}
-	for _, e := range events {
-		if e.Kind == EventServed && e.Latency != e.Time-e.Arrive {
-			t.Fatalf("served event latency %v != time-arrive %v", e.Latency, e.Time-e.Arrive)
-		}
-		if e.Kind != EventServed && e.Latency != 0 {
-			t.Fatalf("drop event carries latency %v", e.Latency)
-		}
-	}
-}
-
 // TestSubmitValidation pins the Submit contract errors.
 func TestSubmitValidation(t *testing.T) {
 	srv, err := New(testConfig())

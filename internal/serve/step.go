@@ -252,7 +252,7 @@ func (f *fleet) stepAdmitted(adm *admitted) {
 	switch {
 	case !f.cascade:
 		ft = f.gpu.SingleModelFrame(out.Ops.Refinement)
-	case adm.degraded():
+	case adm.mode == control.ModeProposal:
 		ft = f.gpu.ProposalOnlyFrame(out.Ops.Proposal)
 	case adm.mode == control.ModeFull:
 		ft = f.gpu.FullCascadeFrame(out.Ops.Proposal,

@@ -134,7 +134,7 @@ func TestRecycledSpawnMatchesFresh(t *testing.T) {
 		// with ID 1, as a fresh tracker's first spawn has.
 		trk.Observe(spawn)
 		live := trk.Tracks()[0]
-		trk.Reset()
+		trk.Reset(cfg, 1242, 375)
 		trk.Observe(spawn)
 		fresh = New(cfg, 1242, 375)
 		fresh.Observe(spawn)

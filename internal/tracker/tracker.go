@@ -145,12 +145,16 @@ type Tracker struct {
 
 // New creates a tracker for a frameW-by-frameH video.
 func New(cfg Config, frameW, frameH float64) *Tracker {
-	return &Tracker{cfg: cfg, frameW: frameW, frameH: frameH, nextID: 1}
+	t := new(Tracker)
+	t.Reset(cfg, frameW, frameH)
+	return t
 }
 
-// Reset discards all tracks (call between sequences), keeping them for
-// reuse by later spawns.
-func (t *Tracker) Reset() {
+// Reset readies the tracker for a new frameW-by-frameH video under cfg
+// (call between sequences): it discards all tracks, keeping them for
+// reuse by later spawns, and keeps its scratch buffers.
+func (t *Tracker) Reset(cfg Config, frameW, frameH float64) {
+	t.cfg, t.frameW, t.frameH = cfg, frameW, frameH
 	t.free = append(t.free, t.tracks...)
 	t.tracks = t.tracks[:0]
 	t.nextID = 1

@@ -206,7 +206,7 @@ func TestPredictionFilters(t *testing.T) {
 func TestReset(t *testing.T) {
 	tr := New(DefaultConfig(), 1242, 375)
 	tr.Observe([]geom.Scored{det(100, 100, 40, 30, 0)})
-	tr.Reset()
+	tr.Reset(DefaultConfig(), 1242, 375)
 	if len(tr.Tracks()) != 0 {
 		t.Fatal("reset did not clear tracks")
 	}
