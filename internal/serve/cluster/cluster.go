@@ -123,10 +123,9 @@ type Router struct {
 	replaced   int // failover re-placements through the live ring
 	rebalanced int // bulk-rebalancer moves
 
-	// Merged books: per-stream served latencies collected from every
-	// shard's sink (serve summaries cannot be merged after the fact),
-	// plus a sliding window over the latest served latencies for Stats.
-	lat    [][]float64
+	// A sliding window over the latest served latencies across every
+	// shard, in cluster serve order, for Stats. The merged Result reads
+	// each stream's full sample set from the shards' own books.
 	window []float64
 	wn     int
 
@@ -167,9 +166,9 @@ type orphanFrame struct {
 }
 
 // shardSink forwards one shard's per-frame events into the Router's
-// merged books and the user sink. It runs under the shard server's
-// lock, which the Router only takes while already holding its own lock,
-// so the unguarded field access is safe.
+// Stats window, the shard's recovery ledger and the user sink. It runs
+// under the shard server's lock, which the Router only takes while
+// already holding its own lock, so the unguarded field access is safe.
 type shardSink struct {
 	r   *Router
 	sh  *shard
@@ -185,7 +184,6 @@ func (s shardSink) ServeEvent(e serve.Event) {
 			sh.awaitServe = false
 			sh.recoveries = append(sh.recoveries, e.Time-sh.lastKill)
 		}
-		r.lat[e.Stream] = append(r.lat[e.Stream], e.Latency)
 		if len(r.window) < cap(r.window) {
 			r.window = append(r.window, e.Latency)
 		} else {
@@ -227,7 +225,6 @@ func New(cfg Config) (*Router, error) {
 		replayed: make([]int, cfg.Base.Streams),
 		dropFail: make([]int, cfg.Base.Streams),
 		pinOwner: make([]int, cfg.Base.Streams),
-		lat:      make([][]float64, cfg.Base.Streams),
 		window:   make([]float64, 0, cfg.Base.StatsWindow),
 	}
 	for i := range r.pinOwner {
@@ -469,18 +466,10 @@ func (r *Router) maybeMigrate(s int, e float64, stats []serve.Stats) {
 	if target < 0 || stats[s].QueueDepth-stats[target].QueueDepth <= m.MinGain {
 		return
 	}
-	r.owner[hot] = target
-	r.epoch[hot]++
 	r.migCount[hot]++
 	r.shards[s].lastMig = e
 	r.migrations++
-	r.movePin(hot, s, target)
-	if r.cfg.Sink != nil {
-		r.cfg.Sink.ClusterEvent(Event{
-			Kind: EventMigrate, Shard: target, Stream: hot,
-			From: s, To: target, Epoch: r.epoch[hot], Time: e,
-		})
-	}
+	r.moveOwner(hot, s, target, e, EventMigrate)
 }
 
 // ownedCount is the number of streams currently owned by shard s.

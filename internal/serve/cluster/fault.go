@@ -222,7 +222,7 @@ func (r *Router) rebuildRing(e float64) {
 		}
 		tgt := r.ring.capped(i, r.home[i], capPer, counts)
 		r.replaced++
-		r.moveOwner(i, o, tgt, e)
+		r.moveOwner(i, o, tgt, e, EventRebalance)
 	}
 }
 
@@ -237,16 +237,16 @@ func (r *Router) live() []int {
 	return live
 }
 
-// moveOwner re-homes one stream outside the migration policy, bumping
-// its cluster epoch and carrying any degrade pin along. Called with
-// r.mu held.
-func (r *Router) moveOwner(stream, from, to int, e float64) {
+// moveOwner re-homes one stream, bumping its cluster epoch, carrying
+// any degrade pin along and emitting kind (EventMigrate or
+// EventRebalance). Called with r.mu held.
+func (r *Router) moveOwner(stream, from, to int, e float64, kind EventKind) {
 	r.owner[stream] = to
 	r.epoch[stream]++
 	r.movePin(stream, from, to)
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ClusterEvent(Event{
-			Kind: EventRebalance, Shard: to, Stream: stream,
+			Kind: kind, Shard: to, Stream: stream,
 			From: from, To: to, Epoch: r.epoch[stream], Time: e,
 		})
 	}

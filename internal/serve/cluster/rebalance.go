@@ -66,7 +66,7 @@ func (r *Router) rebalance(e float64) {
 			counts[d]--
 			counts[rc]++
 			r.rebalanced++
-			r.moveOwner(i, d, rc, e)
+			r.moveOwner(i, d, rc, e, EventRebalance)
 			break
 		}
 	}

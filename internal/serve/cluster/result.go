@@ -127,8 +127,9 @@ type Result struct {
 }
 
 // merge folds the per-shard books into the cluster Result. Called with
-// r.mu held; books is indexed by shard. Shard rows and r.lat fold serve
-// events; applyFailover adds the ledger no serve event carries.
+// r.mu held; books is indexed by shard. Shard rows and each stream's
+// union of the shards' served latencies fold serve events;
+// applyFailover adds the ledger no serve event carries.
 func (r *Router) merge(books []*serve.Result) *Result {
 	cfg := r.cfg
 	base := books[0]
@@ -180,16 +181,18 @@ func (r *Router) merge(books []*serve.Result) *Result {
 		}
 		res.Cost += cost
 	}
-	var all []float64
+	var all, lat []float64
 	for i := range res.PerStream {
 		row := &res.PerStream[i]
-		for _, b := range books {
+		lat = lat[:0]
+		for s, b := range books {
 			row.ID = b.PerStream[i].ID
 			row.Add(b.PerStream[i])
+			lat = r.shards[s].srv.AppendLatencies(lat, i)
 		}
 		applyFailover(row, r.replayed[i], r.dropFail[i])
-		row.Derive(res.LastEventAt, r.lat[i])
-		all = append(all, r.lat[i]...)
+		row.Derive(res.LastEventAt, lat)
+		all = append(all, lat...)
 		res.Fleet.Add(*row)
 	}
 	res.Fleet.ID = "cluster"

@@ -536,6 +536,18 @@ func (s *Server) Stats() Stats {
 	return s.f.stats()
 }
 
+// AppendLatencies appends every served latency of the stream, in serve
+// order, to dst and returns it; an out-of-range stream returns dst
+// unchanged.
+func (s *Server) AppendLatencies(dst []float64, stream int) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if stream < 0 || stream >= len(s.f.books.acc) {
+		return dst
+	}
+	return append(dst, s.f.books.acc[stream].latencies...)
+}
+
 // Drain plays the agenda dry — every queued and in-flight frame runs
 // to completion on the virtual clock, with no further arrivals — and
 // returns the cumulative Result. The context is checked between

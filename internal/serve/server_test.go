@@ -152,6 +152,21 @@ func TestStatsConsistentWithResult(t *testing.T) {
 	if st.QueueDepth != 0 || st.BusyExecutors != 0 {
 		t.Errorf("drained server not idle: depth %d busy %d", st.QueueDepth, st.BusyExecutors)
 	}
+
+	// AppendLatencies hands back each stream's full served sample set:
+	// its summary is the Result row's.
+	dst := []float64{-1}
+	for i, row := range r.PerStream {
+		lat := srv.AppendLatencies(dst, i)
+		if lat[0] != -1 || summarize(lat[1:]) != row.Latency {
+			t.Errorf("stream %d: AppendLatencies summary %+v, row %+v", i, summarize(lat[1:]), row.Latency)
+		}
+	}
+	for _, bad := range []int{-1, cfg.Streams} {
+		if got := srv.AppendLatencies(dst, bad); len(got) != 1 {
+			t.Errorf("AppendLatencies(dst, %d) grew dst to %d samples", bad, len(got))
+		}
+	}
 }
 
 // TestStatsWindowBounded pins the sliding window: its sample count
