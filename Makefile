@@ -21,7 +21,7 @@ STATICCHECK     ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 FUZZ_TIME       ?= 20s
 
-.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-diff cluster-determinism cluster-failover profile repro sweep trace surface clean
+.PHONY: all fmt vet bench-vet lint lint-install lint-det build test race cover fuzz bench bench-diff cluster-determinism cluster-failover profile repro sweep trace surface clean
 
 all: fmt vet build test
 
@@ -31,6 +31,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness (perfbench/) is its own module, so `vet` and
+# `build` above never compile it: vet it on its own, against this
+# checkout, so a change that breaks the benchmark fails here.
+bench-vet:
+	cd perfbench && GOWORK=off $(GO) vet ./...
 
 # Static analysis beyond vet. CI installs staticcheck and calls this
 # target with LINT_STRICT=1, so a missing binary fails the job instead

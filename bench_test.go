@@ -205,13 +205,14 @@ func BenchmarkTrackerThroughput(b *testing.B) {
 			frames[fi] = append(frames[fi], geom.Scored{Box: o.Box, Score: 1, Class: int(o.Class)})
 		}
 	}
+	var preds []geom.Scored
 	b.ResetTimer()
 	processed := 0
 	for i := 0; i < b.N; i++ {
 		trk := tracker.New(tracker.DefaultConfig(), float64(seq.Width), float64(seq.Height))
 		for fi := range frames {
 			trk.Observe(frames[fi])
-			trk.Predict()
+			preds = trk.PredictAppend(preds[:0])
 			processed++
 		}
 	}

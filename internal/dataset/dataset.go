@@ -158,7 +158,7 @@ func (d *Dataset) Validate() error {
 }
 
 // TrackSpan describes the lifetime of one ground-truth track within a
-// sequence, used by the delay metric.
+// sequence.
 type TrackSpan struct {
 	SeqID      string
 	TrackID    int

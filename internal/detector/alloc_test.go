@@ -33,8 +33,8 @@ func crowdedFrame(index int) Frame {
 	return Frame{SeqID: "crowd", Index: index, Width: 1242, Height: 375, Objects: objs}
 }
 
-// rematchNMS is the pre-optimization perceive tail: value NMS followed
-// by the O(kept*raw) struct-equality re-match that recovers track
+// rematchNMS is the pre-optimization perceive tail: NMS over the bare
+// scored values followed by the O(kept*raw) struct-equality re-match that recovers track
 // identity. The test uses it as the reference the index-carrying path
 // must reproduce exactly.
 func rematchNMS(raw []Detection) []Detection {
@@ -42,9 +42,11 @@ func rematchNMS(raw []Detection) []Detection {
 	for i, r := range raw {
 		scored[i] = r.Scored
 	}
-	kept := geom.NMS(scored, NMSIoU)
-	out := make([]Detection, 0, len(kept))
-	for _, k := range kept {
+	var nms geom.NMSBuffer
+	idx := nms.Indices(scored, NMSIoU)
+	out := make([]Detection, 0, len(idx))
+	for _, i := range idx {
+		k := scored[i]
 		for _, r := range raw {
 			if r.Scored == k {
 				out = append(out, r)

@@ -19,7 +19,10 @@ func bigCar(id int) dataset.Object {
 
 func TestProfilesValidate(t *testing.T) {
 	for _, name := range ProfileNames() {
-		p := MustProfile(name)
+		p, err := ProfileFor(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

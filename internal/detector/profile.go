@@ -196,15 +196,6 @@ func ProfileFor(name string) (Profile, error) {
 	return p, nil
 }
 
-// MustProfile is ProfileFor for static names; it panics on error.
-func MustProfile(name string) Profile {
-	p, err := ProfileFor(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ScaleNoise returns a copy of the profile with every noise channel —
 // confidence noise, localization jitter, false-positive rate and the
 // persistent per-track bias — multiplied by k. It models the same

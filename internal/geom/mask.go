@@ -56,12 +56,6 @@ func ReuseMask(m *Mask, w, h, cell float64) *Mask {
 	return m
 }
 
-// FrameWidth returns the pixel width of the underlying frame.
-func (m *Mask) FrameWidth() float64 { return m.w }
-
-// FrameHeight returns the pixel height of the underlying frame.
-func (m *Mask) FrameHeight() float64 { return m.h }
-
 // cellRange converts a pixel box to the clipped inclusive cell range it
 // touches. ok is false when the box misses the frame entirely, when a
 // coordinate is NaN, or when the box is so thin that it rounds to no
@@ -140,13 +134,6 @@ func (m *Mask) AddBox(b Box) {
 	}
 	for row := y0 * m.nx; row <= y1*m.nx; row += m.nx {
 		setSpan(m.bits, row+x0, row+x1)
-	}
-}
-
-// AddBoxes marks all boxes, each expanded by margin pixels per side.
-func (m *Mask) AddBoxes(boxes []Box, margin float64) {
-	for _, b := range boxes {
-		m.AddBox(b.Expand(margin))
 	}
 }
 

@@ -126,7 +126,7 @@ func TestGreedyMergeMergesWhenProfitable(t *testing.T) {
 	// Fixed per-region cost makes merging always profitable.
 	cost := func(b Box) float64 { return 1 + b.Area()/1e6 }
 	boxes := []Box{NewBox(0, 0, 10, 10), NewBox(20, 0, 30, 10), NewBox(0, 20, 10, 30)}
-	out := GreedyMerge(boxes, cost)
+	out := AppendGreedyMerge(nil, boxes, cost)
 	if len(out) != 1 {
 		t.Fatalf("merged to %d regions, want 1", len(out))
 	}
@@ -137,7 +137,7 @@ func TestGreedyMergeKeepsDistantBoxesSeparate(t *testing.T) {
 	// boxes stay separate.
 	cost := func(b Box) float64 { return b.Area() }
 	boxes := []Box{NewBox(0, 0, 10, 10), NewBox(500, 500, 510, 510)}
-	out := GreedyMerge(boxes, cost)
+	out := AppendGreedyMerge(nil, boxes, cost)
 	if len(out) != 2 {
 		t.Fatalf("merged distant boxes: %v", out)
 	}
@@ -146,7 +146,7 @@ func TestGreedyMergeKeepsDistantBoxesSeparate(t *testing.T) {
 func TestGreedyMergeDropsEmptyAndPreservesCoverage(t *testing.T) {
 	cost := func(b Box) float64 { return 1 + b.Area()/1e4 }
 	boxes := []Box{{}, NewBox(0, 0, 10, 10), NewBox(5, 5, 20, 20)}
-	out := GreedyMerge(boxes, cost)
+	out := AppendGreedyMerge(nil, boxes, cost)
 	for _, b := range boxes[1:] {
 		covered := false
 		for _, o := range out {
@@ -326,5 +326,74 @@ func BenchmarkMaskBoxCoverage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coverageSink = m.BoxCoverage(boxes[i&63])
+	}
+}
+
+// UnionArea returns the exact area of the union of the boxes via a sweep
+// over the distinct x-intervals: the exact reference the grid-mask
+// approximation is checked against.
+func UnionArea(boxes []Box) float64 {
+	events := make([]float64, 0, 2*len(boxes))
+	for _, b := range boxes {
+		if b.Empty() {
+			continue
+		}
+		events = append(events, b.X1, b.X2)
+	}
+	if len(events) == 0 {
+		return 0
+	}
+	sortFloats(events)
+	total := 0.0
+	for i := 0; i+1 < len(events); i++ {
+		x0, x1 := events[i], events[i+1]
+		if x1 <= x0 {
+			continue
+		}
+		// Collect y-intervals of boxes spanning this x-slab and sum
+		// their merged length.
+		var ys []yiv
+		for _, b := range boxes {
+			if b.X1 <= x0 && b.X2 >= x1 && !b.Empty() {
+				ys = append(ys, yiv{b.Y1, b.Y2})
+			}
+		}
+		total += mergedLength(ys) * (x1 - x0)
+	}
+	return total
+}
+
+type yiv struct{ lo, hi float64 }
+
+func mergedLength(ivs []yiv) float64 {
+	if len(ivs) == 0 {
+		return 0
+	}
+	// Insertion sort by lo; interval counts here are small.
+	for i := 1; i < len(ivs); i++ {
+		for j := i; j > 0 && ivs[j].lo < ivs[j-1].lo; j-- {
+			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
+		}
+	}
+	total := 0.0
+	curLo, curHi := ivs[0].lo, ivs[0].hi
+	for _, iv := range ivs[1:] {
+		if iv.lo > curHi {
+			total += curHi - curLo
+			curLo, curHi = iv.lo, iv.hi
+			continue
+		}
+		if iv.hi > curHi {
+			curHi = iv.hi
+		}
+	}
+	return total + (curHi - curLo)
+}
+
+func sortFloats(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
 	}
 }

@@ -7,11 +7,13 @@ package geom
 // reduce total time even though the merged box covers more pixels.
 type CostFunc func(b Box) float64
 
-// GreedyMerge implements the greedy bounding-box merging algorithm from
-// the paper's Appendix I: two boxes are merged whenever the estimated
-// execution cost of their union is smaller than the sum of their
-// individual costs. Merging repeats until no profitable pair remains.
-// The input is not modified; the result holds the merged regions.
+// AppendGreedyMerge implements the greedy bounding-box merging algorithm
+// from the paper's Appendix I: two boxes are merged whenever the
+// estimated execution cost of their union is smaller than the sum of
+// their individual costs. Merging repeats until no profitable pair
+// remains. It appends the merged regions to dst and returns the
+// extended slice; empty boxes are dropped, and boxes is not modified.
+// dst must not overlap boxes.
 //
 // Each round merges the pair (i, j), i < j, with the largest strictly
 // positive gain (cost(i) + cost(j)) - cost(union), the first such pair
@@ -20,15 +22,10 @@ type CostFunc func(b Box) float64
 // cached, so cost must be a pure function of the box: it is evaluated
 // once per box and once per candidate union, and a round re-prices only
 // the n-1 unions involving the merged box.
-func GreedyMerge(boxes []Box, cost CostFunc) []Box {
-	return AppendGreedyMerge(make([]Box, 0, len(boxes)), boxes, cost)
-}
-
-// AppendGreedyMerge appends GreedyMerge(boxes, cost) to dst and returns
-// the extended slice. dst must not overlap boxes. It allocates only
-// when dst lacks room for the non-empty boxes or, past 64 of them, for
-// its caches, so a caller pricing every frame can merge into a reused
-// or stack buffer.
+//
+// It allocates only when dst lacks room for the non-empty boxes or,
+// past 64 of them, for its caches, so a caller pricing every frame can
+// merge into a reused or stack buffer.
 func AppendGreedyMerge(dst, boxes []Box, cost CostFunc) []Box {
 	base := len(dst)
 	for _, b := range boxes {
@@ -148,72 +145,3 @@ func greedyMerge(out []Box, cost CostFunc, scratch []float64, part []int) []Box 
 // pairIndex returns the slot of pair (i, j), i < j, in a packed upper
 // triangle laid out column by column.
 func pairIndex(i, j int) int { return j*(j-1)/2 + i }
-
-// UnionArea returns the exact area of the union of the boxes via a sweep
-// over the distinct x-intervals. It is used by tests to validate the
-// grid-mask approximation and by cost models that need exact coverage.
-func UnionArea(boxes []Box) float64 {
-	events := make([]float64, 0, 2*len(boxes))
-	for _, b := range boxes {
-		if b.Empty() {
-			continue
-		}
-		events = append(events, b.X1, b.X2)
-	}
-	if len(events) == 0 {
-		return 0
-	}
-	sortFloats(events)
-	total := 0.0
-	for i := 0; i+1 < len(events); i++ {
-		x0, x1 := events[i], events[i+1]
-		if x1 <= x0 {
-			continue
-		}
-		// Collect y-intervals of boxes spanning this x-slab and sum
-		// their merged length.
-		var ys []yiv
-		for _, b := range boxes {
-			if b.X1 <= x0 && b.X2 >= x1 && !b.Empty() {
-				ys = append(ys, yiv{b.Y1, b.Y2})
-			}
-		}
-		total += mergedLength(ys) * (x1 - x0)
-	}
-	return total
-}
-
-type yiv struct{ lo, hi float64 }
-
-func mergedLength(ivs []yiv) float64 {
-	if len(ivs) == 0 {
-		return 0
-	}
-	// Insertion sort by lo; interval counts here are small.
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0 && ivs[j].lo < ivs[j-1].lo; j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
-	total := 0.0
-	curLo, curHi := ivs[0].lo, ivs[0].hi
-	for _, iv := range ivs[1:] {
-		if iv.lo > curHi {
-			total += curHi - curLo
-			curLo, curHi = iv.lo, iv.hi
-			continue
-		}
-		if iv.hi > curHi {
-			curHi = iv.hi
-		}
-	}
-	return total + (curHi - curLo)
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

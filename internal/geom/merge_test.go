@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// refGreedyMerge is the O(n^3) greedy merge the incremental GreedyMerge
-// replaced, kept as the equivalence reference: it re-prices both boxes
+// refGreedyMerge is the O(n^3) greedy merge the incremental
+// AppendGreedyMerge replaced, kept as the equivalence reference: it re-prices both boxes
 // and their union for every pair in every round.
 func refGreedyMerge(boxes []Box, cost CostFunc) []Box {
 	out := make([]Box, 0, len(boxes))
@@ -46,7 +46,7 @@ func launchCost(overhead float64) CostFunc {
 }
 
 // mergeInput returns n seeded boxes with a few empty ones mixed in, so
-// GreedyMerge's empty-box filter runs too.
+// AppendGreedyMerge's empty-box filter runs too.
 func mergeInput(n int, seed int64) []Box {
 	boxes := kittiBoxes(n, seed)
 	for i := 3; i < n; i += 7 {
@@ -72,24 +72,41 @@ func gridBoxes(n int, seed int64) []Box {
 // pairs in different columns share the same gain.
 func quantisedCost(b Box) float64 { return float64(int(b.Area()/500)) + 4 }
 
-// checkMergeMatchesReference fails unless GreedyMerge returns the same
+// mergePrefix is a box that no input holds, written into dst ahead of
+// the merge to check that AppendGreedyMerge leaves what dst holds alone.
+var mergePrefix = NewBox(-7, -3, -1, -2)
+
+// checkMergeMatchesReference fails unless AppendGreedyMerge, into an
+// empty dst and into one that already holds a prefix, appends the same
 // boxes as refGreedyMerge, in the same order and bit for bit, and
-// leaves its input alone.
+// leaves both the prefix and its input alone.
 func checkMergeMatchesReference(t testing.TB, name string, boxes []Box, cost CostFunc) {
 	t.Helper()
 	in := append([]Box(nil), boxes...)
-	got, want := GreedyMerge(boxes, cost), refGreedyMerge(append([]Box(nil), boxes...), cost)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d boxes, reference %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("%s: box %d = %v, reference %v", name, i, got[i], want[i])
+	want := refGreedyMerge(append([]Box(nil), boxes...), cost)
+	for _, prefix := range []int{0, 2} {
+		dst := make([]Box, prefix, prefix+1)
+		for i := range dst {
+			dst[i] = mergePrefix
 		}
-	}
-	for i := range boxes {
-		if !sameBits(boxes[i], in[i]) {
-			t.Fatalf("%s: input box %d modified", name, i)
+		got := AppendGreedyMerge(dst, boxes, cost)
+		if len(got) != prefix+len(want) {
+			t.Fatalf("%s prefix=%d: appended %d boxes, reference %d", name, prefix, len(got)-prefix, len(want))
+		}
+		for i := 0; i < prefix; i++ {
+			if !sameBits(got[i], mergePrefix) {
+				t.Fatalf("%s prefix=%d: prefix box %d = %v", name, prefix, i, got[i])
+			}
+		}
+		for i := range want {
+			if !sameBits(got[prefix+i], want[i]) {
+				t.Fatalf("%s prefix=%d: box %d = %v, reference %v", name, prefix, i, got[prefix+i], want[i])
+			}
+		}
+		for i := range boxes {
+			if !sameBits(boxes[i], in[i]) {
+				t.Fatalf("%s prefix=%d: input box %d modified", name, prefix, i)
+			}
 		}
 	}
 }
@@ -130,7 +147,7 @@ func TestGreedyMergeMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzGreedyMerge checks GreedyMerge against the reference on fuzzed
+// FuzzGreedyMerge checks AppendGreedyMerge against the reference on fuzzed
 // boxes and launch overheads. Each 4 bytes of data place one box on a
 // coarse grid, so equal gains are common.
 func FuzzGreedyMerge(f *testing.F) {
@@ -155,14 +172,15 @@ func sameBits(a, b Box) bool {
 		math.Float64bits(a.Y2) == math.Float64bits(b.Y2)
 }
 
-// Up to 64 boxes the merge keeps its caches on the stack: the returned
-// slice is its only allocation.
+// Up to 64 boxes the merge keeps its caches on the stack, so merging
+// into a reused buffer with room for the boxes allocates nothing.
 func TestGreedyMergeAllocs(t *testing.T) {
 	cost := launchCost(0.02)
 	for _, n := range []int{1, 2, 8, 32, 33, 64} {
 		for _, boxes := range [][]Box{kittiBoxes(n, int64(n)), gridBoxes(n, int64(n))} {
-			if a := testing.AllocsPerRun(50, func() { _ = GreedyMerge(boxes, cost) }); a != 1 {
-				t.Fatalf("n=%d: GreedyMerge allocs = %v, want 1", n, a)
+			dst := make([]Box, 0, n)
+			if a := testing.AllocsPerRun(50, func() { dst = AppendGreedyMerge(dst[:0], boxes, cost) }); a != 0 {
+				t.Fatalf("n=%d: AppendGreedyMerge allocs = %v, want 0", n, a)
 			}
 		}
 	}
@@ -175,9 +193,11 @@ func BenchmarkGreedyMerge(b *testing.B) {
 	for _, n := range []int{8, 24, 48} {
 		boxes := kittiBoxes(n, int64(n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			mergeSink = make([]Box, 0, n)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mergeSink = GreedyMerge(boxes, cost)
+				mergeSink = AppendGreedyMerge(mergeSink[:0], boxes, cost)
 			}
 		})
 	}

@@ -17,11 +17,13 @@ type NMSBuffer struct {
 	kept  []int
 }
 
-// Indices performs the same class-aware suppression as NMS but returns
-// the kept detections as indices into dets, in descending score order
-// (ties keep input order). The returned slice is owned by the buffer
-// and valid until its next call; it aliases no caller memory, so the
-// input is never modified. Steady-state calls allocate nothing.
+// Indices performs class-aware non-maximum suppression: within each
+// class, boxes are visited in descending score order (ties keep input
+// order) and a box is suppressed if its IoU with an already-kept box of
+// the same class exceeds iouThresh. It returns the kept detections as
+// indices into dets, in that order. The returned slice is owned by the
+// buffer and valid until its next call; it aliases no caller memory, so
+// the input is never modified. Steady-state calls allocate nothing.
 //
 //detlint:allocfree
 func (b *NMSBuffer) Indices(dets []Scored, iouThresh float64) []int {
@@ -64,34 +66,10 @@ func (b *NMSBuffer) Indices(dets []Scored, iouThresh float64) []int {
 	return kept
 }
 
-// NMS performs class-aware non-maximum suppression: within each class,
-// boxes are visited in descending score order and a box is suppressed if
-// its IoU with an already-kept box of the same class exceeds iouThresh.
-// The returned slice is ordered by descending score. The input is not
-// modified.
-func NMS(dets []Scored, iouThresh float64) []Scored {
-	var b NMSBuffer
-	idx := b.Indices(dets, iouThresh)
-	if idx == nil {
-		return nil
-	}
-	kept := make([]Scored, len(idx))
-	for k, i := range idx {
-		kept[k] = dets[i]
-	}
-	return kept
-}
-
-// FilterScore returns the detections whose score is >= thresh, preserving
-// order. The input is not modified.
-func FilterScore(dets []Scored, thresh float64) []Scored {
-	return FilterScoreAppend(make([]Scored, 0, len(dets)), dets, thresh)
-}
-
 // FilterScoreAppend appends the detections whose score is >= thresh to
-// dst, preserving order, and returns the extended slice — the
-// allocation-free variant of FilterScore for callers that reuse a
-// scratch buffer across frames.
+// dst, preserving order, and returns the extended slice. The input is
+// not modified; a caller that reuses dst across frames allocates
+// nothing.
 //
 //detlint:allocfree
 func FilterScoreAppend(dst []Scored, dets []Scored, thresh float64) []Scored {

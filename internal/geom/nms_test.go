@@ -2,8 +2,40 @@ package geom
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// keptDets returns the detections NMSBuffer.Indices keeps, in its order.
+func keptDets(dets []Scored, iouThresh float64) []Scored {
+	var b NMSBuffer
+	var kept []Scored
+	for _, i := range b.Indices(dets, iouThresh) {
+		kept = append(kept, dets[i])
+	}
+	return kept
+}
+
+// refNMS states the suppression rule directly: a stable sort by
+// descending score, then a same-class IoU test against every kept box.
+func refNMS(dets []Scored, iouThresh float64) []Scored {
+	sorted := append([]Scored(nil), dets...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
+	var kept []Scored
+	for _, d := range sorted {
+		suppressed := false
+		for _, k := range kept {
+			if k.Class == d.Class && IoU(k.Box, d.Box) > iouThresh {
+				suppressed = true
+				break
+			}
+		}
+		if !suppressed {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
 
 func TestNMSSuppressesOverlaps(t *testing.T) {
 	dets := []Scored{
@@ -11,7 +43,7 @@ func TestNMSSuppressesOverlaps(t *testing.T) {
 		{Box: NewBox(1, 1, 11, 11), Score: 0.8, Class: 0}, // overlaps first
 		{Box: NewBox(50, 50, 60, 60), Score: 0.7, Class: 0},
 	}
-	out := NMS(dets, 0.5)
+	out := keptDets(dets, 0.5)
 	if len(out) != 2 {
 		t.Fatalf("kept %d, want 2: %v", len(out), out)
 	}
@@ -25,14 +57,15 @@ func TestNMSKeepsDifferentClasses(t *testing.T) {
 		{Box: NewBox(0, 0, 10, 10), Score: 0.9, Class: 0},
 		{Box: NewBox(0, 0, 10, 10), Score: 0.8, Class: 1},
 	}
-	if out := NMS(dets, 0.5); len(out) != 2 {
+	if out := keptDets(dets, 0.5); len(out) != 2 {
 		t.Fatalf("class-aware NMS suppressed across classes: %v", out)
 	}
 }
 
 func TestNMSEmpty(t *testing.T) {
-	if out := NMS(nil, 0.5); out != nil {
-		t.Fatalf("NMS(nil) = %v", out)
+	var b NMSBuffer
+	if out := b.Indices(nil, 0.5); out != nil {
+		t.Fatalf("Indices(nil) = %v", out)
 	}
 }
 
@@ -48,7 +81,7 @@ func TestNMSOutputSortedByScore(t *testing.T) {
 			Class: rng.Intn(2),
 		})
 	}
-	out := NMS(dets, 0.4)
+	out := keptDets(dets, 0.4)
 	for i := 1; i < len(out); i++ {
 		if out[i].Score > out[i-1].Score {
 			t.Fatalf("output not sorted at %d", i)
@@ -81,21 +114,21 @@ func crowdedDets(n int, seed int64) []Scored {
 	return dets
 }
 
-// TestNMSIndicesMatchesNMS pins the index variant against the value
-// variant on crowded frames: same survivors, same order, and the
-// indices actually point at the kept inputs.
+// TestNMSIndicesMatchesNMS pins Indices against refNMS on crowded
+// frames: same survivors, same order, and the indices actually point at
+// the kept inputs.
 func TestNMSIndicesMatchesNMS(t *testing.T) {
 	var buf NMSBuffer
 	for seed := int64(1); seed <= 5; seed++ {
 		dets := crowdedDets(150, seed)
-		want := NMS(dets, 0.5)
+		want := refNMS(dets, 0.5)
 		idx := buf.Indices(dets, 0.5)
 		if len(idx) != len(want) {
-			t.Fatalf("seed %d: kept %d indices, NMS kept %d", seed, len(idx), len(want))
+			t.Fatalf("seed %d: kept %d indices, reference kept %d", seed, len(idx), len(want))
 		}
 		for k, i := range idx {
 			if dets[i] != want[k] {
-				t.Fatalf("seed %d: index %d -> %v, NMS kept %v at position %d", seed, i, dets[i], want[k], k)
+				t.Fatalf("seed %d: index %d -> %v, reference kept %v at position %d", seed, i, dets[i], want[k], k)
 			}
 		}
 	}
@@ -144,13 +177,17 @@ func TestReuseMask(t *testing.T) {
 
 func TestFilterScore(t *testing.T) {
 	dets := []Scored{{Score: 0.1}, {Score: 0.5}, {Score: 0.9}}
-	out := FilterScore(dets, 0.5)
-	if len(out) != 2 || out[0].Score != 0.5 {
-		t.Fatalf("FilterScore = %v", out)
+	out := FilterScoreAppend(nil, dets, 0.5)
+	if len(out) != 2 || out[0].Score != 0.5 || out[1].Score != 0.9 {
+		t.Fatalf("FilterScoreAppend = %v", out)
 	}
-	buf := make([]Scored, 0, 4)
+	// A prefix in dst is kept, and a reused buffer allocates nothing.
+	buf := append(make([]Scored, 0, 4), Scored{Score: 7})
 	app := FilterScoreAppend(buf, dets, 0.5)
-	if len(app) != 2 || app[0].Score != 0.5 || app[1].Score != 0.9 {
-		t.Fatalf("FilterScoreAppend = %v", app)
+	if len(app) != 3 || app[0].Score != 7 || app[1].Score != 0.5 || app[2].Score != 0.9 {
+		t.Fatalf("FilterScoreAppend with prefix = %v", app)
+	}
+	if n := testing.AllocsPerRun(50, func() { FilterScoreAppend(buf[:1], dets, 0.5) }); n > 0 {
+		t.Errorf("FilterScoreAppend into a reused buffer allocates %v per run, want 0", n)
 	}
 }

@@ -96,12 +96,12 @@ func TestNMSAndFilterProperties(t *testing.T) {
 				Class: rng.Intn(2),
 			})
 		}
-		kept := NMS(dets, 0.5)
+		kept := keptDets(dets, 0.5)
 		if len(kept) > len(dets) {
 			return false
 		}
-		lo := FilterScore(kept, 0.3)
-		hi := FilterScore(kept, 0.7)
+		lo := FilterScoreAppend(nil, kept, 0.3)
+		hi := FilterScoreAppend(nil, kept, 0.7)
 		if len(hi) > len(lo) {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestNMSAndFilterProperties(t *testing.T) {
 	}
 }
 
-// Property: GreedyMerge never increases the estimated total cost.
+// Property: AppendGreedyMerge never increases the estimated total cost.
 func TestGreedyMergeNeverWorse(t *testing.T) {
 	cost := func(b Box) float64 { return 0.5 + b.Area()/1e5 }
 	f := func(seed int64) bool {
@@ -139,7 +139,7 @@ func TestGreedyMergeNeverWorse(t *testing.T) {
 			before += cost(b)
 		}
 		after := 0.0
-		for _, b := range GreedyMerge(boxes, cost) {
+		for _, b := range AppendGreedyMerge(nil, boxes, cost) {
 			after += cost(b)
 		}
 		return after <= before+1e-9

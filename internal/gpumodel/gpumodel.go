@@ -93,22 +93,6 @@ func areaFrac(region geom.Box, frameW, frameH float64) float64 {
 	return frac
 }
 
-// MergeRegions applies the appendix's greedy merging to the refinement
-// regions: two boxes merge when the estimated execution time of their
-// union is below the sum of their individual times (each paying the
-// launch overhead). RoI-head work is ignored during merging — it is
-// invariant to the merge — so the cost function prices feature
-// extraction only.
-//
-// A candidate rectangle's time is alpha*(featOps*frac) + b with featOps
-// constant across the whole merge, so the cost-model call is hoisted
-// out of the greedy merge, which prices every candidate union. The
-// hoisted form multiplies the same two floats RegionWorkload would, so
-// merge decisions are bit-identical.
-func (m Model) MergeRegions(regions []geom.Box, frameW, frameH float64, cost ops.CostModel) []geom.Box {
-	return m.appendMerged(make([]geom.Box, 0, len(regions)), regions, frameW, frameH, featureOps(frameW, frameH, cost))
-}
-
 // featureOps returns the refinement network's full-frame feature
 // extraction ops, or 0 for a frame without area.
 func featureOps(frameW, frameH float64, cost ops.CostModel) float64 {
@@ -118,9 +102,20 @@ func featureOps(frameW, frameH float64, cost ops.CostModel) float64 {
 	return cost.RegionOps(int(frameW), int(frameH), 1, 0)
 }
 
-// appendMerged appends the merged regions to dst, given the frame's
-// full-frame feature ops. A frame without area prices every region at
-// the launch overhead alone.
+// appendMerged applies the appendix's greedy merging to the refinement
+// regions and appends the merged regions to dst: two boxes merge when
+// the estimated execution time of their union is below the sum of their
+// individual times (each paying the launch overhead). RoI-head work is
+// ignored during merging — it is invariant to the merge — so the cost
+// function prices feature extraction only. A frame without area prices
+// every region at the launch overhead alone.
+//
+// A candidate rectangle's time is alpha*(feat*frac) + b, where feat is
+// the frame's full-frame feature ops (featureOps), constant across the
+// whole merge, so the cost-model call is hoisted out of the greedy
+// merge, which prices every candidate union. The hoisted form
+// multiplies the same two floats RegionWorkload would, so merge
+// decisions are bit-identical.
 func (m Model) appendMerged(dst, regions []geom.Box, frameW, frameH, feat float64) []geom.Box {
 	if frameW <= 0 || frameH <= 0 {
 		flat := m.LaunchTime(0)

@@ -36,14 +36,14 @@ func TestSingleModelFrameMatchesTable7Anchor(t *testing.T) {
 
 func TestMergeNearbyRegions(t *testing.T) {
 	m := Default()
-	cost := ops.MustCostModel("resnet50")
+	feat := featureOps(ops.KITTIWidth, ops.KITTIHeight, ops.MustCostModel("resnet50"))
 	// Two adjacent small regions: merging saves a launch overhead at
 	// almost no extra area.
 	regions := []geom.Box{
 		geom.NewBox(100, 100, 200, 200),
 		geom.NewBox(210, 100, 310, 200),
 	}
-	merged := m.MergeRegions(regions, ops.KITTIWidth, ops.KITTIHeight, cost)
+	merged := m.appendMerged(nil, regions, ops.KITTIWidth, ops.KITTIHeight, feat)
 	if len(merged) != 1 {
 		t.Fatalf("adjacent regions not merged: %v", merged)
 	}
@@ -53,7 +53,7 @@ func TestMergeNearbyRegions(t *testing.T) {
 		geom.NewBox(0, 0, 120, 120),
 		geom.NewBox(1100, 250, 1240, 370),
 	}
-	merged = m.MergeRegions(far, ops.KITTIWidth, ops.KITTIHeight, cost)
+	merged = m.appendMerged(nil, far, ops.KITTIWidth, ops.KITTIHeight, feat)
 	if len(merged) != 2 {
 		t.Fatalf("distant regions merged despite cost: %v", merged)
 	}
@@ -234,7 +234,7 @@ func TestFullCascadeFrame(t *testing.T) {
 func refCaTDetFrame(m Model, proposalOps float64, regions []geom.Box, frameW, frameH float64,
 	refCost ops.CostModel, nProposals int) FrameTime {
 
-	merged := geom.GreedyMerge(regions, func(b geom.Box) float64 {
+	merged := geom.AppendGreedyMerge(nil, regions, func(b geom.Box) float64 {
 		return m.LaunchTime(m.RegionWorkload(b, frameW, frameH, refCost, 0))
 	})
 	gpu := m.LaunchTime(proposalOps)

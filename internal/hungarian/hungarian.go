@@ -7,8 +7,7 @@
 // formulation, which is the standard production variant. The core works
 // on a flat row-major matrix through a reusable Solver workspace, so
 // per-frame association in the tracker allocates nothing at steady
-// state; the package-level Solve remains the convenient nested-slice
-// entry point.
+// state.
 package hungarian
 
 import "math"
@@ -211,50 +210,4 @@ func fillZeroI(buf []int, n int) []int {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// Solve finds a minimum-cost assignment for the given cost matrix, where
-// cost[i][j] is the cost of assigning row i to column j. The matrix may be
-// rectangular; at most min(rows, cols) pairs are matched and every row and
-// column is used at most once.
-//
-// The returned slice has one entry per row: rowMatch[i] is the column
-// assigned to row i, or -1 if the row is unmatched (more rows than
-// columns) or its only available pairings were Disallowed.
-//
-// All rows of cost must have equal length; Solve panics otherwise, since
-// a ragged matrix is a programming error, not an input condition.
-//
-// Solve is the convenience wrapper over Solver for one-shot problems; it
-// flattens the matrix and returns a caller-owned slice. Hot paths that
-// solve every frame should hold a Solver and pass flat matrices.
-func Solve(cost [][]float64) []int {
-	n := len(cost)
-	if n == 0 {
-		return nil
-	}
-	m := len(cost[0])
-	for i := range cost {
-		if len(cost[i]) != m {
-			panic("hungarian: ragged cost matrix")
-		}
-	}
-	flat := make([]float64, 0, n*m)
-	for i := range cost {
-		flat = append(flat, cost[i]...)
-	}
-	var s Solver
-	return s.Solve(flat, n, m)
-}
-
-// TotalCost sums the cost of an assignment produced by Solve, counting
-// only matched rows.
-func TotalCost(cost [][]float64, rowMatch []int) float64 {
-	total := 0.0
-	for i, j := range rowMatch {
-		if j >= 0 {
-			total += cost[i][j]
-		}
-	}
-	return total
 }

@@ -6,13 +6,28 @@ import (
 	"testing/quick"
 )
 
+// solve flattens a nested cost matrix, with the row length of its first
+// row, and solves it on a fresh Solver.
+func solve(cost [][]float64) []int {
+	var flat []float64
+	for _, row := range cost {
+		flat = append(flat, row...)
+	}
+	m := 0
+	if len(cost) > 0 {
+		m = len(cost[0])
+	}
+	var s Solver
+	return s.Solve(flat, len(cost), m)
+}
+
 func TestSolveIdentity(t *testing.T) {
 	cost := [][]float64{
 		{0, 9, 9},
 		{9, 0, 9},
 		{9, 9, 0},
 	}
-	got := Solve(cost)
+	got := solve(cost)
 	want := []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -32,7 +47,7 @@ func TestSolveKnownOptimum(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	got := Solve(cost)
+	got := solve(cost)
 	if TotalCost(cost, got) != bruteForceMin(cost) {
 		t.Fatalf("Solve cost %v != brute force %v (match %v)", TotalCost(cost, got), bruteForceMin(cost), got)
 	}
@@ -44,7 +59,7 @@ func TestSolveRectangularWide(t *testing.T) {
 		{5, 1, 9, 9},
 		{1, 5, 9, 9},
 	}
-	got := Solve(cost)
+	got := solve(cost)
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("Solve = %v, want [1 0]", got)
 	}
@@ -58,7 +73,7 @@ func TestSolveRectangularTall(t *testing.T) {
 		{9, 1},
 		{9, 9},
 	}
-	got := Solve(cost)
+	got := solve(cost)
 	if got[1] != 0 || got[2] != 1 {
 		t.Fatalf("Solve = %v, want rows 1,2 matched to 0,1", got)
 	}
@@ -77,10 +92,10 @@ func TestSolveRectangularTall(t *testing.T) {
 }
 
 func TestSolveEmpty(t *testing.T) {
-	if got := Solve(nil); got != nil {
-		t.Fatalf("Solve(nil) = %v", got)
+	if got := solve(nil); got != nil {
+		t.Fatalf("solve(nil) = %v", got)
 	}
-	got := Solve([][]float64{{}, {}})
+	got := solve([][]float64{{}, {}})
 	if len(got) != 2 || got[0] != -1 || got[1] != -1 {
 		t.Fatalf("Solve(zero cols) = %v", got)
 	}
@@ -91,7 +106,7 @@ func TestSolveDisallowedEdges(t *testing.T) {
 		{Disallowed, 1},
 		{Disallowed, Disallowed},
 	}
-	got := Solve(cost)
+	got := solve(cost)
 	if got[0] != 1 {
 		t.Fatalf("row 0 should match col 1: %v", got)
 	}
@@ -102,19 +117,20 @@ func TestSolveDisallowedEdges(t *testing.T) {
 
 func TestSolveAllDisallowed(t *testing.T) {
 	cost := [][]float64{{Disallowed, Disallowed}}
-	got := Solve(cost)
+	got := solve(cost)
 	if got[0] != -1 {
 		t.Fatalf("all-disallowed row matched: %v", got)
 	}
 }
 
+// A ragged matrix flattens to the wrong length, which Solve rejects.
 func TestSolveRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on ragged matrix")
 		}
 	}()
-	Solve([][]float64{{1, 2}, {1}})
+	solve([][]float64{{1, 2}, {1}})
 }
 
 // bruteForceMin enumerates all assignments of rows to distinct columns and
@@ -166,7 +182,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				cost[i][j] = float64(rng.Intn(20))
 			}
 		}
-		got := Solve(cost)
+		got := solve(cost)
 		want := bruteForceMin(cost)
 		if g := TotalCost(cost, got); g != want {
 			t.Fatalf("trial %d (%dx%d): Solve cost %v != brute %v\ncost=%v match=%v",
@@ -188,7 +204,7 @@ func TestSolveIsMatching(t *testing.T) {
 				cost[i][j] = rng.Float64() * 100
 			}
 		}
-		match := Solve(cost)
+		match := solve(cost)
 		if len(match) != n {
 			return false
 		}
@@ -211,36 +227,32 @@ func TestSolveIsMatching(t *testing.T) {
 	}
 }
 
-// TestSolverMatchesSolve pins the reusable flat-matrix Solver against
-// the nested-slice wrapper on random rectangular matrices (both
-// orientations, with Disallowed edges mixed in): identical assignments
-// entry for entry, including across reuses of one Solver.
+// TestSolverMatchesSolve pins one Solver reused across random
+// rectangular matrices (both orientations, with Disallowed edges mixed
+// in) against a fresh Solver per matrix: identical assignments entry
+// for entry, so the grown workspace carries nothing between problems.
 func TestSolverMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Solver
 	for trial := 0; trial < 300; trial++ {
 		n, m := rng.Intn(9), rng.Intn(9)
-		nested := make([][]float64, n)
-		flat := make([]float64, 0, n*m)
-		for i := range nested {
-			nested[i] = make([]float64, m)
-			for j := range nested[i] {
-				c := rng.Float64() * 50
-				if rng.Intn(6) == 0 {
-					c = Disallowed
-				}
-				nested[i][j] = c
+		flat := make([]float64, n*m)
+		for i := range flat {
+			c := rng.Float64() * 50
+			if rng.Intn(6) == 0 {
+				c = Disallowed
 			}
-			flat = append(flat, nested[i]...)
+			flat[i] = c
 		}
-		want := Solve(nested)
+		var fresh Solver
+		want := append([]int(nil), fresh.Solve(flat, n, m)...)
 		got := s.Solve(flat, n, m)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d (%dx%d): solver returned %d rows, Solve %d", trial, n, m, len(got), len(want))
+			t.Fatalf("trial %d (%dx%d): reused solver returned %d rows, fresh %d", trial, n, m, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (%dx%d): solver %v != Solve %v", trial, n, m, got, want)
+				t.Fatalf("trial %d (%dx%d): reused solver %v != fresh %v", trial, n, m, got, want)
 			}
 		}
 	}
@@ -275,15 +287,26 @@ func TestSolverShapePanics(t *testing.T) {
 
 func BenchmarkSolve50x50(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	cost := make([][]float64, 50)
+	cost := make([]float64, 50*50)
 	for i := range cost {
-		cost[i] = make([]float64, 50)
-		for j := range cost[i] {
-			cost[i][j] = rng.Float64()
-		}
+		cost[i] = rng.Float64()
 	}
+	var s Solver
+	s.Solve(cost, 50, 50) // grow the workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Solve(cost)
+		s.Solve(cost, 50, 50)
 	}
+}
+
+// TotalCost sums the cost of an assignment produced by Solve, counting
+// only matched rows.
+func TotalCost(cost [][]float64, rowMatch []int) float64 {
+	total := 0.0
+	for i, j := range rowMatch {
+		if j >= 0 {
+			total += cost[i][j]
+		}
+	}
+	return total
 }

@@ -31,24 +31,11 @@ func newClassIndex(tp, fp []float64, numGT int) classIndex {
 	return classIndex{tp: tp, fp: fp, numGT: numGT}
 }
 
-// index indexes a copy of the records, leaving r untouched.
-func (r *classRecords) index() classIndex {
-	var tp, fp []float64
-	for _, rec := range r.Records {
-		if rec.TP {
-			tp = append(tp, rec.Score)
-		} else {
-			fp = append(fp, rec.Score)
-		}
-	}
-	return newClassIndex(tp, fp, r.NumGT)
-}
-
 // empty reports whether the class has no records.
 func (ci *classIndex) empty() bool { return len(ci.tp)+len(ci.fp) == 0 }
 
 // precision is the precision of tp true and fp false positives: 1.0
-// when there are none, matching precisionRecallAt.
+// when there are none.
 func precision(tp, fp int) float64 {
 	if tp+fp == 0 {
 		return 1
@@ -116,9 +103,10 @@ func (ci *classIndex) curve() []prPoint {
 	return out
 }
 
-// ap returns the 11-point interpolated average precision: the mean over
-// recall targets {0, 0.1, ..., 1.0} of the maximum precision at recall
-// >= the target. Walking the scores upward visits the curve in falling
+// ap returns the 11-point interpolated average precision (Pascal VOC
+// 2007 protocol, which KITTI's metric follows): the mean over recall
+// targets {0, 0.1, ..., 1.0} of the maximum precision at recall >= the
+// target. Walking the scores upward visits the curve in falling
 // recall, so one walk keeps the running maximum precision and settles
 // each target as recall drops below it.
 func (ci *classIndex) ap() float64 {
@@ -144,46 +132,6 @@ func (ci *classIndex) ap() float64 {
 		sum += b
 	}
 	return sum / 11
-}
-
-// prCurve computes the precision/recall curve of pooled records, one
-// point per distinct score, in descending-score (increasing-recall)
-// order. An empty record set yields nil.
-func (r *classRecords) prCurve() []prPoint {
-	ci := r.index()
-	return ci.curve()
-}
-
-// precisionRecallAt returns the operating point at a score threshold:
-// precision and recall over detections with Score >= t.
-func (r *classRecords) precisionRecallAt(t float64) (precision, recall float64) {
-	tp, fp := 0, 0
-	for _, rec := range r.Records {
-		if rec.Score < t {
-			continue
-		}
-		if rec.TP {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	if tp+fp == 0 {
-		return 1, 0 // no detections above t: vacuous precision
-	}
-	if r.NumGT == 0 {
-		return float64(tp) / float64(tp+fp), 0
-	}
-	return float64(tp) / float64(tp+fp), float64(tp) / float64(r.NumGT)
-}
-
-// ap returns the 11-point interpolated average precision (Pascal VOC
-// 2007 protocol, which KITTI's metric follows): the mean over recall
-// targets {0, 0.1, ..., 1.0} of the maximum precision at recall >= the
-// target.
-func (r *classRecords) ap() float64 {
-	ci := r.index()
-	return ci.ap()
 }
 
 // MAP evaluates the dataset at a difficulty and returns the mean AP over

@@ -1,9 +1,5 @@
 package metrics
 
-// The external reference test (reference_test.go) builds its record
-// pools and PR curves with these types.
-type (
-	ClassRecords = classRecords
-	Record       = record
-	PRPoint      = prPoint
-)
+// The external reference test (reference_test.go) builds its PR curves
+// with this type.
+type PRPoint = prPoint

@@ -28,20 +28,6 @@ import (
 // one detection list per frame (indexed like Sequence.Frames).
 type Detections map[string][][]geom.Scored
 
-// record is one scored detection's evaluation outcome for a class.
-type record struct {
-	Score float64
-	TP    bool
-}
-
-// classRecords accumulates the pooled records and ground-truth count for
-// one class at one difficulty.
-type classRecords struct {
-	Class   dataset.Class
-	Records []record
-	NumGT   int
-}
-
 // Shard is one sequence's share of an evaluation: the scores of each
 // class's true and false positives, in the order of the classes it was
 // scored with, its ground-truth count, and the sequence's ground-truth

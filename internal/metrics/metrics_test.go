@@ -162,21 +162,16 @@ func TestMAPAveragesClasses(t *testing.T) {
 }
 
 func TestPrecisionRecallAt(t *testing.T) {
-	r := &classRecords{NumGT: 4, Records: []record{
-		{Score: 0.9, TP: true},
-		{Score: 0.8, TP: false},
-		{Score: 0.7, TP: true},
-		{Score: 0.6, TP: false},
-	}}
-	p, rec := r.precisionRecallAt(0.75)
+	tp, fp := []float64{0.9, 0.7}, []float64{0.8, 0.6}
+	p, rec := precisionRecallAt(tp, fp, 4, 0.75)
 	if math.Abs(p-0.5) > 1e-9 || math.Abs(rec-0.25) > 1e-9 {
 		t.Fatalf("P/R at 0.75 = %v/%v", p, rec)
 	}
-	p, rec = r.precisionRecallAt(0.0)
+	p, rec = precisionRecallAt(tp, fp, 4, 0.0)
 	if math.Abs(p-0.5) > 1e-9 || math.Abs(rec-0.5) > 1e-9 {
 		t.Fatalf("P/R at 0 = %v/%v", p, rec)
 	}
-	p, rec = r.precisionRecallAt(0.99)
+	p, rec = precisionRecallAt(tp, fp, 4, 0.99)
 	if p != 1 || rec != 0 {
 		t.Fatalf("P/R above all scores = %v/%v, want vacuous 1/0", p, rec)
 	}
@@ -235,21 +230,17 @@ func TestDelayNeverEligibleExcluded(t *testing.T) {
 }
 
 func TestThresholdForMeanPrecision(t *testing.T) {
-	r := &classRecords{Class: dataset.Car, NumGT: 10, Records: []record{
-		{Score: 0.9, TP: true}, {Score: 0.8, TP: true}, {Score: 0.7, TP: true},
-		{Score: 0.6, TP: false}, {Score: 0.5, TP: true}, {Score: 0.4, TP: false},
-		{Score: 0.3, TP: false}, {Score: 0.2, TP: false},
-	}}
 	classes := []dataset.Class{dataset.Car}
-	ev := &Evaluation{classes: classes, index: []classIndex{r.index()}}
+	ev := &Evaluation{classes: classes, index: []classIndex{
+		newClassIndex([]float64{0.9, 0.8, 0.7, 0.5}, []float64{0.6, 0.4, 0.3, 0.2}, 10),
+	}}
 	tr := ev.Threshold(0.8)
 	// At t=0.5: 4 TP, 1 FP -> precision 0.8. Any lower includes more FPs.
 	if math.Abs(tr-0.5) > 1e-9 {
 		t.Fatalf("threshold = %v, want 0.5", tr)
 	}
 	// Unreachable precision falls back to the best available.
-	r.Records = []record{{Score: 0.9, TP: false}, {Score: 0.5, TP: true}}
-	ev.index[0] = r.index()
+	ev.index[0] = newClassIndex([]float64{0.5}, []float64{0.9}, 10)
 	tr = ev.Threshold(0.99)
 	if math.Abs(tr-0.5) > 1e-9 {
 		t.Fatalf("fallback threshold = %v, want 0.5 (max precision 0.5)", tr)
@@ -312,13 +303,8 @@ func TestUnlabeledFramesSkipped(t *testing.T) {
 }
 
 func TestPRCurveMonotoneRecall(t *testing.T) {
-	r := &classRecords{NumGT: 5}
-	scores := []float64{0.9, 0.85, 0.8, 0.7, 0.65, 0.5, 0.4, 0.3}
-	tps := []bool{true, true, false, true, false, true, false, false}
-	for i := range scores {
-		r.Records = append(r.Records, record{Score: scores[i], TP: tps[i]})
-	}
-	curve := r.prCurve()
+	r := newClassIndex([]float64{0.9, 0.85, 0.7, 0.5}, []float64{0.8, 0.65, 0.4, 0.3}, 5)
+	curve := r.curve()
 	for i := 1; i < len(curve); i++ {
 		if curve[i].Recall < curve[i-1].Recall {
 			t.Fatalf("recall not monotone at %d", i)
@@ -330,7 +316,7 @@ func TestPRCurveMonotoneRecall(t *testing.T) {
 }
 
 func TestAPEmptyRecords(t *testing.T) {
-	r := &classRecords{NumGT: 0}
+	r := newClassIndex(nil, nil, 0)
 	if ap := r.ap(); ap != 0 {
 		t.Fatalf("empty AP = %v", ap)
 	}

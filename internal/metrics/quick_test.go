@@ -3,32 +3,57 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataset"
 )
 
-// randRecords builds a random pooled record set. At most NumGT records
-// are true positives, the physical constraint the matcher guarantees.
-func randRecords(rng *rand.Rand) *classRecords {
+// randIndex builds a random class index. At most numGT records are
+// true positives, the physical constraint the matcher guarantees.
+func randIndex(rng *rand.Rand) classIndex {
 	n := 1 + rng.Intn(50)
-	r := &classRecords{Class: dataset.Car, NumGT: 1 + rng.Intn(40)}
-	tps := 0
+	numGT := 1 + rng.Intn(40)
+	var tp, fp []float64
 	for i := 0; i < n; i++ {
-		isTP := rng.Float64() < 0.6 && tps < r.NumGT
+		isTP := rng.Float64() < 0.6 && len(tp) < numGT
 		if isTP {
-			tps++
+			tp = append(tp, rng.Float64())
+		} else {
+			fp = append(fp, rng.Float64())
 		}
-		r.Records = append(r.Records, record{Score: rng.Float64(), TP: isTP})
 	}
-	return r
+	return newClassIndex(tp, fp, numGT)
+}
+
+// precisionRecallAt returns the operating point at a score threshold:
+// precision and recall over the true- and false-positive scores >= t.
+func precisionRecallAt(tpScores, fpScores []float64, numGT int, t float64) (precision, recall float64) {
+	tp, fp := 0, 0
+	for _, s := range tpScores {
+		if s >= t {
+			tp++
+		}
+	}
+	for _, s := range fpScores {
+		if s >= t {
+			fp++
+		}
+	}
+	if tp+fp == 0 {
+		return 1, 0 // no detections above t: vacuous precision
+	}
+	if numGT == 0 {
+		return float64(tp) / float64(tp+fp), 0
+	}
+	return float64(tp) / float64(tp+fp), float64(tp) / float64(numGT)
 }
 
 // Property: AP is always within [0, 1].
 func TestAPBounded(t *testing.T) {
 	f := func(seed int64) bool {
-		r := randRecords(rand.New(rand.NewSource(seed)))
+		r := randIndex(rand.New(rand.NewSource(seed)))
 		ap := r.ap()
 		return ap >= 0 && ap <= 1+1e-9
 	}
@@ -42,9 +67,9 @@ func TestAPBounded(t *testing.T) {
 // records are false positives).
 func TestPRCurveBounds(t *testing.T) {
 	f := func(seed int64) bool {
-		r := randRecords(rand.New(rand.NewSource(seed)))
+		r := randIndex(rand.New(rand.NewSource(seed)))
 		prev := -1.0
-		for _, p := range r.prCurve() {
+		for _, p := range r.curve() {
 			if p.Recall < prev || p.Recall > 1+1e-9 {
 				return false
 			}
@@ -65,10 +90,15 @@ func TestPRCurveBounds(t *testing.T) {
 // the threshold.
 func TestPrecisionRecallMonotoneRecall(t *testing.T) {
 	f := func(seed int64) bool {
-		r := randRecords(rand.New(rand.NewSource(seed)))
+		r := randIndex(rand.New(rand.NewSource(seed)))
+		for _, p := range r.curve() {
+			if prec, rec := precisionRecallAt(r.tp, r.fp, r.numGT, p.Threshold); prec != p.Precision || rec != p.Recall {
+				return false
+			}
+		}
 		prevRecall := math.Inf(1)
 		for _, th := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-			_, rec := r.precisionRecallAt(th)
+			_, rec := precisionRecallAt(r.tp, r.fp, r.numGT, th)
 			if rec > prevRecall+1e-9 {
 				return false
 			}
@@ -87,25 +117,17 @@ func TestPrecisionRecallMonotoneRecall(t *testing.T) {
 func TestAPMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := randRecords(rng)
+		r := randIndex(rng)
 		base := r.ap()
-		withFP := &classRecords{Class: r.Class, NumGT: r.NumGT,
-			Records: append(append([]record{}, r.Records...), record{Score: rng.Float64(), TP: false})}
+		withFP := newClassIndex(slices.Clone(r.tp), append(slices.Clone(r.fp), rng.Float64()), r.numGT)
 		if withFP.ap() > base+1e-9 {
 			return false
 		}
-		// Count TPs to respect NumGT.
-		tp := 0
-		for _, rec := range r.Records {
-			if rec.TP {
-				tp++
-			}
-		}
-		if tp >= r.NumGT {
+		// Respect numGT: a TP is only possible while one is unmatched.
+		if len(r.tp) >= r.numGT {
 			return true
 		}
-		withTP := &classRecords{Class: r.Class, NumGT: r.NumGT,
-			Records: append(append([]record{}, r.Records...), record{Score: rng.Float64(), TP: true})}
+		withTP := newClassIndex(append(slices.Clone(r.tp), rng.Float64()), slices.Clone(r.fp), r.numGT)
 		return withTP.ap() >= base-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -26,10 +26,24 @@ import (
 	"repro/internal/video"
 )
 
+// refRecord is one scored detection's evaluation outcome for a class.
+type refRecord struct {
+	Score float64
+	TP    bool
+}
+
+// refRecords pools one class's records and ground-truth count at one
+// difficulty.
+type refRecords struct {
+	Class   dataset.Class
+	Records []refRecord
+	NumGT   int
+}
+
 // refMatchFrame is the reference greedy match of one labeled frame for
 // one class: records for the AP pool.
 func refMatchFrame(objects []dataset.Object, dets []geom.Scored, class dataset.Class,
-	diff dataset.Difficulty, thresh float64, out *metrics.ClassRecords) {
+	diff dataset.Difficulty, thresh float64, out *refRecords) {
 
 	var eligible, ignored []dataset.Object
 	for _, o := range objects {
@@ -65,7 +79,7 @@ func refMatchFrame(objects []dataset.Object, dets []geom.Scored, class dataset.C
 		}
 		if best >= 0 && bestIoU >= thresh {
 			matched[best] = true
-			out.Records = append(out.Records, metrics.Record{Score: d.Score, TP: true})
+			out.Records = append(out.Records, refRecord{Score: d.Score, TP: true})
 			continue
 		}
 		dontCare := false
@@ -81,16 +95,16 @@ func refMatchFrame(objects []dataset.Object, dets []geom.Scored, class dataset.C
 		if d.Box.Height() < diff.MinHeight() {
 			continue
 		}
-		out.Records = append(out.Records, metrics.Record{Score: d.Score, TP: false})
+		out.Records = append(out.Records, refRecord{Score: d.Score, TP: false})
 	}
 }
 
 // refCollect pools the per-frame records of every class at each class's
 // KITTI threshold.
-func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty) map[dataset.Class]*metrics.ClassRecords {
-	out := map[dataset.Class]*metrics.ClassRecords{}
+func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Difficulty) map[dataset.Class]*refRecords {
+	out := map[dataset.Class]*refRecords{}
 	for _, c := range ds.Classes {
-		out[c] = &metrics.ClassRecords{Class: c}
+		out[c] = &refRecords{Class: c}
 	}
 	for si := range ds.Sequences {
 		seq := &ds.Sequences[si]
@@ -112,11 +126,11 @@ func refCollect(ds *dataset.Dataset, dets metrics.Detections, diff dataset.Diffi
 }
 
 // refPRCurve and refAP are the copy-and-sort AP of the pooled records.
-func refPRCurve(r *metrics.ClassRecords) []metrics.PRPoint {
+func refPRCurve(r *refRecords) []metrics.PRPoint {
 	if len(r.Records) == 0 || r.NumGT == 0 {
 		return nil
 	}
-	recs := append([]metrics.Record(nil), r.Records...)
+	recs := append([]refRecord(nil), r.Records...)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
 	var out []metrics.PRPoint
 	tp, fp := 0, 0
@@ -138,7 +152,7 @@ func refPRCurve(r *metrics.ClassRecords) []metrics.PRPoint {
 	return out
 }
 
-func refAP(r *metrics.ClassRecords) float64 {
+func refAP(r *refRecords) float64 {
 	curve := refPRCurve(r)
 	if curve == nil {
 		return 0
@@ -289,8 +303,8 @@ type refIndex struct {
 	numGT  int
 }
 
-func newRefIndex(r *metrics.ClassRecords) *refIndex {
-	recs := append([]metrics.Record(nil), r.Records...)
+func newRefIndex(r *refRecords) *refIndex {
+	recs := append([]refRecord(nil), r.Records...)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
 	ci := &refIndex{numGT: r.NumGT, scores: make([]float64, len(recs)), cumTP: make([]int, len(recs)+1)}
 	for i, rec := range recs {
@@ -320,7 +334,7 @@ func (ci *refIndex) recallAt(t float64) float64 {
 }
 
 // refThreshold solves Eq. 5 over sorted, deduplicated candidates.
-func refThreshold(records map[dataset.Class]*metrics.ClassRecords, classes []dataset.Class, beta float64) float64 {
+func refThreshold(records map[dataset.Class]*refRecords, classes []dataset.Class, beta float64) float64 {
 	var indexes []*refIndex
 	var all []float64
 	for _, c := range classes {
@@ -358,7 +372,7 @@ func refThreshold(records map[dataset.Class]*metrics.ClassRecords, classes []dat
 }
 
 // refCurve is the reference Figure 7 curve of one class.
-func refCurve(records map[dataset.Class]*metrics.ClassRecords, tracks []*refTrack, class dataset.Class, targets []float64) []metrics.CurvePoint {
+func refCurve(records map[dataset.Class]*refRecords, tracks []*refTrack, class dataset.Class, targets []float64) []metrics.CurvePoint {
 	r := records[class]
 	if r == nil || len(r.Records) == 0 {
 		return nil

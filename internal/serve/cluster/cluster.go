@@ -329,10 +329,11 @@ func (r *Router) Ingest(src serve.Source) error { return serve.Ingest(src, r.Sub
 
 // controlTo runs every control tick at or before t: each shard is
 // advanced to the tick time so its Stats are current, then the
-// autoscaler and the migration policy fire in shard order. Called with
-// r.mu held.
+// autoscaler and the migration policy fire in shard order. A
+// non-finite t runs none: it is a poison arrival, which the owner
+// shard's Submit rejects or drops. Called with r.mu held.
 func (r *Router) controlTo(t float64) {
-	if math.IsNaN(t) {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return
 	}
 	for r.nextTick <= t {

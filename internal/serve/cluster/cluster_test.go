@@ -8,6 +8,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gpumodel"
@@ -493,6 +494,45 @@ func TestClusterAdaptiveDeterminism(t *testing.T) {
 				if b.Result.Control == nil {
 					t.Errorf("shard %d book missing its control echo", b.Shard)
 				}
+			}
+		})
+	}
+}
+
+// TestSubmitNonFiniteArrival pins that a +Inf arrival is a poison pill
+// for the owner shard, not a control horizon: Submit returns, with an
+// error under PoisonError and as a dropped pill under PoisonDrop. It
+// runs Submit on a goroutine so a regression fails fast instead of
+// hanging the package; on that path the Router is left unclosed, since
+// Close would wait for the spinning Submit's lock.
+func TestSubmitNonFiniteArrival(t *testing.T) {
+	for _, policy := range []serve.PoisonPolicy{serve.PoisonError, serve.PoisonDrop} {
+		t.Run(string(policy), func(t *testing.T) {
+			base := baseConfig()
+			base.Poison = policy
+			r, err := New(Config{Base: base, Shards: 2, Migration: Migration{QueueDepth: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- r.Submit(0, 0, math.Inf(1)) }()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Submit(0, 0, +Inf) did not return")
+			}
+			defer r.Close()
+			if policy == serve.PoisonError {
+				if err == nil {
+					t.Fatal("Submit(0, 0, +Inf) under PoisonError returned nil")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Submit(0, 0, +Inf) under PoisonDrop: %v", err)
+			}
+			if n := r.Stats().Fleet.DroppedPoison; n != 1 {
+				t.Fatalf("DroppedPoison = %d, want 1", n)
 			}
 		})
 	}

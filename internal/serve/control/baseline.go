@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// baseline is the deterministic seeded hysteresis controller: a
+// Baseline is the deterministic seeded hysteresis controller: a
 // two-threshold band per signal (backlog depth, window p99) with
 // per-stream cooldowns.
 //
@@ -36,7 +36,7 @@ import (
 // source, never from global rand, so any tick order over any fleet
 // shape draws identical jitter; the unit draws are shared by every
 // controller in the process (unitJitter).
-type baseline struct {
+type Baseline struct {
 	cfg Config
 
 	// Per-stream state, grown on first sight: the virtual time of the
@@ -56,17 +56,13 @@ type baseline struct {
 	acts []Action // reused between ticks
 }
 
-func newBaseline(cfg Config) *baseline {
-	return &baseline{cfg: cfg, dlScale: 1}
-}
-
 // ensure grows the per-stream state to n streams, scaling each new
 // stream's unit jitter draw (unitJitter) by half the cooldown —
 // deterministic regardless of when the fleet shape is first observed.
 // Every stream's jitter is set here, at first sight, not at its first
 // cooldown check: with an infinite Cooldown the never-switched
 // comparison in Tick depends on it.
-func (b *baseline) ensure(n int) {
+func (b *Baseline) ensure(n int) {
 	if len(b.jitter) >= n {
 		return
 	}
@@ -103,8 +99,11 @@ func unitJitter(seed int64, n int) []float64 {
 	return u[:n:n]
 }
 
-// Tick implements Controller.
-func (b *baseline) Tick(now float64, v View) []Action {
+// Tick observes the fleet at virtual time now and returns the actions
+// to apply, in application order; nil means no change. The View's
+// backing arrays are only valid during the call. It runs synchronously
+// on the engine under the Server's lock.
+func (b *Baseline) Tick(now float64, v View) []Action {
 	b.ensure(len(v.Streams))
 	b.acts = b.acts[:0]
 

@@ -1,17 +1,20 @@
 // Package control is the serving fleet's adaptive control plane: a
-// Controller observes per-stream sliding-window statistics at
+// controller observes per-stream sliding-window statistics at
 // virtual-clock control ticks and emits per-stream Policy actions —
 // switching a stream between full-refinement / cascaded /
 // proposal-only operation, resizing the effective batched-launch
 // ceiling under overload, and tightening or relaxing EDF deadline
 // budgets for priority classes. It generalizes the binary fleet-wide
-// DegradeDepth threshold (PR 2) into the closed-loop per-stream
-// mechanism ROADMAP item 1 asks for, extending the per-shard
-// autoscaler pattern of serve/cluster (PR 7) down to individual
-// streams.
+// DegradeDepth threshold into a per-stream closed loop, the stream-level
+// counterpart of serve/cluster's per-shard autoscaler. Baseline, a
+// seeded hysteresis controller, is its one implementation.
+//
+// A mode changes how a stream's frames are priced, not how they are
+// stepped: the detection session runs the full cascade in every mode
+// (see Mode).
 //
 // The determinism contract is the serving engine's own, restated for
-// controllers: a Controller may key decisions only on the virtual
+// controllers: a controller may key decisions only on the virtual
 // clock, its Config (seed included) and the View it is handed — never
 // on the wall clock, global rand, or map iteration order. Ticks fire
 // at fixed multiples of Config.Interval on the virtual clock, so the
@@ -163,18 +166,6 @@ type View struct {
 	Streams []StreamSignal
 }
 
-// Controller is the adaptive control plane's decision procedure,
-// invoked by the serving engine at every control tick with the
-// current virtual time and fleet view. Implementations must be
-// deterministic (see the package comment) and fast: ticks run
-// synchronously on the engine under the Server's lock.
-type Controller interface {
-	// Tick observes the fleet at virtual time now and returns the
-	// actions to apply, in application order. Returning nil means no
-	// change. The View's backing arrays are only valid during the call.
-	Tick(now float64, v View) []Action
-}
-
 // Kind names a controller implementation.
 type Kind string
 
@@ -215,7 +206,7 @@ const (
 
 // Config selects and parameterizes a controller. It is declarative
 // plain data (JSON-able, copyable): the serving engine constructs the
-// stateful Controller instance itself, so a cluster sharding one
+// stateful controller instance itself, so a cluster sharding one
 // serve.Config across N shards gets N independent per-shard
 // controllers for free. The zero value means no controller; every
 // field is omitempty so echoing the config into a Result never
@@ -370,12 +361,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New builds the configured controller. The config must already carry
-// its defaults (WithDefaults) and validate; serve.Config.Validate
-// guarantees both for configs that reached the engine.
-func New(cfg Config) (Controller, error) {
-	if cfg.Kind == KindBaseline {
-		return newBaseline(cfg), nil
-	}
-	return nil, fmt.Errorf("control: unknown controller kind %q", cfg.Kind)
+// New builds the controller cfg selects. The config must already carry
+// its defaults (WithDefaults) and validate (Validate rejects unknown
+// kinds); serve.Config.Validate guarantees both for configs that
+// reached the engine.
+func New(cfg Config) *Baseline {
+	return &Baseline{cfg: cfg, dlScale: 1}
 }

@@ -25,18 +25,14 @@ func view(n, queue int, p99 float64) View {
 	return v
 }
 
-func mustBaseline(t *testing.T, cfg Config) Controller {
+func mustBaseline(t *testing.T, cfg Config) *Baseline {
 	t.Helper()
 	cfg.Kind = KindBaseline
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return New(cfg)
 }
 
 func TestWithDefaultsZeroStaysZero(t *testing.T) {
@@ -113,12 +109,6 @@ func nanField(set func(*Config)) Config {
 		HighP99: 0.3, LowP99: 0.1, MaxBatch: 4, BatchDepth: 6, TightenScale: 0.6, FullTicks: 2}
 	set(&c)
 	return c
-}
-
-func TestNewUnknownKind(t *testing.T) {
-	if _, err := New(Config{Kind: "pid"}); err == nil {
-		t.Error("New accepted an unknown kind")
-	}
 }
 
 func TestQualityWeights(t *testing.T) {
@@ -394,7 +384,7 @@ func TestSharedJitterMatchesSeededDraw(t *testing.T) {
 		}
 	}
 	for _, cooldown := range []float64{0.1, 2.5, math.Inf(1)} {
-		b := newBaseline(Config{Seed: 11, Cooldown: cooldown})
+		b := New(Config{Seed: 11, Cooldown: cooldown})
 		b.ensure(5)
 		b.ensure(40)
 		if len(b.jitter) != 40 {

@@ -339,7 +339,7 @@ type fleet struct {
 	// agenda: ticks self-reschedule while work is pending and go
 	// dormant on an idle fleet (so Drain terminates), re-armed by the
 	// next arrival at the next fixed Interval multiple.
-	ctrl         control.Controller
+	ctrl         *control.Baseline
 	mode         []control.Mode
 	effStale     []float64
 	effBatch     int
@@ -411,11 +411,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		f.effStale[s] = cfg.MaxStaleness
 	}
 	if cfg.Control.Active() {
-		ctrl, err := control.New(cfg.Control)
-		if err != nil {
-			return nil, err
-		}
-		f.ctrl = ctrl
+		f.ctrl = control.New(cfg.Control)
 		f.view.Streams = make([]control.StreamSignal, cfg.Streams)
 		f.books.latWinS = make([]*window, cfg.Streams)
 		for s := range f.books.latWinS {

@@ -21,8 +21,7 @@ type edf struct {
 
 func newEDF(cfg Config) *edf { return &edf{cfg: cfg} }
 
-func (e *edf) Name() Kind { return EDF }
-func (e *edf) Len() int   { return len(e.h) }
+func (e *edf) Len() int { return len(e.h) }
 
 func (e *edf) Admit(j Job) (Job, bool) {
 	heap.Push(&e.h, j)

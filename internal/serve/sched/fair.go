@@ -21,8 +21,7 @@ func newFair(cfg Config) *fair {
 	return &fair{cfg: cfg, qs: make([]ring, cfg.Streams)}
 }
 
-func (f *fair) Name() Kind { return Fair }
-func (f *fair) Len() int   { return f.n }
+func (f *fair) Len() int { return f.n }
 
 func (f *fair) Admit(j Job) (Job, bool) {
 	f.qs[j.Stream].pushBack(j)

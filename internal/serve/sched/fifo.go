@@ -10,8 +10,7 @@ type fifo struct {
 
 func newFIFO(cfg Config) *fifo { return &fifo{cfg: cfg} }
 
-func (f *fifo) Name() Kind { return FIFO }
-func (f *fifo) Len() int   { return f.q.len() }
+func (f *fifo) Len() int { return f.q.len() }
 
 func (f *fifo) Admit(j Job) (Job, bool) {
 	f.q.pushBack(j)

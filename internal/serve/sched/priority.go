@@ -18,8 +18,7 @@ type priority struct {
 
 func newPriority(cfg Config) *priority { return &priority{cfg: cfg} }
 
-func (p *priority) Name() Kind { return Priority }
-func (p *priority) Len() int   { return p.n }
+func (p *priority) Len() int { return p.n }
 
 // bucket returns the queue index for a class, inserting a new bucket
 // in sorted position on first sight.

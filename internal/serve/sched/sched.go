@@ -76,8 +76,6 @@ type Config struct {
 
 // Scheduler owns the waiting frames of one serving scenario.
 type Scheduler interface {
-	// Name returns the policy kind.
-	Name() Kind
 	// Admit offers an arriving job. When admitting would leave the
 	// scheduler over capacity the policy evicts one job — possibly
 	// the offered one — and returns it with dropped=true; the caller

@@ -74,15 +74,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// LoadReport reads a report written by WriteJSON.
-func LoadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("sim: decode report: %w", err)
-	}
-	return &r, nil
-}
-
 // ShapeCheck asserts the paper's qualitative claims on a report (op
 // savings, cascade-vs-CaTDet contrasts, Figure 6 flatness; see
 // docs/ARCHITECTURE.md, "Evaluation substrate") and returns a list of

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,21 +53,39 @@ func TestObserveAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPredictAppendMatchesPredict pins the append variant against the
-// allocating one.
+// refPredict states Section 4.1's prediction rule directly over the
+// live tracks: drop too-narrow and boundary-chopped predictions and
+// score each by its normalized confidence.
+func refPredict(trk *Tracker, frameW, frameH float64) []geom.Scored {
+	cfg := trk.cfg
+	frame := geom.NewBox(0, 0, frameW, frameH)
+	var out []geom.Scored
+	for _, tr := range trk.Tracks() {
+		b := tr.PredictedBox()
+		if b.Width() < cfg.MinPredWidth || geom.CoverFraction(b, frame) < cfg.MinVisibleFrac {
+			continue
+		}
+		out = append(out, geom.Scored{Box: b, Score: math.Min(1, float64(tr.Confidence)/float64(cfg.MaxConfidence)), Class: tr.Class})
+	}
+	return out
+}
+
+// TestPredictAppendMatchesPredict pins PredictAppend against refPredict,
+// appended after a prefix that it must leave alone.
 func TestPredictAppendMatchesPredict(t *testing.T) {
 	trk := New(DefaultConfig(), 1242, 375)
 	for f := 0; f < 6; f++ {
 		trk.Observe(driftScene(f, 5))
 	}
-	want := trk.Predict()
-	got := trk.PredictAppend(make([]geom.Scored, 0, 1))
-	if len(got) != len(want) {
-		t.Fatalf("PredictAppend returned %d predictions, Predict %d", len(got), len(want))
+	want := refPredict(trk, 1242, 375)
+	prefix := geom.Scored{Score: -1}
+	got := trk.PredictAppend(append(make([]geom.Scored, 0, 2), prefix))
+	if len(got) != 1+len(want) || got[0] != prefix {
+		t.Fatalf("PredictAppend returned %v, want the prefix then %d predictions", got, len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prediction %d differs: %+v vs %+v", i, got[i], want[i])
+		if got[1+i] != want[i] {
+			t.Fatalf("prediction %d differs: %+v vs %+v", i, got[1+i], want[i])
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestNegativeCoordinatesHandled(t *testing.T) {
 		}
 	}
 	// Prediction moves further out and is eventually filtered.
-	preds := tr.Predict()
+	preds := tr.PredictAppend(nil)
 	for _, p := range preds {
 		if !p.Box.Valid() {
 			t.Fatal("invalid prediction box")

@@ -111,11 +111,6 @@ func (t *Track) PredictedBox() geom.Box {
 	return geom.NewBoxCenter(t.X+t.VX, t.Y+t.VY, w, w*t.R)
 }
 
-// CurrentBox returns the track's current-frame box estimate.
-func (t *Track) CurrentBox() geom.Box {
-	return geom.NewBoxCenter(t.X, t.Y, t.S, t.S*t.R)
-}
-
 // Tracker carries the live tracks for one video sequence. A Tracker
 // owns per-frame scratch buffers, so one instance must not be observed
 // from multiple goroutines concurrently.
@@ -130,10 +125,10 @@ type Tracker struct {
 	// peak live count.
 	free []*Track
 
-	// Per-frame scratch, reused across Observe/Predict calls so the
+	// Per-frame scratch, reused across Observe calls so the
 	// steady-state association path allocates nothing: the assignment
 	// solver workspace, the flat cost matrix, candidate index lists,
-	// match flags, the per-frame class list and the prediction buffer.
+	// match flags and the per-frame class list.
 	scratch struct {
 		solver                   hungarian.Solver
 		cost                     []float64
@@ -373,17 +368,10 @@ func (t *Tracker) kalmanUpdate(tr *Track, cx, cy, w float64) {
 	tr.vvar = (1 - kv) * vvar
 }
 
-// Predict returns the tracks' predicted next-frame locations after the
-// workload filters of Section 4.1: too-narrow predictions and
-// predictions largely chopped by the frame boundary are dropped. The
-// Score carries the track confidence normalized to [0, 1]. The caller
-// owns the returned slice; per-frame hot paths should prefer
-// PredictAppend with a reused buffer.
-func (t *Tracker) Predict() []geom.Scored {
-	return t.PredictAppend(nil)
-}
-
-// PredictAppend appends the filtered predictions of Predict to dst and
+// PredictAppend appends the tracks' predicted next-frame locations to
+// dst after the workload filters of Section 4.1: too-narrow predictions
+// and predictions largely chopped by the frame boundary are dropped.
+// The Score carries the track confidence normalized to [0, 1]. It
 // returns the extended slice, allocating only when dst lacks capacity.
 //
 //detlint:allocfree
@@ -404,16 +392,6 @@ func (t *Tracker) PredictAppend(dst []geom.Scored) []geom.Scored {
 		}
 		//detlint:ok appends into the caller's reused buffer; grows only when dst lacks capacity, per the documented contract
 		out = append(out, geom.Scored{Box: b, Score: score, Class: tr.Class})
-	}
-	return out
-}
-
-// PredictUnfiltered returns every live track's prediction, bypassing the
-// workload filters (ablation support).
-func (t *Tracker) PredictUnfiltered() []geom.Scored {
-	var out []geom.Scored
-	for _, tr := range t.tracks {
-		out = append(out, geom.Scored{Box: tr.PredictedBox(), Score: 1, Class: tr.Class})
 	}
 	return out
 }

@@ -51,7 +51,7 @@ func TestPredictionExtrapolates(t *testing.T) {
 	tr := New(DefaultConfig(), 1242, 375)
 	tr.Observe([]geom.Scored{det(100, 100, 40, 30, 0)})
 	tr.Observe([]geom.Scored{det(110, 100, 40, 30, 0)})
-	preds := tr.Predict()
+	preds := tr.PredictAppend(nil)
 	if len(preds) != 1 {
 		t.Fatalf("predictions = %d, want 1", len(preds))
 	}
@@ -67,7 +67,7 @@ func TestPredictionExtrapolates(t *testing.T) {
 func TestAspectRatioCarriedForward(t *testing.T) {
 	tr := New(DefaultConfig(), 1242, 375)
 	tr.Observe([]geom.Scored{det(100, 100, 40, 30, 0)})
-	preds := tr.Predict()
+	preds := tr.PredictAppend(nil)
 	if math.Abs(preds[0].Box.AspectRatio()-0.75) > 1e-9 {
 		t.Fatalf("prediction aspect = %v, want 0.75 (r' = r)", preds[0].Box.AspectRatio())
 	}
@@ -188,18 +188,18 @@ func TestPredictionFilters(t *testing.T) {
 	tr := New(cfg, 1242, 375)
 	// Narrow track: width 8 < 10 must be filtered from predictions.
 	tr.Observe([]geom.Scored{det(100, 100, 8, 20, 0)})
-	if preds := tr.Predict(); len(preds) != 0 {
+	if preds := tr.PredictAppend(nil); len(preds) != 0 {
 		t.Fatalf("narrow prediction not filtered: %v", preds)
 	}
 	// Boundary-chopped track.
 	tr2 := New(cfg, 1242, 375)
 	tr2.Observe([]geom.Scored{{Box: geom.NewBoxCenter(-8, 100, 60, 40), Score: 0.9, Class: 0}})
-	if preds := tr2.Predict(); len(preds) != 0 {
+	if preds := tr2.PredictAppend(nil); len(preds) != 0 {
 		t.Fatalf("boundary-chopped prediction not filtered: %v", preds)
 	}
-	// Unfiltered variant returns them.
-	if preds := tr2.PredictUnfiltered(); len(preds) != 1 {
-		t.Fatalf("PredictUnfiltered = %d, want 1", len(preds))
+	// The filters drop the predictions, not the tracks.
+	if n := len(tr.Tracks()) + len(tr2.Tracks()); n != 2 {
+		t.Fatalf("live tracks = %d, want 2", n)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestKalmanMotionModel(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Observe([]geom.Scored{det(100+float64(i)*10, 100, 40, 30, 0)})
 	}
-	preds := tr.Predict()
+	preds := tr.PredictAppend(nil)
 	if len(preds) != 1 {
 		t.Fatalf("predictions = %d", len(preds))
 	}
@@ -248,7 +248,7 @@ func TestPredictionQualityOnWorld(t *testing.T) {
 		tr := New(cfg, float64(seq.Width), float64(seq.Height))
 		for fi := range seq.Frames {
 			if fi > 0 {
-				preds := tr.Predict()
+				preds := tr.PredictAppend(nil)
 				for _, o := range seq.Frames[fi].Objects {
 					// Only consider objects that existed in the
 					// previous frame (the tracker can't predict
