@@ -216,7 +216,8 @@ trace:
 
 # Code-surface counts, printed by the CI test job so net lines and
 # knobs are tracked change by change: non-test Go lines in tracked
-# files; exported declarations over every package (each symbol
+# files, then how many of them are the benchmark (perfbench/) and the
+# lint fixtures, so a deletion in the program reads apart; exported declarations over every package (each symbol
 # `go doc -short` lists, plus the exported methods it folds under their
 # types); the exported fields of serve.Config and cluster.Config, the
 # serving knobs a caller can turn; and the exported fields of the knob
@@ -224,6 +225,9 @@ trace:
 # cluster's Migration, Autoscale and FaultPlan).
 surface:
 	@echo "go lines (non-test): $$(git ls-files '*.go' ':!:*_test.go' | xargs cat | wc -l)"
+	@echo "  of which perfbench/: $$(git ls-files '*.go' ':!:*_test.go' | grep '^perfbench/' | xargs cat | wc -l)"
+	@echo "  of which lint fixtures (internal/lint/testdata): $$(git ls-files '*.go' ':!:*_test.go' \
+		| grep '^internal/lint/testdata/' | xargs cat | wc -l)"
 	@n=0; for p in $$($(GO) list ./...); do \
 		n=$$((n + $$($(GO) doc -short $$p 2>/dev/null | wc -l) \
 			+ $$($(GO) doc -all $$p 2>/dev/null | grep -c '^func ('))); \

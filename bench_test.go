@@ -259,12 +259,12 @@ func engineBenchSpec() sim.SystemSpec {
 	return sim.SystemSpec{Kind: sim.CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}
 }
 
-// BenchmarkRunSerial is the baseline: the single-goroutine sim.Run.
+// BenchmarkRunSerial is the baseline: the single-goroutine catdet.Run.
 func BenchmarkRunSerial(b *testing.B) {
 	ds, _ := benchData()
 	spec := engineBenchSpec()
 	for i := 0; i < b.N; i++ {
-		sim.Run(spec.MustBuild(ds.Classes), ds)
+		Run(spec.MustBuild(ds.Classes), ds)
 	}
 }
 
@@ -277,7 +277,7 @@ func BenchmarkRunParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			eng := sim.Engine{Workers: w}
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunFactory(spec.Factory(ds.Classes), ds); err != nil {
+				if _, err := eng.Run(spec, ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -466,8 +466,10 @@ func BenchmarkServerStats(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Ingest(serve.ScheduleSource(srv.Config())); err != nil {
-		b.Fatal(err)
+	for _, a := range serve.Schedule(cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			b.Fatal(err)
+		}
 	}
 	var st serve.Stats
 	b.ResetTimer()
@@ -507,8 +509,10 @@ func BenchmarkClusterOverload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-			b.Fatal(err)
+		for _, a := range serve.Schedule(cfg.Base) {
+			if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if res, err = r.Drain(context.Background()); err != nil {
 			b.Fatal(err)
@@ -557,7 +561,7 @@ func ablationRun(b *testing.B, cfg core.Config) (mapHard float64, gops float64) 
 	var ev sim.Evaluation
 	var r *sim.RunResult
 	for i := 0; i < b.N; i++ {
-		r = sim.Run(spec.MustBuild(ds.Classes), ds)
+		r = Run(spec.MustBuild(ds.Classes), ds)
 		ev = sim.Evaluate(ds, r, dataset.Hard, sim.Beta)
 	}
 	return ev.MAP, r.AvgGops()

@@ -135,8 +135,12 @@ func GenerateKITTI(seed int64) *Dataset { return video.Generate(video.KITTIPrese
 // LoadDataset reads a dataset from a JSON (optionally .gz) file.
 func LoadDataset(path string) (*Dataset, error) { return dataset.LoadFile(path) }
 
-// Run executes a system over a dataset sequence by sequence.
-func Run(sys System, ds *Dataset) *RunResult { return sim.Run(sys, ds) }
+// Run executes a system over a dataset sequence by sequence, resetting
+// per-sequence state in between (tracker state never crosses clips).
+func Run(sys System, ds *Dataset) *RunResult {
+	r, _ := sim.Engine{Workers: 1}.RunFactory(func() (System, error) { return sys, nil }, ds) // the factory cannot fail
+	return r
+}
 
 // RunParallel executes the spec over the dataset sharded across workers
 // (0 = GOMAXPROCS). Each worker owns a private system instance; the
@@ -153,8 +157,7 @@ func Evaluate(ds *Dataset, r *RunResult, diff Difficulty, beta float64) Evaluati
 // Online serving: a long-lived push-based Server modeling a fleet that
 // serves N concurrent video streams (one private per-stream session
 // each) against GPU executors priced by the Appendix I timing model.
-// Callers push frames with Server.Submit (or feed a channel through
-// Server.Ingest and ServeChannelSource), observe per-frame outcomes on
+// Callers push frames with Server.Submit, observe per-frame outcomes on
 // a sink, poll live Server.Stats snapshots, and Drain for the
 // cumulative ServeResult; Serve is the closed-loop driver replaying a
 // preset arrival schedule. Scheduler, backpressure, chaos and control
@@ -173,7 +176,7 @@ type (
 	ServeEvent = serve.Event
 	// ServeSinkFunc adapts a function to the config's sink.
 	ServeSinkFunc = serve.SinkFunc
-	// ServeArrival is one frame offered to a Server by a source.
+	// ServeArrival is one frame offered to a Server.
 	ServeArrival = serve.Arrival
 )
 
@@ -185,11 +188,6 @@ const ServeEventServed = serve.EventServed
 // arriveAt) on the virtual clock; Drain runs the backlog dry and
 // returns the cumulative ServeResult.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
-
-// ServeChannelSource wraps a caller-owned channel as a source for
-// Server.Ingest; producer goroutines push arrivals until they close
-// the channel.
-func ServeChannelSource(ch <-chan ServeArrival) serve.Source { return serve.ChannelSource(ch) }
 
 // Serve runs one closed-loop online serving scenario on the virtual
 // clock: it builds a Server, replays the config's preset arrival

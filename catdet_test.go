@@ -263,7 +263,7 @@ func TestOracleSingleModelIsPerfect(t *testing.T) {
 	oracle := detector.NewOracle(detector.FreeCost{})
 	oracle.Classes = ds.Classes
 	sys := core.NewSingleModel(oracle)
-	run := sim.Run(sys, ds)
+	run := Run(sys, ds)
 	ev := sim.Evaluate(ds, run, dataset.Hard, 0.8)
 	if math.Abs(ev.MAP-1) > 1e-6 {
 		t.Fatalf("oracle mAP = %v, want 1", ev.MAP)
@@ -290,7 +290,7 @@ func TestOracleCascadeIsPerfect(t *testing.T) {
 		} else {
 			sys = core.NewCaTDet(newOracle(), newOracle(), DefaultConfig())
 		}
-		run := sim.Run(sys, ds)
+		run := Run(sys, ds)
 		ev := sim.Evaluate(ds, run, dataset.Hard, 0.8)
 		if math.Abs(ev.MAP-1) > 1e-6 {
 			t.Fatalf("%s oracle mAP = %v, want 1", kind, ev.MAP)

@@ -1,12 +1,12 @@
 // Live ingestion: the serving fleet as an open component instead of a
 // closed-loop simulator. Three caller-owned goroutines play camera
 // feeds — each paces its own jittered ~15 fps cadence and pushes
-// frames into a shared channel — and the fleet consumes them through a
-// channel-backed source. While frames stream in, the main goroutine
-// polls live stats (throughput, drop rate, queue depth, sliding-window
-// p50/p95/p99) and a sink counts per-frame outcomes as the engine
-// decides them; Drain then runs the backlog dry and reconciles the
-// live books against the final result.
+// frames into a shared channel — and one goroutine ranges over the
+// channel and submits each frame to the fleet. While frames stream in,
+// the main goroutine polls live stats (throughput, drop rate, queue
+// depth, sliding-window p50/p95/p99) and a sink counts per-frame
+// outcomes as the engine decides them; Drain then runs the backlog dry
+// and reconciles the live books against the final result.
 package main
 
 import (
@@ -76,7 +76,15 @@ func main() {
 	go func() { feeds.Wait(); close(ch) }()
 
 	ingested := make(chan error, 1)
-	go func() { ingested <- srv.Ingest(catdet.ServeChannelSource(ch)) }()
+	go func() {
+		for a := range ch {
+			if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+				ingested <- err
+				return
+			}
+		}
+		ingested <- nil
+	}()
 
 	fmt.Printf("live ingest: %d feeds x ~%.0f fps into 1 executor (queue cap 6, stale 0.4s)\n\n", streams, fps)
 	fmt.Println("t_virtual  arrived  served  dropped  depth  tput_fps  drop%   win_p50   win_p99")

@@ -88,21 +88,6 @@ func (c *cursor) point() prPoint {
 	}
 }
 
-// curve returns the precision/recall curve, one point per distinct
-// score in descending-score (increasing-recall) order; nil without
-// records or ground truth.
-func (ci *classIndex) curve() []prPoint {
-	if ci.empty() || ci.numGT == 0 {
-		return nil
-	}
-	var out []prPoint
-	for c := (cursor{ci: ci}); !c.done(); c.pass(c.score()) {
-		out = append(out, c.point())
-	}
-	slices.Reverse(out)
-	return out
-}
-
 // ap returns the 11-point interpolated average precision (Pascal VOC
 // 2007 protocol, which KITTI's metric follows): the mean over recall
 // targets {0, 0.1, ..., 1.0} of the maximum precision at recall >= the

@@ -50,6 +50,21 @@ func precisionRecallAt(tpScores, fpScores []float64, numGT int, t float64) (prec
 	return float64(tp) / float64(tp+fp), float64(tp) / float64(numGT)
 }
 
+// curve returns the precision/recall curve, one point per distinct
+// score in descending-score (increasing-recall) order; nil without
+// records or ground truth.
+func (ci *classIndex) curve() []prPoint {
+	if ci.empty() || ci.numGT == 0 {
+		return nil
+	}
+	var out []prPoint
+	for c := (cursor{ci: ci}); !c.done(); c.pass(c.score()) {
+		out = append(out, c.point())
+	}
+	slices.Reverse(out)
+	return out
+}
+
 // Property: AP is always within [0, 1].
 func TestAPBounded(t *testing.T) {
 	f := func(seed int64) bool {

@@ -53,8 +53,10 @@ func traceCases(t *testing.T) []traceCase {
 // ingestDrain replays the config's schedule and drains.
 func ingestDrain(t *testing.T, srv *Server) *Result {
 	t.Helper()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {
@@ -67,9 +69,10 @@ func ingestDrain(t *testing.T, srv *Server) *Result {
 // revives one executor at t=2.5 and replays the rest of the schedule.
 func failAndRevive(t *testing.T, srv *Server) *Result {
 	t.Helper()
-	src := ScheduleSource(srv.Config())
-	a, ok := src.Next()
-	for ; ok && a.At <= 2; a, ok = src.Next() {
+	arrivals := Schedule(srv.f.cfg)
+	i := 0
+	for ; i < len(arrivals) && arrivals[i].At <= 2; i++ {
+		a := arrivals[i]
 		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +83,7 @@ func failAndRevive(t *testing.T, srv *Server) *Result {
 	if err := srv.ResizeAt(1, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	for ; ok; a, ok = src.Next() {
+	for _, a := range arrivals[i:] {
 		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +270,7 @@ func checkTally(t *testing.T, events []Event, r *Result, srv *Server) {
 	if switches != r.ModeSwitches {
 		t.Errorf("%d mode-switch events, books %d", switches, r.ModeSwitches)
 	}
-	if want := min(srv.Config().StatsWindow, served); srv.Stats().Fleet.Latency.Count != want {
+	if want := min(srv.f.cfg.StatsWindow, served); srv.Stats().Fleet.Latency.Count != want {
 		t.Errorf("stats window holds %d samples, want %d", srv.Stats().Fleet.Latency.Count, want)
 	}
 }

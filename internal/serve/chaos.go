@@ -47,7 +47,7 @@ type PoisonPolicy string
 // The poison policies.
 const (
 	// PoisonError fails the Submit call (the strict historical
-	// contract; an Ingest feeding corrupt arrivals stops at the pill).
+	// contract; Run stops at the first pill).
 	PoisonError PoisonPolicy = "error"
 	// PoisonDrop swallows the pill: Submit returns nil, the pill is
 	// counted in StreamStats.DroppedPoison and emitted as an
@@ -68,7 +68,7 @@ const DefaultMaxFrame = 1 << 20
 // schedule: camera dropouts, variable-fps clients, skewed client
 // clocks and corrupt-frame poison pills. The zero value is fully off.
 // Chaos perturbs only the offered load — it is applied inside
-// ScheduleSource as a pure function of (Config, Seed), so a chaotic
+// Schedule as a pure function of (Config, Seed), so a chaotic
 // scenario is exactly as deterministic as a clean one: same config +
 // seed means byte-identical results at any executor, batch or
 // step-worker count.

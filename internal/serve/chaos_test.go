@@ -194,7 +194,7 @@ func TestPoisonIsolation(t *testing.T) {
 					at    float64
 				}{
 					{-1, at},
-					{srv.Config().MaxFrame + 1, at},
+					{srv.f.cfg.MaxFrame + 1, at},
 					{k, math.NaN()},
 					{k, math.Inf(1)},
 				} {
@@ -330,13 +330,8 @@ func TestChaosPerturbsOnlyOfferedLoad(t *testing.T) {
 	cfg.Reconnect = ReconnectResume
 	cfg.Poison = PoisonDrop
 	cfg.Chaos = Chaos{DropoutRate: 30, DropoutMeanLen: 0.5, Renumber: true, PoisonRate: 0.1}
-	src := ScheduleSource(cfg)
 	offered, pills := 0, 0
-	for {
-		a, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, a := range Schedule(cfg) {
 		if a.Frame < 0 {
 			pills++
 		} else {
@@ -353,14 +348,7 @@ func TestChaosPerturbsOnlyOfferedLoad(t *testing.T) {
 	if r.Fleet.DroppedPoison != pills {
 		t.Errorf("DroppedPoison = %d, schedule carried %d pills", r.Fleet.DroppedPoison, pills)
 	}
-	clean := testConfig()
-	cleanN := 0
-	for src := ScheduleSource(clean); ; {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		cleanN++
-	}
+	cleanN := len(Schedule(testConfig()))
 	if offered+pills >= cleanN {
 		t.Errorf("dropouts removed nothing: chaotic %d+%d vs clean %d arrivals", offered, pills, cleanN)
 	}

@@ -272,13 +272,6 @@ func (r *Router) newShard(tierName string, bornAt float64) (*shard, error) {
 	return sh, nil
 }
 
-// Config returns the router's normalized configuration.
-func (r *Router) Config() Config {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
-}
-
 // Placement returns each stream's hash-home shard and current owner
 // shard (they differ for load-capped placements and migrated streams,
 // which pay the hop latency).
@@ -304,6 +297,11 @@ func (r *Router) Submit(stream, frame int, arriveAt float64) error {
 	r.controlTo(arriveAt)
 	s := r.owner[stream]
 	if !r.shards[s].alive {
+		if math.IsNaN(arriveAt) || math.IsInf(arriveAt, 0) || frame < 0 || frame > r.cfg.Base.MaxFrame {
+			// A poison pill: the dead owner's Submit applies the poison
+			// policy without touching its clock or sessions.
+			return r.forward(s, stream, frame, arriveAt)
+		}
 		// The owner is dead and no live shard could take the stream (a
 		// whole-cluster outage): buffer the frame, keeping its arrival
 		// stamp, until a revival or addition restores capacity.
@@ -322,10 +320,6 @@ func (r *Router) forward(s, stream, frame int, at float64) error {
 	}
 	return r.shards[s].srv.Submit(stream, frame, at)
 }
-
-// Ingest submits every arrival the source yields, in order, stopping at
-// the first error.
-func (r *Router) Ingest(src serve.Source) error { return serve.Ingest(src, r.Submit) }
 
 // controlTo runs every control tick at or before t: each shard is
 // advanced to the tick time so its Stats are current, then the
@@ -652,8 +646,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.cfg.Base)); err != nil {
-		return nil, err
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			return nil, err
+		}
 	}
 	return r.Drain(context.Background())
 }

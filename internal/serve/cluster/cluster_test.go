@@ -157,8 +157,10 @@ func TestMigrationSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-		t.Fatal(err)
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := r.Drain(context.Background())
 	if err != nil {
@@ -251,8 +253,10 @@ func TestStatsMatchResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-				t.Fatal(err)
+			for _, a := range serve.Schedule(r.cfg.Base) {
+				if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+					t.Fatal(err)
+				}
 			}
 			res, err := r.Drain(context.Background())
 			if err != nil {
@@ -283,8 +287,10 @@ func TestRouterStatsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-		t.Fatal(err)
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a := testing.AllocsPerRun(100, func() { r.Stats() }); a > 4 {
 		t.Errorf("Router.Stats allocates %v times, want at most 4", a)
@@ -499,40 +505,60 @@ func TestClusterAdaptiveDeterminism(t *testing.T) {
 	}
 }
 
-// TestSubmitNonFiniteArrival pins that a +Inf arrival is a poison pill
-// for the owner shard, not a control horizon: Submit returns, with an
-// error under PoisonError and as a dropped pill under PoisonDrop. It
-// runs Submit on a goroutine so a regression fails fast instead of
-// hanging the package; on that path the Router is left unclosed, since
-// Close would wait for the spinning Submit's lock.
+// TestSubmitNonFiniteArrival pins that a poison pill goes to its owner
+// shard's poison policy: a +Inf arrival is no control horizon, and a
+// negative frame submitted during a whole-cluster outage (the one
+// shard killed at t=1) is not parked as an orphan. Submit returns,
+// with an error under PoisonError and as a dropped pill under
+// PoisonDrop. It runs Submit on a goroutine so a regression fails fast
+// instead of hanging the package; on that path the Router is left
+// unclosed, since Close would wait for the spinning Submit's lock.
 func TestSubmitNonFiniteArrival(t *testing.T) {
-	for _, policy := range []serve.PoisonPolicy{serve.PoisonError, serve.PoisonDrop} {
-		t.Run(string(policy), func(t *testing.T) {
-			base := baseConfig()
-			base.Poison = policy
-			r, err := New(Config{Base: base, Shards: 2, Migration: Migration{QueueDepth: 2}})
+	for _, tc := range []struct {
+		name   string
+		policy serve.PoisonPolicy
+		outage bool
+		frame  int
+		at     float64
+	}{
+		{"error", serve.PoisonError, false, 0, math.Inf(1)},
+		{"drop", serve.PoisonDrop, false, 0, math.Inf(1)},
+		{"outage-error", serve.PoisonError, true, -1, 1.5},
+		{"outage-drop", serve.PoisonDrop, true, -1, 1.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Base: baseConfig(), Shards: 2, Migration: Migration{QueueDepth: 2}}
+			if tc.outage {
+				cfg = faultCluster(1, FailoverReplay)
+			}
+			cfg.Base.Poison = tc.policy
+			r, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- r.Submit(0, 0, math.Inf(1)) }()
+			go func() { done <- r.Submit(0, tc.frame, tc.at) }()
 			select {
 			case err = <-done:
 			case <-time.After(10 * time.Second):
-				t.Fatal("Submit(0, 0, +Inf) did not return")
+				t.Fatalf("Submit(0, %d, %v) did not return", tc.frame, tc.at)
 			}
 			defer r.Close()
-			if policy == serve.PoisonError {
+			if tc.policy == serve.PoisonError {
 				if err == nil {
-					t.Fatal("Submit(0, 0, +Inf) under PoisonError returned nil")
+					t.Fatalf("Submit(0, %d, %v) under PoisonError returned nil", tc.frame, tc.at)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("Submit(0, 0, +Inf) under PoisonDrop: %v", err)
+				t.Fatalf("Submit(0, %d, %v) under PoisonDrop: %v", tc.frame, tc.at, err)
 			}
-			if n := r.Stats().Fleet.DroppedPoison; n != 1 {
-				t.Fatalf("DroppedPoison = %d, want 1", n)
+			st := r.Stats()
+			if st.Fleet.DroppedPoison != 1 || st.Orphaned != 0 {
+				t.Fatalf("DroppedPoison = %d, Orphaned = %d, want 1, 0", st.Fleet.DroppedPoison, st.Orphaned)
+			}
+			if tc.outage && st.DeadShards != 1 {
+				t.Fatalf("DeadShards = %d, want the outage's 1", st.DeadShards)
 			}
 		})
 	}

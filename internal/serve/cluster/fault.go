@@ -112,6 +112,10 @@ func (r *Router) failover(seized []serve.FailedFrame, e float64) {
 		// The seized world index re-enters Submit as a wire index
 		// against the target's own session; a collision is a frame
 		// regression the (defaulted) resume reconnect policy absorbs.
+		// A seized frame is no pill and the target is open, so the one
+		// error left is a resumed index mapped past MaxFrame under
+		// PoisonError. It is dropped: a failover runs inside another
+		// call's control tick, which has no caller to report it to.
 		_ = r.forward(tgt, f.Stream, f.Frame, e)
 	}
 }
@@ -286,12 +290,17 @@ func (r *Router) replayOrphans(e float64) {
 			continue
 		}
 		at := o.at
-		if at < e { // a NaN stamp fails the comparison and stays poison
+		if at < e {
 			at = e
 		}
 		if o.seized {
 			r.replayed[o.stream]++
 		}
+		// Pills never park, so the errors left are a frame regression
+		// or backwards stamp under ReconnectReject and a resumed index
+		// past MaxFrame under PoisonError. They are dropped: the orphan's
+		// Submit already returned nil, and the replay runs inside
+		// another call's membership change.
 		_ = r.forward(tgt, o.stream, o.frame, at)
 	}
 }

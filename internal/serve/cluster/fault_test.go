@@ -194,8 +194,10 @@ func TestBulkRebalanceMovesTowardFastTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-		t.Fatal(err)
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := r.Drain(context.Background())
 	if err != nil {
@@ -237,8 +239,10 @@ func TestLastShardDeathDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-		t.Fatal(err)
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := r.Drain(context.Background())
 	if err != nil {
@@ -297,8 +301,10 @@ func TestOnlineShardAddition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Ingest(serve.ScheduleSource(r.Config().Base)); err != nil {
-		t.Fatal(err)
+	for _, a := range serve.Schedule(r.cfg.Base) {
+		if err := r.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := r.Drain(context.Background())
 	if err != nil {

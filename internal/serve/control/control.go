@@ -76,15 +76,6 @@ func (m Mode) Quality() float64 {
 	}
 }
 
-// valid reports whether m is a known mode.
-func (m Mode) valid() bool {
-	switch m {
-	case ModeAuto, ModeFull, ModeCascade, ModeProposal:
-		return true
-	}
-	return false
-}
-
 // Fleet is the Action.Stream value addressing the whole fleet rather
 // than one stream (batch resizing is a fleet-wide decision: executors
 // gather from the shared queue).

@@ -98,8 +98,10 @@ func TestPerStreamWindowsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Ingest(ScheduleSource(s.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(s.f.cfg) {
+		if err := s.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := s.Drain(context.Background())
 	if err != nil {
@@ -146,8 +148,10 @@ func TestBuildViewAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Ingest(ScheduleSource(s.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(s.f.cfg) {
+		if err := s.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -88,8 +88,10 @@ func TestResizeAtElasticity(t *testing.T) {
 	if err := srv.ResizeAt(3, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {

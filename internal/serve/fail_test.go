@@ -19,8 +19,10 @@ func TestFailAtSeizesBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sched := ScheduleSource(cfg)
-	for a, ok := sched.Next(); ok && a.At <= 2; a, ok = sched.Next() {
+	for _, a := range Schedule(cfg) {
+		if a.At > 2 {
+			break
+		}
 		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +154,10 @@ func TestPinModeOverridesControl(t *testing.T) {
 	if _, got := srv.f.modeOf(0); got != control.ModeProposal {
 		t.Errorf("pinned stream's configured mode is %q, want %q", got, control.ModeProposal)
 	}
-	if err := srv.Ingest(ScheduleSource(cfg)); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {

@@ -36,6 +36,6 @@ func TestIncrementalWorldMatchesFromScratch(t *testing.T) {
 	}
 
 	for s := 0; s < cfg.Streams; s++ {
-		checkWorld(t, srv.Config(), s, srv.f.worlds.seq(s), last+1)
+		checkWorld(t, srv.f.cfg, s, srv.f.worlds.seq(s), last+1)
 	}
 }

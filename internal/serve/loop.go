@@ -396,7 +396,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		}
 		spec.NoiseScale *= n
 	}
-	factory := spec.Factory(cfg.Preset.ClassList())
+	classes := cfg.Preset.ClassList()
 	f.sessions = make([]core.System, cfg.Streams)
 	f.sessEpoch = make([]int, cfg.Streams)
 	// Sized for one single-frame launch per executor, so a fleet that
@@ -419,7 +419,7 @@ func newFleet(cfg Config, worlds *Worlds) (*fleet, error) {
 		}
 	}
 	for s := 0; s < cfg.Streams; s++ {
-		sys, err := factory()
+		sys, err := spec.Build(classes)
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,17 @@
 // Package serve is the online counterpart of internal/sim: a
 // deterministic discrete-event model of a serving fleet under live
 // multi-stream video load, opened up as a push-based Server. Callers
-// push frames with Server.Submit (or feed a Source through Ingest);
-// each of the N streams owns a private detection session built from a
-// sim.SystemFactory, and frames queue for a configurable number of
-// GPU executors whose per-frame service time comes from the Appendix
-// I gpumodel (region merging and launch overhead included). A
-// pluggable scheduler (package sched: fifo, fair, priority, edf)
-// decides which waiting frame runs next and which one a full queue
-// evicts, and executors can fuse up to BatchSize frames into one
-// batched launch (gpumodel.Model.BatchFrames), amortizing the
-// per-launch constant across frames. Backpressure policies — queue
-// cap with drop-oldest/drop-newest, stale-frame skip,
+// push frames with Server.Submit, their own or the config's preset
+// arrivals (Schedule); each of the N streams owns a private detection
+// session built from the config's sim.SystemSpec, and frames queue for
+// a configurable number of GPU executors whose per-frame service time
+// comes from the Appendix I gpumodel (region merging and launch
+// overhead included). A pluggable scheduler (package sched: fifo,
+// fair, priority, edf) decides which waiting frame runs next and which
+// one a full queue evicts, and executors can fuse up to BatchSize
+// frames into one batched launch (gpumodel.Model.BatchFrames),
+// amortizing the per-launch constant across frames. Backpressure
+// policies — queue cap with drop-oldest/drop-newest, stale-frame skip,
 // degrade-to-proposal-only under overload — shape the tail.
 //
 // Per-frame outcomes (served, dropped, degraded) stream to a
@@ -201,7 +201,7 @@ type Config struct {
 
 	// Chaos injects operational faults — camera dropouts, variable-fps
 	// clients, clock skew, poison pills — into the preset arrival
-	// schedule replayed by Run/ScheduleSource. The zero value is off.
+	// schedule Run replays (Schedule). The zero value is off.
 	// Chaos is a pure function of (Config, Seed): a chaotic scenario
 	// is exactly as deterministic as a clean one.
 	Chaos Chaos

@@ -11,7 +11,7 @@ import (
 	"repro/internal/serve/control"
 )
 
-// ErrClosed is returned by Submit, Ingest and Drain after Close.
+// ErrClosed is returned by Submit and Drain after Close.
 var ErrClosed = errors.New("serve: server closed")
 
 // EventKind classifies a per-frame serving outcome.
@@ -111,44 +111,11 @@ type Arrival struct {
 	At            float64
 }
 
-// Source produces arrivals for Server.Ingest. Next returns ok=false
-// when the source is exhausted.
-type Source interface {
-	Next() (Arrival, bool)
-}
-
-// channelSource adapts a caller-owned channel to a Source.
-type channelSource struct{ ch <-chan Arrival }
-
-func (c channelSource) Next() (Arrival, bool) { a, ok := <-c.ch; return a, ok }
-
-// ChannelSource wraps a channel as a Source: Ingest submits each
-// received arrival until the channel closes. Producer goroutines own
-// the channel; the serialization through it gives the server a single
-// total submission order, so a channel-fed run is deterministic
-// whenever the producers' interleaving is.
-func ChannelSource(ch <-chan Arrival) Source { return channelSource{ch} }
-
-// sliceSource replays a fixed schedule.
-type sliceSource struct {
-	arrivals []Arrival
-	i        int
-}
-
-func (s *sliceSource) Next() (Arrival, bool) {
-	if s.i >= len(s.arrivals) {
-		return Arrival{}, false
-	}
-	a := s.arrivals[s.i]
-	s.i++
-	return a, true
-}
-
-// ScheduleSource precomputes the config's preset arrival schedule —
-// every stream's frames within Duration, on the configured arrival
-// process, perturbed by the configured Chaos — and replays it in
-// global virtual-time order. It is the source Run drives the Server
-// with; the schedule depends only on (seed, streams, rates, arrival
+// Schedule precomputes the config's preset arrival schedule — every
+// stream's frames within Duration, on the configured arrival process,
+// perturbed by the configured Chaos — in global virtual-time order,
+// applying the config's defaults first. Run submits it to a Server in
+// order; the schedule depends only on (seed, streams, rates, arrival
 // process, duration, chaos), never on the fleet shape, so the same
 // config always offers the same load.
 //
@@ -158,7 +125,7 @@ func (s *sliceSource) Next() (Arrival, bool) {
 // very order the Reconnect policies exist to interpret. Fault-free
 // schedules have unique (At, Stream) pairs and increasing frame order
 // per stream, so their replay is unchanged byte for byte.
-func ScheduleSource(cfg Config) Source {
+func Schedule(cfg Config) []Arrival {
 	cfg = cfg.withDefaults()
 	var arrivals []Arrival
 	for s, ts := range arrivalTimes(cfg) {
@@ -177,16 +144,15 @@ func ScheduleSource(cfg Config) Source {
 		}
 		return a.Stream < b.Stream
 	})
-	return &sliceSource{arrivals: arrivals}
+	return arrivals
 }
 
 // Server is a long-lived, push-based serving fleet on a virtual clock:
 // the scheduler, batched executors and backpressure policies of the
 // simulator, opened up so callers own the arrival process. Frames are
-// pushed with Submit (or pulled from a Source with Ingest); per-frame
-// outcomes stream to the configured Sink; Stats returns live
-// snapshots; Drain runs the backlog dry and reports the cumulative
-// Result.
+// pushed with Submit; per-frame outcomes stream to the configured
+// Sink; Stats returns live snapshots; Drain runs the backlog dry and
+// reports the cumulative Result.
 //
 // The engine advances eagerly: Submit(_, _, t) plays every pending
 // event up to t before returning, so completions, drops and sink
@@ -266,10 +232,6 @@ func newServer(cfg Config, worlds *Worlds) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Config returns the server's normalized configuration (defaults
-// applied).
-func (s *Server) Config() Config { return s.f.cfg }
 
 // Submit offers one frame of a stream to the fleet at virtual time
 // arriveAt. frame is the stream's wire index: under the default
@@ -382,25 +344,6 @@ func (s *Server) Submit(stream, frame int, arriveAt float64) error {
 	s.f.agenda.add(event{t: t, kind: evArrival, stream: stream, frame: eff, arrive: arriveAt, epoch: epoch})
 	s.f.advanceTo(t)
 	return nil
-}
-
-// Ingest submits every arrival the source yields, in order, stopping
-// at the first Submit error.
-func (s *Server) Ingest(src Source) error { return Ingest(src, s.Submit) }
-
-// Ingest feeds every arrival src yields to submit, in order, stopping
-// at the first error: the one loop behind Server.Ingest and the
-// cluster Router's Ingest.
-func Ingest(src Source, submit func(stream, frame int, at float64) error) error {
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := submit(a.Stream, a.Frame, a.At); err != nil {
-			return err
-		}
-	}
 }
 
 // AdvanceTo plays every pending event up to and including virtual time
@@ -570,8 +513,8 @@ func (s *Server) Drain(ctx context.Context) (*Result, error) {
 	return s.f.result(), nil
 }
 
-// Close marks the server closed — subsequent Submit, Ingest and Drain
-// calls fail with ErrClosed — and stops the engine's step workers,
+// Close marks the server closed — subsequent Submit and Drain calls
+// fail with ErrClosed — and stops the engine's step workers,
 // returning only once they have exited (a step in progress finishes
 // first). Close does not drain — call Drain first if the backlog's
 // results matter. Closing twice is a no-op.
@@ -584,8 +527,8 @@ func (s *Server) Close() error {
 }
 
 // Run executes one closed-loop serving scenario: it builds a Server,
-// replays the config's preset arrival schedule through Submit
-// (ScheduleSource), drains, and returns the deterministic Result. The
+// submits the config's preset arrival schedule (Schedule) in order,
+// drains, and returns the deterministic Result. The
 // same Config (seed included) produces a byte-identical Result at any
 // executor count and on any machine.
 func Run(cfg Config) (*Result, error) {
@@ -594,8 +537,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		return nil, err
+	for _, a := range Schedule(cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			return nil, err
+		}
 	}
 	return srv.Drain(context.Background())
 }

@@ -27,8 +27,10 @@ func TestServerMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {
@@ -127,8 +129,10 @@ func TestStatsConsistentWithResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	mid := srv.Stats()
@@ -179,8 +183,10 @@ func TestStatsWindowBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {
@@ -255,8 +261,10 @@ func TestDrainCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -372,35 +380,5 @@ func TestValidateFieldPaths(t *testing.T) {
 	}
 	if err := testConfig().Validate(); err != nil {
 		t.Errorf("Validate rejected a good config: %v", err)
-	}
-}
-
-// TestChannelSource feeds a Server through a caller-owned channel and
-// checks Ingest drains it to the same books as direct submission.
-func TestChannelSource(t *testing.T) {
-	cfg := testConfig()
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ch := make(chan Arrival, 8)
-	go func() {
-		defer close(ch)
-		for k := 0; k < 40; k++ {
-			for s := 0; s < cfg.Streams; s++ {
-				ch <- Arrival{Stream: s, Frame: k, At: float64(k) / 15}
-			}
-		}
-	}()
-	if err := srv.Ingest(ChannelSource(ch)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := srv.Drain(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 40 * cfg.Streams; r.Fleet.Arrived != want {
-		t.Errorf("arrived %d, sent %d", r.Fleet.Arrived, want)
 	}
 }

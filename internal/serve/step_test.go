@@ -191,8 +191,10 @@ func runPriced(t *testing.T, cfg Config, lookahead bool) ([]byte, []Event) {
 	if !lookahead {
 		srv.f.bound = launchBound{}
 	}
-	if err := srv.Ingest(ScheduleSource(srv.Config())); err != nil {
-		t.Fatal(err)
+	for _, a := range Schedule(srv.f.cfg) {
+		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := srv.Drain(context.Background())
 	if err != nil {
@@ -326,9 +328,10 @@ func failRun(t *testing.T, workers int, at float64, lookahead bool) ([]FailedFra
 	if !lookahead {
 		srv.f.bound = launchBound{}
 	}
-	src := ScheduleSource(cfg)
-	a, ok := src.Next()
-	for ; ok && a.At <= at; a, ok = src.Next() {
+	arrivals := Schedule(cfg)
+	i := 0
+	for ; i < len(arrivals) && arrivals[i].At <= at; i++ {
+		a := arrivals[i]
 		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +352,7 @@ func failRun(t *testing.T, workers int, at float64, lookahead bool) ([]FailedFra
 	if err := srv.ResizeAt(cfg.Executors, at); err != nil {
 		t.Fatal(err)
 	}
-	for ; ok; a, ok = src.Next() {
+	for _, a := range arrivals[i:] {
 		if err := srv.Submit(a.Stream, a.Frame, a.At); err != nil {
 			t.Fatal(err)
 		}

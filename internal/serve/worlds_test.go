@@ -100,7 +100,7 @@ func TestSharedWorldsMatchPrivate(t *testing.T) {
 			private[i].Close()
 		}
 		for s := 0; s < cfg.Streams; s++ {
-			checkWorld(t, shared[0].Config(), s, worlds.seq(s), frames)
+			checkWorld(t, shared[0].f.cfg, s, worlds.seq(s), frames)
 		}
 	}
 }

@@ -17,12 +17,6 @@ import (
 // sharing one system across goroutines.
 type SystemFactory func() (core.System, error)
 
-// Factory returns a SystemFactory that builds this spec against the
-// given class vocabulary.
-func (s SystemSpec) Factory(classes []dataset.Class) SystemFactory {
-	return func() (core.System, error) { return s.Build(classes) }
-}
-
 // Engine runs experiments sharded per sequence across a worker pool.
 // The zero value uses GOMAXPROCS workers; Workers = 1 degenerates to
 // the serial path. Output is byte-identical for every worker count:
@@ -158,8 +152,7 @@ func metricsDetections(ds *dataset.Dataset, shards []seqShard) metrics.Detection
 // RunFactory executes the system built by factory over every sequence
 // of the dataset, sharded across this engine's worker pool. Each worker
 // owns a private system instance; per-sequence results are merged in
-// dataset order, so the output is byte-identical to the serial Run for
-// any worker count.
+// dataset order, so the output is byte-identical for any worker count.
 func (e Engine) RunFactory(factory SystemFactory, ds *dataset.Dataset) (*RunResult, error) {
 	// One probe instance names the result and validates the factory
 	// before the pool spins up; it doubles as the first worker.
@@ -184,7 +177,7 @@ func (e Engine) RunFactory(factory SystemFactory, ds *dataset.Dataset) (*RunResu
 // Run builds the spec against the dataset's classes and executes it on
 // this engine's worker pool.
 func (e Engine) Run(spec SystemSpec, ds *dataset.Dataset) (*RunResult, error) {
-	return e.RunFactory(spec.Factory(ds.Classes), ds)
+	return e.RunFactory(func() (core.System, error) { return spec.Build(ds.Classes) }, ds)
 }
 
 // MustRun is Run for static specs; it panics on build errors.

@@ -9,16 +9,16 @@ import (
 )
 
 // TestParallelMatchesSerial is the engine's determinism contract: the
-// sharded parallel runner must reproduce the serial Run bit for bit at
-// every worker count, because both paths accumulate per-sequence shards
+// sharded parallel runner must reproduce the one-worker run bit for bit
+// at every worker count, because both paths accumulate per-sequence shards
 // and merge them in dataset order.
 func TestParallelMatchesSerial(t *testing.T) {
 	ds := video.Generate(video.MiniKITTIPreset(), 1)
 	spec := SystemSpec{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}
-	serial := Run(spec.MustBuild(ds.Classes), ds)
+	serial := Engine{Workers: 1}.MustRun(spec, ds)
 
 	for _, workers := range []int{1, 2, 8} {
-		par, err := Engine{Workers: workers}.RunFactory(spec.Factory(ds.Classes), ds)
+		par, err := Engine{Workers: workers}.Run(spec, ds)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -53,7 +53,7 @@ func TestParallelStatelessSystems(t *testing.T) {
 		{Kind: Single, Refinement: "resnet10b"},
 		{Kind: Cascaded, Proposal: "resnet10b", Refinement: "resnet18", Cfg: core.DefaultConfig()},
 	} {
-		serial := Run(spec.MustBuild(ds.Classes), ds)
+		serial := Engine{Workers: 1}.MustRun(spec, ds)
 		par := Engine{Workers: 4}.MustRun(spec, ds)
 		if !reflect.DeepEqual(par, serial) {
 			t.Errorf("%s %s: parallel result differs from serial", spec.Kind, spec.Refinement)

@@ -43,15 +43,6 @@ func (r *RunResult) AvgGops() float64 {
 	return ops.Gops(r.AvgOps().Total())
 }
 
-// Run executes the system over every sequence of the dataset, resetting
-// per-sequence state in between (tracker state never crosses clips).
-// It is the one-worker Engine.RunFactory over this one system, so the
-// serial and the parallel paths agree bit for bit.
-func Run(sys core.System, ds *dataset.Dataset) *RunResult {
-	r, _ := Engine{Workers: 1}.RunFactory(func() (core.System, error) { return sys, nil }, ds) // the factory cannot fail
-	return r
-}
-
 // Evaluation bundles the metric outcomes the tables report.
 type Evaluation struct {
 	MAP        float64

@@ -23,8 +23,7 @@ func miniKITTI() *dataset.Dataset {
 
 func TestRunCollectsEverything(t *testing.T) {
 	ds := miniKITTI()
-	sys := SystemSpec{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}.MustBuild(ds.Classes)
-	r := Run(sys, ds)
+	r := Engine{Workers: 1}.MustRun(SystemSpec{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()}, ds)
 	if r.Frames != ds.NumFrames() {
 		t.Fatalf("frames = %d, want %d", r.Frames, ds.NumFrames())
 	}
@@ -41,8 +40,8 @@ func TestRunCollectsEverything(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	ds := miniKITTI()
 	spec := SystemSpec{Kind: CaTDet, Proposal: "resnet10b", Refinement: "resnet50", Cfg: core.DefaultConfig()}
-	a := Run(spec.MustBuild(ds.Classes), ds)
-	b := Run(spec.MustBuild(ds.Classes), ds)
+	a := Engine{Workers: 1}.MustRun(spec, ds)
+	b := Engine{Workers: 1}.MustRun(spec, ds)
 	if a.AvgGops() != b.AvgGops() || a.AvgProposals != b.AvgProposals {
 		t.Fatal("re-running the same system produced different results")
 	}
@@ -260,8 +259,7 @@ func TestEvaluateSparseDatasetSkipsDelay(t *testing.T) {
 	p := video.CityPersonsPreset()
 	p.NumSequences = 6
 	ds := video.Generate(p, 1)
-	sys := SystemSpec{Kind: Single, Refinement: "resnet50"}.MustBuild(ds.Classes)
-	r := Run(sys, ds)
+	r := Engine{Workers: 1}.MustRun(SystemSpec{Kind: Single, Refinement: "resnet50"}, ds)
 	ev := Evaluate(ds, r, dataset.Hard, Beta)
 	if !math.IsNaN(ev.MeanDelay) {
 		t.Fatalf("sparse dataset returned delay %v, want NaN", ev.MeanDelay)
